@@ -200,10 +200,17 @@ def _entry(terms, keyfn):
     return (lt, terms[lt], terms)
 
 
-def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int):
-    """Core loop; returns the interreduced monic basis as entry triples."""
+def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
+    """The one pair queue; returns the interreduced monic basis as entry triples.
+
+    `inputs` are term dicts.  `seeded` are entry triples that already form
+    a Groebner basis, such as an earlier result of this function; the
+    result is a basis of their span together with the inputs.  Pairs are
+    taken by ascending lcm degree, and the product criterion (rank one
+    only) and the chain criterion drop pairs before they are reduced.
+    """
     keyfn = _key_fn(order)
-    basis = []
+    basis = list(seeded)
     for terms in inputs:
         terms = _strip_content(dict(terms), fld)
         if terms:
@@ -216,8 +223,11 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int):
             return None
         return mono_lcm(m1, m2)
 
+    # Pairs of two seeded entries are never queued: the seeded entries form
+    # a basis, so their S-pairs already reduce to zero, and they count as
+    # treated for the chain criterion below.
     pending = set()
-    for j in range(len(basis)):
+    for j in range(len(seeded), len(basis)):
         for i in range(j):
             if lcm_of(i, j) is not None:
                 pending.add((i, j))
@@ -483,9 +493,11 @@ class Span:
 class IncrementalSpan:
     """Membership-only span of a growing vector list.
 
-    No tails are carried, so this is cheaper than `Span`; adding a vector
-    only processes S-pairs against the existing basis, which is already
-    pairwise reduced.
+    No tails are carried, so this is cheaper than `Span`.  The entries are
+    always a reduced Groebner basis of the span: `add` reduces the new
+    vector and, when a remainder is left, hands it to the pair queue
+    seeded with the current basis, so only pairs that involve the new
+    element are formed.
     """
 
     def __init__(self, sig, rank, vectors=(), caps: Caps = None):
@@ -493,52 +505,30 @@ class IncrementalSpan:
         self.rank = rank
         self.caps = caps or DEFAULT_CAPS.fresh()
         self._keyfn = _key_fn(sig.order)
-        inputs = []
-        for v in vectors:
-            inputs.append(_poly_terms(v) if isinstance(v, Poly) else _vector_terms(v))
         self._entries = _buchberger_terms(
-            inputs, sig.order, sig.field, self.caps, rank
+            [self._to_terms(v) for v in vectors], sig.order, sig.field, self.caps, rank
         )
 
     def _to_terms(self, v):
         return _poly_terms(v) if isinstance(v, Poly) else _vector_terms(v)
 
     def contains(self, v) -> bool:
-        return not _reduce_full(
-            self._to_terms(v), self._entries, self._keyfn, self.sig.field
-        )
+        return not self.normal_form_terms(v)
 
     def normal_form_terms(self, v):
         return _reduce_full(
             self._to_terms(v), self._entries, self._keyfn, self.sig.field
         )
 
-    def add(self, v):
-        """Absorb a new vector, completing the basis against it only."""
-        fld = self.sig.field
-        nf = _reduce_full(self._to_terms(v), self._entries, self._keyfn, fld)
-        if not nf:
-            return
-        queue = [nf]
-        while queue:
-            # re-reduce: entries appended since enqueue may now apply
-            cand = _reduce_full(queue.pop(), self._entries, self._keyfn, fld)
-            if not cand:
-                continue
-            terms = _strip_content(cand, fld)
-            entry = _entry(terms, self._keyfn)
-            new_index = len(self._entries)
-            self._entries.append(entry)
-            for k in range(new_index):
-                lt_k = self._entries[k][0]
-                lt_n = entry[0]
-                if lt_k[0] != lt_n[0]:
-                    continue
-                self.caps.tick(degree(mono_lcm(lt_k[1], lt_n[1])))
-                s = _spair(self._entries[k], entry, fld)
-                red = _reduce_full(s, self._entries, self._keyfn, fld)
-                if red:
-                    queue.append(red)
+    def add(self, v) -> bool:
+        """Absorb a vector; True exactly when it was not already in the span."""
+        nf = self.normal_form_terms(v)
+        if nf:
+            self._entries = _buchberger_terms(
+                [nf], self.sig.order, self.sig.field, self.caps, self.rank,
+                seeded=self._entries,
+            )
+        return bool(nf)
 
 
 def syzygy_matrix(gb: GroebnerBasis, original_gens):

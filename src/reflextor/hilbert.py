@@ -10,7 +10,7 @@ of numerators decides equality of series.
 from dataclasses import dataclass
 
 from .caps import Caps
-from .groebner import FreeVector, Span
+from .groebner import FreeVector, IncrementalSpan, Span
 
 
 def _laurent_add(a: dict, b: dict, sign=1) -> dict:
@@ -150,25 +150,22 @@ def vector_degree(v: FreeVector, coord_degrees):
     return degs.pop()
 
 
-def minimal_vector_subset(sig, rank, vectors, degrees, caps: Caps = None):
-    """Indices of a minimal generating subset of a graded span over S.
+def minimal_vector_subset(sig, rank, vectors, degrees, caps: Caps = None,
+                          modulo=()):
+    """Indices of a minimal generating subset of (span(vectors) + D)/D over S.
 
-    Vectors are scanned by ascending degree; one is redundant exactly when
-    the earlier accepted ones already span it (graded Nakayama).
+    D is the span of `modulo`.  This is the one graded-Nakayama scan:
+    vectors are taken by ascending degree, and one is kept exactly when
+    it does not already lie in D plus the span of the ones kept before
+    it.  The span grows in a single `IncrementalSpan` seeded with D.
     """
+    if not vectors:
+        return []
     order = sorted(
         range(len(vectors)), key=lambda i: (degrees[i], str(vectors[i]))
     )
-    accepted = []
-    span = None
-    for i in order:
-        if vectors[i].is_zero:
-            continue
-        if span is not None and span.contains(vectors[i]):
-            continue
-        accepted.append(i)
-        span = Span(sig, rank, [vectors[j] for j in accepted], caps=caps)
-    return sorted(accepted)
+    span = IncrementalSpan(sig, rank, modulo, caps=caps)
+    return sorted(i for i in order if span.add(vectors[i]))
 
 
 def ambient_betti_shifts(sig, gen_degrees, columns, caps: Caps = None):

@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .groebner import FreeVector, Span
+from .groebner import FreeVector
 from .hilbert import vector_degree
 from .modules import (
     ModuleMap,
@@ -24,7 +24,6 @@ from .modules import (
     module_is_zero,
     present_subquotient,
     ring_membership_span,
-    ring_relation_vectors,
     syzygies_over_ring,
 )
 from .poly import Poly
@@ -291,14 +290,9 @@ def _segment_homology(ring, middle: PresentedModule, outgoing: ModuleMap,
         ]
     else:
         target = outgoing.target
-        stacked = list(outgoing.columns) + list(target.columns)
-        stacked += ring_relation_vectors(ring, target.num_generators)
-        span = Span(ring.sig, target.num_generators, stacked, caps=caps)
-        kernel_gens = []
-        for s in span.syzygies():
-            head = ring.reduce_vector(FreeVector(ring.sig, s.coords[:gb_rank]))
-            if not head.is_zero:
-                kernel_gens.append(head)
+        kernel_gens = syzygies_over_ring(ring, target.num_generators,
+                                         outgoing.columns, caps,
+                                         modulo=target.columns)
     relations = list(incoming_cols) + list(middle.columns)
     member = ring_membership_span(ring, gb_rank, relations, caps)
     is_zero = all(member.contains(k) for k in kernel_gens)

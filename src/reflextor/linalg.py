@@ -45,25 +45,6 @@ def in_row_span(rows, target, fld) -> bool:
     return rank(rows, fld) == rank(list(rows) + [list(target)], fld)
 
 
-def solve_in_span(rows, target, fld):
-    """Coefficients expressing target over rows, or None.
-
-    Solves x * rows = target by reducing the transposed augmented system.
-    """
-    nrows = len(rows)
-    if nrows == 0:
-        return [] if all(fld.is_zero(x) for x in target) else None
-    ncols = len(rows[0])
-    aug = [[rows[i][c] for i in range(nrows)] + [target[c]] for c in range(ncols)]
-    reduced, pivots = row_reduce(aug, fld)
-    if nrows in pivots:
-        return None
-    coeffs = [fld.zero] * nrows
-    for row, p in zip(reduced, pivots):
-        coeffs[p] = row[-1]
-    return coeffs
-
-
 def nullspace(rows, fld):
     """Basis of {x : rows_matrix @ x = 0}, for rows over ncols columns."""
     if not rows:

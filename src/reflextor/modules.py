@@ -26,7 +26,11 @@ from .groebner import (
     ideal_quotient,
     intersect_ideals,
 )
-from .hilbert import hilbert_series_of_presentation, vector_degree
+from .hilbert import (
+    hilbert_series_of_presentation,
+    minimal_vector_subset,
+    vector_degree,
+)
 from .poly import Poly
 from .rings import QuotientRing, RIdeal
 
@@ -161,40 +165,29 @@ def ring_membership_span(ring, rank, vectors, caps: Caps = None) -> IncrementalS
     return IncrementalSpan(ring.sig, rank, vecs, caps=caps)
 
 
-def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None):
-    """Generators of the syzygy module of `vectors` inside R^len(vectors)."""
+def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None,
+                       modulo=()):
+    """Generators of {a in R^len(vectors) : sum a_i * vectors_i in span(modulo)}.
+
+    With no `modulo` these are the syzygies of `vectors` over R.  One
+    augmented run over vectors + modulo + ring relations; the heads of its
+    syzygies, reduced and nonzero, are the answer.
+    """
     k = len(vectors)
     if k == 0:
         return []
-    span = ring_span(ring, rank, vectors, caps)
-    out = []
-    for s in span.syzygies():
-        head = FreeVector(ring.sig, s.coords[:k])
-        head = ring.reduce_vector(head)
-        if not head.is_zero:
-            out.append(head)
-    return out
+    span = ring_span(ring, rank, list(vectors) + list(modulo), caps)
+    heads = (
+        ring.reduce_vector(FreeVector(ring.sig, s.coords[:k]))
+        for s in span.syzygies()
+    )
+    return [h for h in heads if not h.is_zero]
 
 
 def minimal_generator_indices(ring, rank, vectors, degrees, modulo=(), caps=None):
-    """Graded-Nakayama choice of generators of (span(vectors)+D)/D over R.
-
-    Vectors are scanned in ascending degree; one is kept exactly when the
-    kept ones together with D do not already span it.
-    """
-    if not vectors:
-        return []
-    order = sorted(range(len(vectors)), key=lambda i: (degrees[i], str(vectors[i])))
-    span = ring_membership_span(ring, rank, list(modulo), caps)
-    kept = []
-    for i in order:
-        if vectors[i].is_zero:
-            continue
-        if span.contains(vectors[i]):
-            continue
-        kept.append(i)
-        span.add(vectors[i])
-    return sorted(kept)
+    """Graded-Nakayama choice of generators of (span(vectors)+D)/D over R."""
+    modulo = list(modulo) + ring_relation_vectors(ring, rank)
+    return minimal_vector_subset(ring.sig, rank, vectors, degrees, caps, modulo)
 
 
 def present_subquotient(ring, rank, coord_degrees, numerators, denominators, caps=None):
@@ -218,14 +211,7 @@ def present_subquotient(ring, rank, coord_degrees, numerators, denominators, cap
     gen_degs = [degs[i] for i in kept]
     if not gens:
         return PresentedModule(ring, (), (), _minimal=True), []
-    stacked = list(gens) + list(denominators) + ring_relation_vectors(ring, rank)
-    span = Span(ring.sig, rank, stacked, caps=caps)
-    t = len(gens)
-    rel_cols = []
-    for s in span.syzygies():
-        head = ring.reduce_vector(FreeVector(ring.sig, s.coords[:t]))
-        if not head.is_zero:
-            rel_cols.append(head)
+    rel_cols = syzygies_over_ring(ring, rank, gens, caps, modulo=denominators)
     module = PresentedModule(ring, gen_degs, rel_cols)
     return minimize(module), gens
 
@@ -373,15 +359,9 @@ def kernel(phi: ModuleMap, caps: Caps = None):
         zero = PresentedModule(ring, (), (), _minimal=True)
         return zero, ModuleMap(zero, phi.source, (), check=False)
     # preimage of the target relations inside the source free cover
-    stacked = list(phi.columns)
-    stacked += list(phi.target.columns)
-    stacked += ring_relation_vectors(ring, g_t)
-    span = Span(ring.sig, g_t, stacked, caps=caps)
-    preimage = []
-    for s in span.syzygies():
-        head = ring.reduce_vector(FreeVector(ring.sig, s.coords[:g_s]))
-        if not head.is_zero:
-            preimage.append(head)
+    preimage = syzygies_over_ring(
+        ring, g_t, phi.columns, caps, modulo=phi.target.columns
+    )
     module, gens = present_subquotient(
         ring, g_s, phi.source.gen_degrees, preimage, list(phi.source.columns), caps
     )

@@ -123,7 +123,3 @@ def parse_poly(text: str, sig: RingSignature) -> Poly:
     if parser.pos != len(text):
         parser.error(f"unexpected character {text[parser.pos]!r}")
     return result
-
-
-def parse_many(texts, sig: RingSignature):
-    return [parse_poly(t, sig) for t in texts]

@@ -8,7 +8,6 @@ engine passes.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .caps import CapExceeded, ComputationCancelled
@@ -287,30 +286,17 @@ def _dispatch(session: Session, task: dict, caps):
     raise SessionError(f"unhandled task kind {kind!r}")
 
 
-def run_session(session: Session, workers: int = 4) -> dict:
-    """Execute every task and assemble the deterministic report."""
+def run_session(session: Session) -> dict:
+    """Execute every task in order and assemble the deterministic report."""
     ring = session.ring
     tasks = list(session.tasks)
     results = [None] * len(tasks)
     input_error = None
-
-    def run(i):
-        return run_task(session, tasks[i], i)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, i) for i in range(len(tasks))]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except SessionError as e:
-                    input_error = input_error or str(e)
-    else:
-        for i in range(len(tasks)):
-            try:
-                results[i] = run(i)
-            except SessionError as e:
-                input_error = input_error or str(e)
+    for i, task in enumerate(tasks):
+        try:
+            results[i] = run_task(session, task, i)
+        except SessionError as e:
+            input_error = input_error or str(e)
     if input_error is not None:
         return {
             "schema": 1,

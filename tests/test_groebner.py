@@ -1,11 +1,14 @@
 """Buchberger, normal forms, syzygies, and the derived ideal operations."""
 
+import random
+
 import pytest
 
 from reflextor.caps import Caps, CapExceeded, ComputationCancelled
-from reflextor.fields import QQ
+from reflextor.fields import GF, QQ
 from reflextor.groebner import (
     FreeVector,
+    GroebnerBasis,
     Ideal,
     IncrementalSpan,
     Span,
@@ -18,9 +21,11 @@ from reflextor.groebner import (
     syzygy_matrix,
     verify_groebner,
 )
-from reflextor.orders import LEX
+from reflextor.orders import LEX, mono_divides
 from reflextor.parse import parse_poly
 from reflextor.poly import Poly, RingSignature, SignatureMismatch
+
+from oracles import all_monomials, submodule_piece_dimension
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +202,49 @@ class TestSpan:
         probes = [p4("x^3 - x*y"), p4("z"), p4("x^2*z - y*z"), p4("w^2")]
         for f in probes:
             assert inc.contains(f) == batch.contains(f)
+
+    @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
+    def test_incremental_vectors_match_batch_and_oracle(self, fld):
+        # homogeneous vectors of S^2 with coordinate degrees (0, 1), added
+        # one at a time to the seeded pair queue
+        sig = RingSignature(fld, ("x", "y", "z"))
+        rng = random.Random(20261018)
+        coord_degrees = (0, 1)
+
+        def form(d):
+            monos = all_monomials(sig.nvars, d)
+            picks = rng.sample(monos, min(3, len(monos)))
+            return Poly.from_dict(sig, {m: fld.from_int(rng.randint(-3, 3)) for m in picks})
+
+        def vector(d):
+            return FreeVector(sig, tuple(form(d - cd) for cd in coord_degrees))
+
+        vectors = [vector(d) for d in (2, 2, 3, 3)]
+        caps = Caps()
+        inc = IncrementalSpan(sig, 2, caps=caps)
+        for v in vectors:
+            inc.add(v)
+        assert verify_groebner(GroebnerBasis(sig, 2, [], True, inc._entries))
+
+        x, y = (Poly.variable(sig, n) for n in ("x", "y"))
+        member = vectors[0].poly_mul(x * y) - vectors[2].poly_mul(x + y)
+        batch = Span(sig, 2, vectors)
+        for probe in [member] + [vector(d) for d in (2, 3, 4, 4)]:
+            assert inc.contains(probe) == batch.contains(probe)
+        assert inc.contains(member)
+
+        leads = [lt for (lt, _, _) in inc._entries]
+        for d in range(6):
+            lead_dim = sum(
+                any(p == i and mono_divides(lm, m) for (p, lm) in leads)
+                for i, cd in enumerate(coord_degrees)
+                for m in all_monomials(sig.nvars, d - cd)
+            )
+            assert lead_dim == submodule_piece_dimension(vectors, coord_degrees, d)
+
+        ticks = caps._pairs_used
+        assert not inc.add(member)
+        assert caps._pairs_used == ticks
 
 
 class TestIdealOperations:

@@ -1,18 +1,22 @@
 """Hilbert series: closed forms, graded piece values, additivity."""
 
+import random
+
 import pytest
 
+from reflextor import GF, make_ring
 from reflextor.hilbert import laurent_div_exact
 from reflextor.modules import (
     cyclic,
     free_module,
     kernel,
     minimize,
+    module_from_rows,
     tensor,
     transpose,
 )
 from reflextor.parse import parse_poly
-
+from reflextor.poly import Poly
 
 
 class TestLaurent:
@@ -78,3 +82,23 @@ class TestSeries:
         diff = transpose(transpose(m_a)).hilbert_series() - m_a.hilbert_series()
         ring_numer = free_module(ring_a, (0,)).hilbert_series().as_dict()
         assert diff.is_free_combination_of(ring_numer) is not None
+
+    def test_generic_linear_matrix_buchsbaum_rim(self):
+        # the cokernel of a generic 3x5 matrix of linear forms over a
+        # polynomial ring in four variables is resolved by the
+        # Buchsbaum-Rim complex: S^3 <- S(-1)^5 <- S(-4)^5 <- S(-5)^3
+        p = 32003
+        ring = make_ring(GF(p), [f"x{i}" for i in range(4)], [])
+        xs = [Poly.variable(ring.sig, v) for v in ring.sig.variables]
+        rng = random.Random(7)
+
+        def linear_form():
+            total = Poly.zero(ring.sig)
+            for x in xs:
+                total = total + x.scale(ring.sig.field.from_int(rng.randrange(1, p)))
+            return total
+
+        rows = [[linear_form() for _ in range(5)] for _ in range(3)]
+        hs = module_from_rows(ring, rows, (0, 0, 0)).hilbert_series()
+        assert hs.nvars == 4
+        assert hs.as_dict() == {0: 3, 1: -5, 4: 5, 5: -3}

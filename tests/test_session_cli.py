@@ -174,11 +174,6 @@ class TestRunSession:
         b = report_json(run_session(load_session(_document())))
         assert a == b
 
-    def test_sequential_matches_concurrent(self):
-        parallel = report_json(run_session(load_session(_document()), workers=4))
-        serial = report_json(run_session(load_session(_document()), workers=1))
-        assert parallel == serial
-
     def test_report_revalidates(self):
         doc = _document()
         doc["tasks"] = doc["tasks"] + [
