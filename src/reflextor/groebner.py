@@ -5,10 +5,14 @@ to a coefficient.  The module order is position-over-term: terms in an
 earlier position are larger than any term in a later position, with the
 ring's monomial order breaking ties inside a position.  That block shape
 is what makes the tail-augmentation trick below work: appending a unit
-tail e_i to each input vector and computing one Gröbner basis yields, in
-a single pass, a basis of the span, membership certificates, lifts of
-members through the generators, and a generating set of the syzygy module
-(the elements whose span part reduced to zero).
+tail e_i to each tracked input vector and computing one Gröbner basis
+yields, in a single pass, lifts of members through the tracked vectors
+and a generating set of their syzygy module (the elements whose span part
+reduced to zero).  Only tracked inputs carry tails.  Vectors a query only
+needs to work modulo, and an ideal's multiples of the unit vectors, join
+the span untailed; the tails of the result are then exactly those of a
+fully tailed run with the untracked positions dropped, because those
+positions are the lowest ones.
 
 All routines are pure; caps and cancellation are threaded via `Caps`.
 """
@@ -105,6 +109,16 @@ def _terms_to_vector(terms, sig, rank) -> FreeVector:
 
 def _terms_to_poly(terms, sig) -> Poly:
     return Poly.from_dict(sig, {m: c for (_, m), c in terms.items()})
+
+def _as_terms(v, rank):
+    """Fresh term dict of a polynomial (rank one) or a vector of S^rank."""
+    if isinstance(v, Poly):
+        if rank != 1:
+            raise ValueError(f"polynomial against a module of rank {rank}")
+        return _poly_terms(v)
+    if v.rank != rank:
+        raise ValueError(f"rank mismatch: {v.rank} vs {rank}")
+    return _vector_terms(v)
 
 
 # ----------------------------------------------------------------------
@@ -203,14 +217,17 @@ def _entry(terms, keyfn):
 def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
     """The one pair queue; returns the interreduced monic basis as entry triples.
 
-    `inputs` are term dicts.  `seeded` are entry triples that already form
-    a Groebner basis, such as an earlier result of this function; the
-    result is a basis of their span together with the inputs.  Pairs are
-    taken by ascending lcm degree, and the product criterion (rank one
-    only) and the chain criterion drop pairs before they are reduced.
+    `inputs` are term dicts.  `seeded` are entry triples that must already
+    form a reduced basis: monic, and no term of one divisible by the lead
+    of another in its position, as an earlier result of this function or
+    `_ideal_block` gives.  The result is the reduced basis of their span
+    together with the inputs.  Pairs are taken by ascending lcm degree,
+    and the product criterion (rank one only) and the chain criterion drop
+    pairs before they are reduced.
     """
     keyfn = _key_fn(order)
     basis = list(seeded)
+    n_seeded = len(basis)
     for terms in inputs:
         terms = _strip_content(dict(terms), fld)
         if terms:
@@ -227,7 +244,7 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
     # a basis, so their S-pairs already reduce to zero, and they count as
     # treated for the chain criterion below.
     pending = set()
-    for j in range(len(seeded), len(basis)):
+    for j in range(n_seeded, len(basis)):
         for i in range(j):
             if lcm_of(i, j) is not None:
                 pending.add((i, j))
@@ -268,19 +285,28 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
             if lcm_of(k, new_index) is not None:
                 pending.add((k, new_index))
 
-    # minimalize: drop entries whose lead is divisible by another lead
-    basis.sort(key=lambda e: keyfn(e[0]))
+    # minimalize: drop entries whose lead is divisible by another lead; the
+    # stable sort keeps a seeded entry over a new one with the same lead
     kept = []
-    for e in basis:
-        (p, m) = e[0]
+    for k in sorted(range(len(basis)), key=lambda k: keyfn(basis[k][0])):
+        (p, m) = basis[k][0]
         if not any(
-            kp == p and mono_divides(km, m) for ((kp, km), _, _) in kept
+            basis[x][0][0] == p and mono_divides(basis[x][0][1], m) for x in kept
         ):
-            kept.append(e)
-    # tail-reduce and normalize monic
+            kept.append(k)
+    # tail-reduce and normalize monic.  A kept seeded entry is already
+    # reduced against the other seeded ones, so it needs work only when the
+    # lead of a kept new entry divides one of its terms.
+    fresh = [basis[k][0] for k in kept if k >= n_seeded]
     reduced = []
-    for idx, e in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
+    for k in kept:
+        e = basis[k]
+        if k < n_seeded and not any(
+            fp == p and mono_divides(fm, m) for (p, m) in e[2] for (fp, fm) in fresh
+        ):
+            reduced.append(e)
+            continue
+        others = [basis[x] for x in kept if x != k]
         nf = _reduce_full(e[2], others, keyfn, fld)
         lt = max(nf, key=keyfn)
         inv = fld.inv(nf[lt])
@@ -303,8 +329,6 @@ class GroebnerBasis:
     generators: list  # Poly when rank == 1 came from polynomials, else FreeVector
     reduced: bool = True
     _entries: list = None
-    _syzygies: list = None  # FreeVectors over S^len(original), when recorded
-    original: list = None
 
     def __iter__(self):
         return iter(self.generators)
@@ -342,20 +366,10 @@ def _as_term_inputs(gens):
     return [_vector_terms(g) for g in gens], sig, rank, False
 
 
-def buchberger(gens, caps: Caps = None, record_syzygies: bool = False):
-    """Reduced Groebner basis of the ideal or submodule generated by gens.
-
-    With record_syzygies the division records are retained via the
-    tail-augmentation run, enabling `syzygy_matrix`.
-    """
+def buchberger(gens, caps: Caps = None):
+    """Reduced Groebner basis of the ideal or submodule generated by gens."""
     caps = caps or DEFAULT_CAPS.fresh()
     inputs, sig, rank, is_poly = _as_term_inputs(gens)
-    if record_syzygies:
-        span = Span(sig, rank, list(gens), caps=caps, _is_poly=is_poly)
-        gb = span.gb
-        gb._syzygies = span.syzygies()
-        gb.original = list(gens)
-        return gb
     entries = _buchberger_terms(inputs, sig.order, sig.field, caps, rank)
     if is_poly:
         out = [_terms_to_poly(e[2], sig) for e in entries]
@@ -366,20 +380,10 @@ def buchberger(gens, caps: Caps = None, record_syzygies: bool = False):
 
 def normal_form(f, gb: GroebnerBasis):
     """Unique canonical representative of f modulo the basis."""
-    if isinstance(f, Poly):
-        if gb.rank != 1:
-            raise ValueError("polynomial against a module basis")
-        if f.sig != gb.sig:
-            raise SignatureMismatch("signature mismatch in normal form")
-        terms = _poly_terms(f)
-    else:
-        if f.sig != gb.sig:
-            raise SignatureMismatch("signature mismatch in normal form")
-        if f.rank != gb.rank:
-            raise ValueError(f"rank mismatch: {f.rank} vs {gb.rank}")
-        terms = _vector_terms(f)
+    if f.sig != gb.sig:
+        raise SignatureMismatch("signature mismatch in normal form")
     keyfn = _key_fn(gb.sig.order)
-    nf = _reduce_full(terms, gb._entries, keyfn, gb.sig.field)
+    nf = _reduce_full(_as_terms(f, gb.rank), gb._entries, keyfn, gb.sig.field)
     if isinstance(f, Poly):
         return _terms_to_poly(nf, gb.sig)
     return _terms_to_vector(nf, gb.sig, gb.rank)
@@ -400,82 +404,61 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
     return True
 
 
-class Span:
-    """Submodule of a free module with membership, lifts and syzygies.
+def _ideal_block(ideal, rank, caps: Caps = None):
+    """Reduced basis of ideal*S^rank: the ideal's basis times each e_i.
 
-    One augmented Groebner run serves every query: vectors are extended
-    by unit tails recording how each basis element was assembled from
-    the inputs.
+    It seeds a span, joining with no tails and no pairs among its entries.
+    No ideal, no block.
+    """
+    if ideal is None:
+        return []
+    entries = ideal.gb(caps)._entries
+    return [
+        ((i, lt[1]), lc, {(i, m): c for (_, m), c in terms.items()})
+        for i in range(rank)
+        for lt, lc, terms in entries
+    ]
+
+
+class Span:
+    """Lifts through, and syzygies of, `vectors` in S^rank modulo D.
+
+    D is the span of `modulo` plus `ideal`*S^rank, so over R = S/ideal the
+    answers are R-lifts and R-syzygies relative to the span of `modulo`.
+    One augmented Groebner run serves both queries: only `vectors` carry
+    unit tails, which record how each basis element was assembled from
+    them; `modulo` joins untailed, and `ideal`*S^rank as the seeded
+    `_ideal_block`.
     """
 
-    def __init__(self, sig, rank, vectors, caps: Caps = None, _is_poly=False):
+    def __init__(self, sig, rank, vectors, caps: Caps = None, modulo=(), ideal=None):
         caps = caps or DEFAULT_CAPS.fresh()
         self.sig = sig
         self.rank = rank
-        self.vectors = list(vectors)
-        self.count = len(self.vectors)
-        self._is_poly = _is_poly
+        self.count = len(vectors)
         fld = sig.field
-        aug_inputs = []
-        for i, v in enumerate(self.vectors):
-            terms = _poly_terms(v) if isinstance(v, Poly) else _vector_terms(v)
-            if isinstance(v, Poly) and rank != 1:
-                raise ValueError("polynomial in a module span")
-            terms = dict(terms)
+        inputs = []
+        for i, v in enumerate(vectors):
+            terms = _as_terms(v, rank)
             terms[(rank + i, (0,) * sig.nvars)] = fld.one
-            aug_inputs.append(terms)
+            inputs.append(terms)
+        inputs += [_as_terms(v, rank) for v in modulo]
         self._keyfn = _key_fn(sig.order)
         self._aug = _buchberger_terms(
-            aug_inputs, sig.order, fld, caps, rank + self.count
+            inputs, sig.order, fld, caps, rank + self.count,
+            seeded=_ideal_block(ideal, rank, caps),
         )
-        self._span_entries = []
-        self._syzygy_tails = []
-        for lt, lc, terms in self._aug:
-            if lt[0] < rank:
-                head = {t: c for t, c in terms.items() if t[0] < rank}
-                self._span_entries.append(_entry(head, self._keyfn))
-            else:
-                # lead in the tail block forces every term into the tail
-                self._syzygy_tails.append(
-                    {(p - rank, m): c for (p, m), c in terms.items()}
-                )
-
-    @property
-    def gb(self) -> GroebnerBasis:
-        if self._is_poly:
-            gens = [_terms_to_poly(e[2], self.sig) for e in self._span_entries]
-        else:
-            gens = [
-                _terms_to_vector(e[2], self.sig, self.rank)
-                for e in self._span_entries
-            ]
-        return GroebnerBasis(self.sig, self.rank, gens, True, self._span_entries)
-
-    def _to_terms(self, v):
-        if isinstance(v, Poly):
-            if self.rank != 1:
-                raise ValueError("polynomial against a module span")
-            return _poly_terms(v)
-        if v.rank != self.rank:
-            raise ValueError(f"rank mismatch: {v.rank} vs {self.rank}")
-        return _vector_terms(v)
-
-    def normal_form(self, v):
-        nf = _reduce_full(self._to_terms(v), self._span_entries, self._keyfn, self.sig.field)
-        if isinstance(v, Poly):
-            return _terms_to_poly(nf, self.sig)
-        return _terms_to_vector(nf, self.sig, self.rank)
-
-    def contains(self, v) -> bool:
-        return not _reduce_full(
-            self._to_terms(v), self._span_entries, self._keyfn, self.sig.field
-        )
+        # lead in the tail block forces every term into the tail
+        self._syzygy_tails = [
+            {(p - rank, m): c for (p, m), c in terms.items()}
+            for lt, _, terms in self._aug
+            if lt[0] >= rank
+        ]
 
     def lift(self, v):
-        """Coefficients a with v = sum a_i * vectors_i, or None."""
+        """Coefficients a with v = sum a_i * vectors_i modulo D, or None."""
         fld = self.sig.field
-        aug = dict(self._to_terms(v))
-        nf = _reduce_full(aug, self._aug, self._keyfn, fld)
+        nf = _reduce_full(_as_terms(v, self.rank), self._aug, self._keyfn, fld)
         if any(t[0] < self.rank for t in nf):
             return None
         coeffs = [dict() for _ in range(self.count)]
@@ -484,40 +467,38 @@ class Span:
         return [Poly.from_dict(self.sig, d) for d in coeffs]
 
     def syzygies(self):
-        """Generators of the syzygy module of the input vectors, in S^count."""
+        """Generators of {a in S^count : sum a_i * vectors_i in D}."""
         return [
             _terms_to_vector(t, self.sig, self.count) for t in self._syzygy_tails
         ]
 
 
 class IncrementalSpan:
-    """Membership-only span of a growing vector list.
+    """Membership-only span of a growing vector list, plus ideal*S^rank.
 
-    No tails are carried, so this is cheaper than `Span`.  The entries are
-    always a reduced Groebner basis of the span: `add` reduces the new
-    vector and, when a remainder is left, hands it to the pair queue
-    seeded with the current basis, so only pairs that involve the new
-    element are formed.
+    No tails are carried.  The entries are always a reduced Groebner basis
+    of the span: `ideal`*S^rank joins as the seeded `_ideal_block`, and
+    `add` reduces the new vector and, when a remainder is left, hands it
+    to the pair queue seeded with the current basis, so only pairs that
+    involve the new element are formed.
     """
 
-    def __init__(self, sig, rank, vectors=(), caps: Caps = None):
+    def __init__(self, sig, rank, vectors=(), caps: Caps = None, ideal=None):
         self.sig = sig
         self.rank = rank
         self.caps = caps or DEFAULT_CAPS.fresh()
         self._keyfn = _key_fn(sig.order)
         self._entries = _buchberger_terms(
-            [self._to_terms(v) for v in vectors], sig.order, sig.field, self.caps, rank
+            [_as_terms(v, rank) for v in vectors], sig.order, sig.field, self.caps,
+            rank, seeded=_ideal_block(ideal, rank, self.caps),
         )
-
-    def _to_terms(self, v):
-        return _poly_terms(v) if isinstance(v, Poly) else _vector_terms(v)
 
     def contains(self, v) -> bool:
         return not self.normal_form_terms(v)
 
     def normal_form_terms(self, v):
         return _reduce_full(
-            self._to_terms(v), self._entries, self._keyfn, self.sig.field
+            _as_terms(v, self.rank), self._entries, self._keyfn, self.sig.field
         )
 
     def add(self, v) -> bool:
@@ -529,15 +510,6 @@ class IncrementalSpan:
                 seeded=self._entries,
             )
         return bool(nf)
-
-
-def syzygy_matrix(gb: GroebnerBasis, original_gens):
-    """Columns generating the syzygies of original_gens; needs records."""
-    if gb._syzygies is None or gb.original != list(original_gens):
-        raise ValueError(
-            "missing division records: compute the basis with record_syzygies=True"
-        )
-    return list(gb._syzygies)
 
 
 # ----------------------------------------------------------------------
@@ -589,12 +561,12 @@ class Ideal:
 
 
 def ideal_quotient(ideal: Ideal, f: Poly, caps: Caps = None) -> Ideal:
-    """(I : f) = {g : g*f in I}, computed from syzygies of (f, gens(I))."""
+    """(I : f) = {g : g*f in I}: the syzygies of f modulo I."""
     if f.is_zero:
         raise ValueError("ideal quotient by zero")
     if not ideal.generators:
         return Ideal(ideal.sig, ())
-    span = Span(ideal.sig, 1, [f] + list(ideal.generators), caps=caps, _is_poly=True)
+    span = Span(ideal.sig, 1, [f], caps, ideal=ideal)
     firsts = [s.coords[0] for s in span.syzygies()]
     return Ideal(ideal.sig, tuple(g for g in firsts if not g.is_zero))
 

@@ -4,8 +4,11 @@ A module is a cokernel: generators with integer degrees and homogeneous
 relation columns, everything reduced to normal form modulo the defining
 ideal.  The operations here (kernel, tensor, dual, transpose,
 pushforward, syzygy, minimize, biduality, Fitting ideals, local rank)
-all reduce to span membership and syzygy computations over the ambient
-polynomial ring with the ring relations adjoined.
+all reduce to span membership, lifts and syzygy computations over the
+ambient polynomial ring, in spans that hold the defining ideal times the
+free module as a seeded block with no tails (`ideal=ring.ideal`).  Only
+the Hilbert series, which resolves M over the ambient ring, takes the
+ring relations g*e_i as real columns (`ring_relation_vectors`).
 
 Sign and twist conventions: M = coker(P) with P acting from the column
 side, entry (i, j) homogeneous of degree coldeg(j) - gendeg(i); dualizing
@@ -144,25 +147,17 @@ class PresentedModule:
 
 
 def ring_relation_vectors(ring: QuotientRing, rank: int):
-    """Columns g*e_i for defining generators g, making spans R-spans."""
-    out = []
-    for g in ring.ideal.generators:
-        for i in range(rank):
-            coords = [Poly.zero(ring.sig)] * rank
-            coords[i] = g
-            out.append(FreeVector(ring.sig, coords))
-    return out
-
-
-def ring_span(ring: QuotientRing, rank: int, vectors, caps: Caps = None) -> Span:
-    """Span over R: the given vectors with the ring relations adjoined."""
-    vecs = list(vectors) + ring_relation_vectors(ring, rank)
-    return Span(ring.sig, rank, vecs, caps=caps)
+    """Columns g*e_i for defining generators g: R^rank presented over S."""
+    return [
+        FreeVector.unit(ring.sig, rank, i).poly_mul(g)
+        for g in ring.ideal.generators
+        for i in range(rank)
+    ]
 
 
 def ring_membership_span(ring, rank, vectors, caps: Caps = None) -> IncrementalSpan:
-    vecs = list(vectors) + ring_relation_vectors(ring, rank)
-    return IncrementalSpan(ring.sig, rank, vecs, caps=caps)
+    """Membership in the R-span of `vectors` inside R^rank."""
+    return IncrementalSpan(ring.sig, rank, vectors, caps=caps, ideal=ring.ideal)
 
 
 def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None,
@@ -170,24 +165,21 @@ def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None
     """Generators of {a in R^len(vectors) : sum a_i * vectors_i in span(modulo)}.
 
     With no `modulo` these are the syzygies of `vectors` over R.  One
-    augmented run over vectors + modulo + ring relations; the heads of its
-    syzygies, reduced and nonzero, are the answer.
+    augmented run in which only `vectors` carry tails; its syzygies,
+    reduced and nonzero, are the answer.
     """
-    k = len(vectors)
-    if k == 0:
+    if not vectors:
         return []
-    span = ring_span(ring, rank, list(vectors) + list(modulo), caps)
-    heads = (
-        ring.reduce_vector(FreeVector(ring.sig, s.coords[:k]))
-        for s in span.syzygies()
-    )
-    return [h for h in heads if not h.is_zero]
+    span = Span(ring.sig, rank, vectors, caps, modulo, ideal=ring.ideal)
+    syz = (ring.reduce_vector(s) for s in span.syzygies())
+    return [s for s in syz if not s.is_zero]
 
 
 def minimal_generator_indices(ring, rank, vectors, degrees, modulo=(), caps=None):
     """Graded-Nakayama choice of generators of (span(vectors)+D)/D over R."""
-    modulo = list(modulo) + ring_relation_vectors(ring, rank)
-    return minimal_vector_subset(ring.sig, rank, vectors, degrees, caps, modulo)
+    return minimal_vector_subset(
+        ring.sig, rank, vectors, degrees, caps, modulo, ideal=ring.ideal
+    )
 
 
 def present_subquotient(ring, rank, coord_degrees, numerators, denominators, caps=None):
@@ -533,7 +525,8 @@ def biduality(m: PresentedModule, caps: Caps = None) -> BidualityReport:
     if g == 0:
         zero = PresentedModule(ring, (), (), _minimal=True)
         return BidualityReport(ModuleMap(zero, mstarstar, (), check=False), zero, zero)
-    lift_span = ring_span(ring, mstar.num_generators, bidual_vectors, caps)
+    lift_span = Span(ring.sig, mstar.num_generators, bidual_vectors, caps,
+                     ideal=ring.ideal)
     cols = []
     for j in range(g):
         ev = FreeVector(
@@ -545,9 +538,7 @@ def biduality(m: PresentedModule, caps: Caps = None) -> BidualityReport:
         coeffs = lift_span.lift(ev)
         if coeffs is None:
             raise RuntimeError("biduality image failed to lift into M**")
-        cols.append(
-            ring.reduce_vector(FreeVector(ring.sig, tuple(coeffs[:gss])))
-        )
+        cols.append(ring.reduce_vector(FreeVector(ring.sig, coeffs)))
     bmap = ModuleMap(m, mstarstar, cols, caps=caps)
     ker, _ = kernel(bmap, caps)
     coker = minimize(bmap.cokernel(), caps)

@@ -1,0 +1,34 @@
+"""Byte-for-byte checks of the CLI's `--json` output against stored copies.
+
+The files under `tests/golden/` hold the exact stdout of the two commands
+below.  An engine change that is meant to leave every answer as it was
+must leave these bytes as they are; a change that alters an answer on
+purpose regenerates the files from the repository root with
+
+    PYTHONPATH=src python3 -m reflextor paper-suite --json > tests/golden/paper_suite.json
+    PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy.json --json > tests/golden/hypersurface_xy.json
+
+and says why in the change's notes.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cli_runner import run_cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("paper-suite", "--json"), "paper_suite.json"),
+        (("run", "scripts/sessions/hypersurface_xy.json", "--json"),
+         "hypersurface_xy.json"),
+    ],
+)
+def test_cli_json_matches_golden(argv, name):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()

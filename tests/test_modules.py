@@ -1,9 +1,12 @@
 """Presented modules: constructors, minimize, kernel, tensor, dual,
 transpose, biduality, pushforward, Fitting ideals, local rank."""
 
+import random
+
 import pytest
 
-from reflextor.groebner import FreeVector, buchberger, normal_form
+from reflextor import GF, make_ring
+from reflextor.groebner import FreeVector, Span, buchberger, ideal_quotient, normal_form
 from reflextor.modules import (
     DegreeError,
     ModuleMap,
@@ -22,11 +25,16 @@ from reflextor.modules import (
     module_from_rows,
     module_is_zero,
     pushforward,
+    ring_relation_vectors,
+    syzygies_over_ring,
     syzygy,
     tensor,
     transpose,
 )
+from reflextor.poly import Poly
 from reflextor.rings import RIdeal
+
+from oracles import all_monomials
 
 
 class TestConstruction:
@@ -319,3 +327,58 @@ class TestSyzygy:
         s2 = syzygy(n_a, 2)
         assert s2.matrix_strings() == [["x"]]
         assert s2.gen_degrees == (2,)
+
+
+
+class TestUntailedRelations:
+    """R-spans seed the ring's basis untailed; the answers are exactly those
+    of the construction in which every relation g*e_i is a tailed input."""
+
+    @pytest.fixture(scope="class")
+    def ring_ci(self):
+        return make_ring(
+            GF(32003), ["x", "y", "z", "u", "v"],
+            ["x^2+y*z-u*v", "z*u-y^2+x*v", "x*y*z-v^3"],
+        )
+
+    # terms per coordinate: dense vectors over the CI make the fully tailed
+    # run take tens of seconds
+    @pytest.mark.parametrize("which, terms", [("ring_a", 3), ("ring_ci", 1)])
+    def test_matches_fully_tailed_construction(self, which, terms, request):
+        ring = request.getfixturevalue(which)
+        sig, fld = ring.sig, ring.sig.field
+        rng = random.Random(20261020)
+        rank = 2
+
+        def form(d):
+            monos = all_monomials(sig.nvars, d)
+            picks = rng.sample(monos, min(terms, len(monos)))
+            return Poly.from_dict(sig, {m: fld.from_int(rng.randint(1, 9)) for m in picks})
+
+        def vector(d):
+            return FreeVector(sig, tuple(form(d) for _ in range(rank)))
+
+        vectors = [vector(d) for d in (1, 1, 2)]
+        modulo = [vector(1)]
+        relations = ring_relation_vectors(ring, rank)
+        k = len(vectors)
+
+        old = Span(sig, rank, vectors + modulo + relations)
+        heads = (ring.reduce_vector(FreeVector(sig, s.coords[:k])) for s in old.syzygies())
+        expected = [h for h in heads if not h.is_zero]
+        got = syzygies_over_ring(ring, rank, vectors, modulo=modulo)
+        assert got and got == expected
+
+        # lifts as `biduality` takes them: of a member, and of a probe
+        lifted = Span(sig, rank, vectors, ideal=ring.ideal)
+        old = Span(sig, rank, vectors + relations)
+        member = vectors[0].poly_mul(form(1)) + relations[-1]
+        assert lifted.lift(member) is not None
+        for v in (member, vector(2)):
+            want = old.lift(v)
+            assert lifted.lift(v) == (want and want[:k])
+
+        for f in (form(1), form(2), Poly.variable(sig, sig.variables[0])):
+            old = Span(sig, 1, [f] + list(ring.ideal.generators))
+            firsts = tuple(s.coords[0] for s in old.syzygies() if not s.coords[0].is_zero)
+            assert ideal_quotient(ring.ideal, f).generators == firsts
