@@ -17,10 +17,11 @@ positions are the lowest ones.
 All routines are pure; caps and cancellation are threaded via `Caps`.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
-from .orders import degree, mono_div, mono_divides, mono_lcm, mono_mul, sort_key
+from .orders import degree, mono_div, mono_divides, mono_lcm, mono_mul
 from .poly import Poly, SignatureMismatch
 
 # ----------------------------------------------------------------------
@@ -126,9 +127,11 @@ def _as_terms(v, rank):
 
 
 def _key_fn(order):
+    """Descending term key: key(a) < key(b) iff term a > term b."""
+    flat = order.flat_key
+
     def key(term):
-        pos, mono = term
-        return (-pos, sort_key(order, mono))
+        return (term[0],) + flat(term[1])
 
     return key
 
@@ -157,13 +160,20 @@ def _reduce_full(work, basis, keyfn, fld):
     """Full normal form of a term dict against basis entries.
 
     basis entries are (lead_term, lead_coeff, terms_dict); every term of
-    the result is divisible by no basis lead in the same position.
+    the result is divisible by no basis lead in the same position.  The
+    largest term is popped from a heap on the descending key `keyfn`; a
+    term is pushed when it enters `work` and skipped if it has cancelled
+    since.  A step adds only smaller terms, so none re-enters once popped.
     """
     work = dict(work)
+    heap = [(keyfn(t), t) for t in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        t = max(work, key=keyfn)
-        c = work.pop(t)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
         pos, mono = t
         hit = None
         for entry in basis:
@@ -181,7 +191,11 @@ def _reduce_full(work, basis, keyfn, fld):
             if (p2, m2) == lt:
                 continue
             key2 = (p2, mono_mul(m2, shift))
-            s = fld.sub(work.get(key2, fld.zero), fld.mul(factor, c2))
+            old = work.get(key2)
+            if old is None:
+                heapq.heappush(heap, (keyfn(key2), key2))
+                old = fld.zero
+            s = fld.sub(old, fld.mul(factor, c2))
             if fld.is_zero(s):
                 work.pop(key2, None)
             else:
@@ -210,7 +224,7 @@ def _spair(e1, e2, fld):
 
 
 def _entry(terms, keyfn):
-    lt = max(terms, key=keyfn)
+    lt = min(terms, key=keyfn)
     return (lt, terms[lt], terms)
 
 
@@ -221,9 +235,10 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
     form a reduced basis: monic, and no term of one divisible by the lead
     of another in its position, as an earlier result of this function or
     `_ideal_block` gives.  The result is the reduced basis of their span
-    together with the inputs.  Pairs are taken by ascending lcm degree,
-    and the product criterion (rank one only) and the chain criterion drop
-    pairs before they are reduced.
+    together with the inputs.  Pairs are taken from a heap of (deg lcm,
+    j, i, lcm), lcm computed once at queueing; `pending` mirrors it for the
+    chain criterion, which with the product criterion (rank one only)
+    drops pairs before they are reduced.
     """
     keyfn = _key_fn(order)
     basis = list(seeded)
@@ -233,30 +248,27 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
         if terms:
             basis.append(_entry(terms, keyfn))
 
-    def lcm_of(i, j):
-        (p1, m1) = basis[i][0]
-        (p2, m2) = basis[j][0]
-        if p1 != p2:
-            return None
-        return mono_lcm(m1, m2)
+    pending, heap = set(), []
+
+    def queue_pairs(j):
+        (pj, mj) = basis[j][0]
+        for i in range(j):
+            (pi, mi) = basis[i][0]
+            if pi == pj:
+                lcm = mono_lcm(mi, mj)
+                pending.add((i, j))
+                heapq.heappush(heap, (degree(lcm), j, i, lcm))
 
     # Pairs of two seeded entries are never queued: the seeded entries form
     # a basis, so their S-pairs already reduce to zero, and they count as
     # treated for the chain criterion below.
-    pending = set()
     for j in range(n_seeded, len(basis)):
-        for i in range(j):
-            if lcm_of(i, j) is not None:
-                pending.add((i, j))
+        queue_pairs(j)
 
-    while pending:
-        best = min(
-            pending, key=lambda ij: (degree(lcm_of(ij[0], ij[1])), ij[1], ij[0])
-        )
-        pending.discard(best)
-        i, j = best
-        lcm = lcm_of(i, j)
-        caps.tick(degree(lcm))
+    while heap:
+        d, j, i, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
+        caps.tick(d)
         (pi, mi) = basis[i][0]
         (pj, mj) = basis[j][0]
         # product criterion is only sound for rank-one (polynomial) input
@@ -279,16 +291,14 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
         if not nf:
             continue
         nf = _strip_content(nf, fld)
-        new_index = len(basis)
         basis.append(_entry(nf, keyfn))
-        for k in range(new_index):
-            if lcm_of(k, new_index) is not None:
-                pending.add((k, new_index))
+        queue_pairs(len(basis) - 1)
 
-    # minimalize: drop entries whose lead is divisible by another lead; the
-    # stable sort keeps a seeded entry over a new one with the same lead
+    # minimalize, smallest lead first: drop entries whose lead is divisible by
+    # another lead; stable under reverse=True, the sort keeps a seeded entry
+    # over a new one with the same lead
     kept = []
-    for k in sorted(range(len(basis)), key=lambda k: keyfn(basis[k][0])):
+    for k in sorted(range(len(basis)), key=lambda k: keyfn(basis[k][0]), reverse=True):
         (p, m) = basis[k][0]
         if not any(
             basis[x][0][0] == p and mono_divides(basis[x][0][1], m) for x in kept
@@ -308,11 +318,11 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
             continue
         others = [basis[x] for x in kept if x != k]
         nf = _reduce_full(e[2], others, keyfn, fld)
-        lt = max(nf, key=keyfn)
+        lt = min(nf, key=keyfn)
         inv = fld.inv(nf[lt])
         nf = {t: fld.mul(inv, c) for t, c in nf.items()}
         reduced.append(_entry(nf, keyfn))
-    reduced.sort(key=lambda e: keyfn(e[0]))
+    reduced.sort(key=lambda e: keyfn(e[0]), reverse=True)
     return reduced
 
 
@@ -390,17 +400,30 @@ def normal_form(f, gb: GroebnerBasis):
 
 
 def verify_groebner(gb: GroebnerBasis) -> bool:
-    """Post-hoc check: every same-position S-pair reduces to zero."""
-    keyfn = _key_fn(gb.sig.order)
-    fld = gb.sig.field
-    entries = gb._entries
-    for j in range(len(entries)):
-        for i in range(j):
-            if entries[i][0][0] != entries[j][0][0]:
+    """Post-hoc check of Buchberger's criterion, with its own pair walk.
+
+    Same-position pairs (i, j) are established in index order: skipped by
+    the product criterion (rank one only) or when some k has a lead dividing
+    lcm(i, j) with (i, k) and (j, k) established, since their
+    lcm-representations give one of (i, j); else reduced to zero.
+    """
+    keyfn, fld, entries = _key_fn(gb.sig.order), gb.sig.field, gb._entries
+    leads = [lt for lt, _, _ in entries]
+    done = set()  # both orientations of every established pair
+    for j, (pos, mj) in enumerate(leads):
+        for i, (pi, mi) in enumerate(leads[:j]):
+            if pi != pos:
                 continue
-            s = _spair(entries[i], entries[j], fld)
-            if _reduce_full(s, entries, keyfn, fld):
+            lcm = mono_lcm(mi, mj)
+            chained = (gb.rank == 1 and lcm == mono_mul(mi, mj)) or any(
+                (i, k) in done and (j, k) in done and mono_divides(mk, lcm)
+                for k, (_, mk) in enumerate(leads)
+            )
+            if not chained and _reduce_full(
+                _spair(entries[i], entries[j], fld), entries, keyfn, fld
+            ):
                 return False
+            done |= {(i, j), (j, i)}
     return True
 
 

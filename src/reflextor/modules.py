@@ -652,10 +652,6 @@ class LocalizedRank:
     witness: str = ""
     certificate: object = None  # the element outside p killing Fitt_{r-1}
 
-    @property
-    def is_free(self):
-        return self.kind == "free"
-
 
 def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> LocalizedRank:
     """Freeness and rank of M at a prime, by the two-sided Fitting test.

@@ -1,25 +1,43 @@
 """Monomial orders on exponent tuples.
 
 Monomials are plain tuples of nonnegative ints, one slot per ambient
-variable.  Every order here is a total, multiplicative well-order, exposed
-through a sort key so that bigger key means bigger monomial.
+variable.  Every order here is a total, multiplicative well-order, encoded
+once as its `flat_key`: a flat int tuple, ascending as the monomials descend.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 LT, EQ, GT = -1, 0, 1
+
+
+def _grevlex_flat(m):
+    return (-sum(m),) + m[::-1]
+
+
+def _lex_flat(m):
+    return tuple([-e for e in m])
+
+
+def _elim_flat(k, m):
+    """Grevlex on the first k variables, then grevlex on the rest."""
+    return (-sum(m[:k]),) + m[k - 1::-1] + (-sum(m[k:]),) + m[:k - 1:-1]
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
     kind: str          # "grevlex" | "lex" | "elim"
     block: int = 0     # for "elim": the first `block` variables dominate
+    flat_key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "elim"):
+        keys = {"grevlex": _grevlex_flat, "lex": _lex_flat,
+                "elim": partial(_elim_flat, self.block)}
+        if self.kind not in keys:
             raise ValueError(f"unknown monomial order kind: {self.kind!r}")
         if self.kind == "elim" and self.block < 1:
             raise ValueError("elimination order needs a positive block size")
+        object.__setattr__(self, "flat_key", keys[self.kind])
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -53,18 +71,9 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 def sort_key(order: MonomialOrder, m):
     """Key with key(a) < key(b) iff a < b in the order."""
-    if order.kind == "grevlex":
-        return _grevlex_key(m)
-    if order.kind == "lex":
-        return m
-    k = order.block
-    return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
+    return tuple([-x for x in order.flat_key(m)])
 
 
 def compare(order: MonomialOrder, m1, m2) -> int:

@@ -9,7 +9,7 @@ coefficients.  All arithmetic is exact.
 import math
 from dataclasses import dataclass
 
-from .orders import GREVLEX, MonomialOrder, degree, mono_mul, sort_key
+from .orders import GREVLEX, MonomialOrder, degree, mono_mul
 
 MINUS_INFINITY = -math.inf
 
@@ -60,7 +60,8 @@ class Poly:
     def from_dict(cls, sig, coeffs: dict) -> "Poly":
         fld = sig.field
         items = [(m, c) for m, c in coeffs.items() if not fld.is_zero(c)]
-        items.sort(key=lambda mc: sort_key(sig.order, mc[0]), reverse=True)
+        key = sig.order.flat_key
+        items.sort(key=lambda mc: key(mc[0]))
         return cls(sig, tuple(items))
 
     @classmethod

@@ -75,9 +75,6 @@ class QuotientRing:
     def reduce_vector(self, v: FreeVector) -> FreeVector:
         return FreeVector(self.sig, tuple(self.reduce(p) for p in v.coords))
 
-    def is_zero_elem(self, p: Poly) -> bool:
-        return self.reduce(p).is_zero
-
     def elements_equal(self, p: Poly, q: Poly) -> bool:
         return self.reduce(p - q).is_zero
 
@@ -85,9 +82,6 @@ class QuotientRing:
     def irrelevant_ideal(self) -> "RIdeal":
         gens = tuple(Poly.variable(self.sig, v) for v in self.sig.variables)
         return RIdeal(self, gens, prime_status="verified")
-
-    def zero_ideal(self) -> "RIdeal":
-        return RIdeal(self, (), prime_status="unknown")
 
     def is_monomial(self) -> bool:
         return all(len(g.terms) == 1 for g in self.ideal.gb().generators)
@@ -305,6 +299,9 @@ class RIdeal:
         return Ideal(self.ring.sig, self.ring.ideal.generators + self.generators)
 
     def lift_gb(self, caps: Caps = None):
+        """Basis of the preimage ideal, cached in `ring._caches` without a
+        lock: callers sharing one ring across their own threads may compute
+        it twice, which is duplicate work, never a wrong answer."""
         key = ("rideal_gb", self.generators)
         cache = self.ring._caches
         if key not in cache:

@@ -1,12 +1,13 @@
 """Independent oracles: plain linear algebra over graded pieces.
 
 Nothing here touches the Groebner engine; membership and kernel
-dimensions come from row reduction of coefficient matrices, and the
-monomial-order oracle is the definition unrolled term by term.
+dimensions come from row reduction of coefficient matrices, the
+monomial-order oracle is the definition unrolled term by term, and the
+basis check reduces every S-pair with its own division loop.
 """
 
 from reflextor.linalg import in_row_span, rank
-from reflextor.orders import degree
+from reflextor.orders import degree, sort_key
 from reflextor.poly import Poly
 
 
@@ -142,3 +143,47 @@ def lex_oracle(m1, m2):
         if a != b:
             return 1 if a > b else -1
     return 0
+
+
+def all_pairs_groebner_check(gb):
+    """Buchberger's criterion with no shortcut: every same-position S-pair
+    of the basis entries top-reduces to zero.  Works on the entries' term
+    dicts {(position, exponents): coefficient} alone, with position over
+    term order and its own leads, S-vectors and division."""
+    order, fld = gb.sig.order, gb.sig.field
+
+    def lead(terms):
+        return max(terms, key=lambda t: (-t[0], sort_key(order, t[1])))
+
+    def axpy(acc, factor, shift, terms):
+        for (p, m), c in terms.items():
+            t = (p, tuple(a + b for a, b in zip(m, shift)))
+            v = fld.sub(acc.get(t, fld.zero), fld.mul(factor, c))
+            if fld.is_zero(v):
+                acc.pop(t, None)
+            else:
+                acc[t] = v
+
+    vecs = [terms for _, _, terms in gb._entries]
+    leads = [lead(v) for v in vecs]
+    for j in range(len(vecs)):
+        for i in range(j):
+            (pi, mi), (pj, mj) = leads[i], leads[j]
+            if pi != pj:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+            work = {}
+            axpy(work, fld.neg(fld.inv(vecs[i][leads[i]])),
+                 tuple(a - b for a, b in zip(lcm, mi)), vecs[i])
+            axpy(work, fld.inv(vecs[j][leads[j]]),
+                 tuple(a - b for a, b in zip(lcm, mj)), vecs[j])
+            while work:
+                p, m = t = lead(work)
+                for v, (q, lm) in zip(vecs, leads):
+                    if q == p and all(a <= b for a, b in zip(lm, m)):
+                        shift = tuple(a - b for a, b in zip(m, lm))
+                        axpy(work, fld.div(work[t], v[(q, lm)]), shift, v)
+                        break
+                else:
+                    return False
+    return True

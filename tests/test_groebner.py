@@ -23,11 +23,24 @@ from reflextor.groebner import (
     radical_membership,
     verify_groebner,
 )
-from reflextor.orders import LEX, mono_divides
+from reflextor.orders import GREVLEX, LEX, elimination, mono_divides
 from reflextor.parse import parse_poly
 from reflextor.poly import Poly, RingSignature, SignatureMismatch
 
-from oracles import all_monomials, submodule_piece_dimension
+from oracles import all_monomials, all_pairs_groebner_check, submodule_piece_dimension
+
+
+def assert_verified(gb):
+    """gb passes verify_groebner and the all-pairs oracle, and the two agree
+    on every basis made by dropping one entry; returns those verdicts."""
+    assert verify_groebner(gb) and all_pairs_groebner_check(gb)
+    entries = gb._entries
+    verdicts = []
+    for k in range(len(entries)):
+        dropped = GroebnerBasis(gb.sig, gb.rank, [], True, entries[:k] + entries[k + 1:])
+        verdicts.append(verify_groebner(dropped))
+        assert verdicts[-1] == all_pairs_groebner_check(dropped)
+    return verdicts
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +59,8 @@ class TestBuchberger:
         assert [str(g) for g in gb.generators] == ["y", "x"] or [
             str(g) for g in gb.generators
         ] == ["x", "y"]
-        assert gb.reduced and verify_groebner(gb)
+        assert gb.reduced
+        assert_verified(gb)
 
     def test_twisted_cubic_lex_elimination(self):
         sig = RingSignature(QQ, ("x", "y", "z"), LEX)
@@ -55,6 +69,7 @@ class TestBuchberger:
         relation = parse_poly("y^3 - z^2", sig)
         assert normal_form(relation, gb).is_zero
         assert any(g == relation or g == -relation for g in gb.generators)
+        assert_verified(gb)
 
     def test_monomial_ideal_unchanged(self, sig4, p4):
         gb = buchberger([p4("x*y")])
@@ -71,6 +86,24 @@ class TestBuchberger:
         with pytest.raises(ValueError):
             buchberger([v1, v2])
 
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, elimination(2)],
+                             ids=["grevlex", "lex", "elim2"])
+    def test_verifier_matches_all_pairs_oracle(self, order):
+        # homogenized cyclic-4: long chains for the verifier's walk
+        sig = RingSignature(QQ, ("a", "b", "c", "d", "h"), order)
+        gens = [parse_poly(t, sig) for t in (
+            "a + b + c + d", "a*b + b*c + c*d + d*a",
+            "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - h^4",
+        )]
+        # some entries are S-pair remainders; a basis without one fails
+        assert not all(assert_verified(buchberger(gens)))
+        # coprime leads in one position of S^2 prove nothing: b*(a, 1) - a*(b, 0)
+        a, b, one, zero = (parse_poly(t, sig) for t in ("a", "b", "1", "0"))
+        entries = [buchberger([FreeVector(sig, v)])._entries[0]
+                   for v in ((a, one), (b, zero))]
+        split = GroebnerBasis(sig, 2, [], True, entries)
+        assert not verify_groebner(split) and not all_pairs_groebner_check(split)
+
     def test_spair_recheck_on_random_ideals(self, sig4, p4):
         import random
 
@@ -86,7 +119,7 @@ class TestBuchberger:
                 ]
                 gens.append(p4(" + ".join(terms)))
             gb = buchberger([g for g in gens if not g.is_zero])
-            assert verify_groebner(gb)
+            assert_verified(gb)
 
 
 class TestNormalForm:
@@ -159,7 +192,7 @@ class TestPrimeFieldBasis:
         sig = RingSignature(GF(7), ("x", "y"))
         gens = [parse_poly("x^2 + 3*y", sig), parse_poly("x*y + 5", sig)]
         gb = buchberger(gens)
-        assert verify_groebner(gb)
+        assert_verified(gb)
         combo = gens[0] * parse_poly("y", sig) - gens[1] * parse_poly("x", sig)
         assert normal_form(combo, gb).is_zero
 
@@ -216,7 +249,7 @@ class TestSpan:
         inc = IncrementalSpan(sig, 2, caps=caps)
         for v in vectors:
             inc.add(v)
-        assert verify_groebner(GroebnerBasis(sig, 2, [], True, inc._entries))
+        assert_verified(GroebnerBasis(sig, 2, [], True, inc._entries))
 
         x, y = (Poly.variable(sig, n) for n in ("x", "y"))
         member = vectors[0].poly_mul(x * y) - vectors[2].poly_mul(x + y)

@@ -13,6 +13,7 @@ from reflextor.orders import (
     MonomialOrder,
     compare,
     elimination,
+    sort_key,
 )
 from reflextor.parse import PolyParseError, parse_poly
 from reflextor.poly import MINUS_INFINITY, Poly, RingSignature, SignatureMismatch
@@ -82,14 +83,13 @@ class TestOrders:
 
     def test_orders_are_total_and_multiplicative(self):
         # antisymmetry, transitivity, multiplicativity on a full small grid
-        monos = [m for d in range(4) for m in all_monomials(2, d)]
-        for order in (GREVLEX, LEX, elimination(1)):
-            keyed = sorted(monos, key=lambda m: __import__(
-                "reflextor.orders", fromlist=["sort_key"]).sort_key(order, m))
+        monos = [m for d in range(4) for m in all_monomials(3, d)]
+        for order in (GREVLEX, LEX, elimination(1), elimination(2)):
+            keyed = sorted(monos, key=lambda m: sort_key(order, m))
             for i in range(len(keyed)):
                 for j in range(i + 1, len(keyed)):
                     assert compare(order, keyed[i], keyed[j]) == LT
-            one = (0, 0)
+            one = (0, 0, 0)
             for m in monos:
                 if m != one:
                     assert compare(order, m, one) == GT  # well-order: 1 minimal
@@ -106,6 +106,12 @@ class TestOrders:
         # first block infinitely larger: t beats any power of the rest
         order = elimination(1)
         assert compare(order, (1, 0), (0, 99)) == GT
+        # elimination(2): grevlex on the first two variables, then on the rest
+        monos = [m for d in range(4) for m in all_monomials(4, d)]
+        for m1 in monos:
+            for m2 in monos:
+                want = grevlex_oracle(m1[:2], m2[:2]) or grevlex_oracle(m1[2:], m2[2:])
+                assert compare(elimination(2), m1, m2) == want
 
     def test_bad_order_kind(self):
         with pytest.raises(ValueError):
@@ -141,12 +147,13 @@ class TestPolyArithmetic:
             Poly.variable(sig4, "x") + Poly.variable(other, "x")
 
     def test_canonical_terms_sorted_strictly_descending(self, sig4):
-        from reflextor.orders import sort_key
-
-        f = parse_poly("x*y + z^2 + w^4 + 1", sig4)
-        keys = [sort_key(sig4.order, m) for m, _ in f.terms]
-        assert keys == sorted(keys, reverse=True)
-        assert all(c != 0 for _, c in f.terms)
+        for order in (sig4.order, LEX, elimination(2)):
+            sig = RingSignature(QQ, sig4.variables, order)
+            f = parse_poly("x*y + z^2 + w^4 + y*w^2 + x*z*w + y^3 - z*w + 1", sig)
+            monos = [m for m, _ in f.terms]
+            assert len(monos) == 8
+            assert all(compare(order, a, b) == GT for a, b in zip(monos, monos[1:]))
+            assert all(c != 0 for _, c in f.terms)
 
     def test_homogeneous_degree(self, sig4):
         assert parse_poly("x*y + z^2", sig4).homogeneous_degree() == 2
