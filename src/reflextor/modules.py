@@ -18,6 +18,7 @@ coordinate degrees -gendeg(i).
 
 import threading
 from dataclasses import dataclass
+from itertools import combinations
 
 from .caps import Caps
 from .groebner import (
@@ -34,6 +35,7 @@ from .hilbert import (
     minimal_vector_subset,
     vector_degree,
 )
+from .orders import mono_mul
 from .poly import Poly
 from .rings import QuotientRing, RIdeal
 
@@ -334,14 +336,6 @@ class ModuleMap:
         ]
 
 
-def identity_map(m: PresentedModule) -> ModuleMap:
-    cols = [
-        FreeVector.unit(m.ring.sig, m.num_generators, i)
-        for i in range(m.num_generators)
-    ]
-    return ModuleMap(m, m, cols, check=False)
-
-
 def kernel(phi: ModuleMap, caps: Caps = None):
     """Kernel of a map, as a presented module plus its inclusion map."""
     ring = phi.source.ring
@@ -606,26 +600,17 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
 # Fitting ideals and local rank
 
 
-def _determinant(rows):
-    n = len(rows)
-    sig = rows[0][0].sig
-    if n == 1:
-        return rows[0][0]
-    total = Poly.zero(sig)
-    for k in range(n):
-        entry = rows[0][k]
-        if entry.is_zero:
-            continue
-        minor = [r[:k] + r[k + 1 :] for r in rows[1:]]
-        term = entry * _determinant(minor)
-        total = total + term if k % 2 == 0 else total - term
-    return total
-
-
 def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
-    """Fitt_i(M): the ideal of (g - i)-minors of the presentation matrix."""
-    from itertools import combinations
+    """Fitt_i(M): the ideal of (g - i)-minors of the presentation matrix.
 
+    The generators are the minors reduced in the ring, zeros and repeats
+    dropped (first occurrence kept), row sets outer and column sets inner,
+    both in `combinations` order.  A minor on rows (r0, r1, ...) expands
+    along r0 into minors on the row tail (r1, ...), shared by every row set
+    with that tail; so they are built bottom-up from the empty minor 1, one
+    row at a time.  Level k holds each k-minor on a length-k row tail once,
+    as a term dict; only the level below is kept.  No division is used.
+    """
     sig = m.ring.sig
     g = m.num_generators
     size = g - i
@@ -634,15 +619,32 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
     r = m.num_relations
     if size > g or size > r:
         return Ideal(sig, ())
-    rows = m.rows()
-    minors = []
-    for row_idx in combinations(range(g), size):
-        for col_idx in combinations(range(r), size):
-            sub = [[rows[i2][j2] for j2 in col_idx] for i2 in row_idx]
-            d = m.ring.reduce(_determinant(sub))
-            if not d.is_zero and d not in minors:
-                minors.append(d)
-    return Ideal(sig, tuple(minors))
+    fld = sig.field
+    rows = [[p.terms for p in row] for row in m.rows()]
+    level = {((), ()): {(0,) * sig.nvars: fld.one}}
+    for k in range(1, size + 1):
+        below, level = level, {}
+        for tail in combinations(range(size - k, g), k):
+            top, rest = rows[tail[0]], tail[1:]
+            for cols in combinations(range(r), k):
+                acc = level[tail, cols] = {}
+                for j, col in enumerate(cols):
+                    lower = below[rest, cols[:j] + cols[j + 1:]]
+                    add = fld.sub if j % 2 else fld.add
+                    for m1, c1 in top[col]:
+                        for m2, c2 in lower.items():
+                            mono = mono_mul(m1, m2)
+                            s = add(acc.get(mono, fld.zero), fld.mul(c1, c2))
+                            if fld.is_zero(s):
+                                acc.pop(mono, None)
+                            else:
+                                acc[mono] = s
+    minors = {}
+    for terms in level.values():
+        d = m.ring.reduce(Poly.from_dict(sig, terms))
+        if not d.is_zero:
+            minors.setdefault(d.terms, d)
+    return Ideal(sig, tuple(minors.values()))
 
 
 @dataclass
@@ -674,24 +676,23 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
         return all(nf(g, gb_p).is_zero for g in ideal.generators)
 
     g = mm.num_generators
-    r = None
+    r = below = None
     for i in range(g + 1):
-        if not contained_in_p(fitting_ideal(mm, i, caps)):
+        fitt = fitting_ideal(mm, i, caps)
+        if not contained_in_p(fitt):
             r = i
             break
+        below = fitt
     if r is None:
         raise RuntimeError("Fitting chain never left the prime; Fitt_g = (1) must")
     if r == 0:
         return LocalizedRank("free", 0, witness="Fitt_0 survives outside the prime")
-    below = fitting_ideal(mm, r - 1, caps)
-    reduced_gens = [g2 for g2 in (ring.reduce(x) for x in below.generators)
-                    if not g2.is_zero]
-    if not reduced_gens:
+    if not below.generators:
         return LocalizedRank(
             "free", r, witness=f"Fitt_{r - 1} vanishes in the ring"
         )
     quot = None
-    for f in reduced_gens:
+    for f in below.generators:
         q = ideal_quotient(ring.ideal, f, caps)
         quot = q if quot is None else intersect_ideals(quot, q, caps)
     for c in quot.generators:

@@ -7,6 +7,7 @@ once as its `flat_key`: a flat int tuple, ascending as the monomials descend.
 
 from dataclasses import dataclass, field
 from functools import partial
+from operator import add, le, sub
 
 LT, EQ, GT = -1, 0, 1
 
@@ -54,21 +55,21 @@ def degree(m) -> int:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b) -> bool:
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """a / b; caller must ensure divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def sort_key(order: MonomialOrder, m):

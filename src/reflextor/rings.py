@@ -75,9 +75,6 @@ class QuotientRing:
     def reduce_vector(self, v: FreeVector) -> FreeVector:
         return FreeVector(self.sig, tuple(self.reduce(p) for p in v.coords))
 
-    def elements_equal(self, p: Poly, q: Poly) -> bool:
-        return self.reduce(p - q).is_zero
-
     # -- distinguished ideals -------------------------------------------
     def irrelevant_ideal(self) -> "RIdeal":
         gens = tuple(Poly.variable(self.sig, v) for v in self.sig.variables)

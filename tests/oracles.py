@@ -2,9 +2,12 @@
 
 Nothing here touches the Groebner engine; membership and kernel
 dimensions come from row reduction of coefficient matrices, the
-monomial-order oracle is the definition unrolled term by term, and the
-basis check reduces every S-pair with its own division loop.
+monomial-order oracle is the definition unrolled term by term, the
+basis check reduces every S-pair with its own division loop, and the
+minors are Leibniz sums over plain term dicts.
 """
+
+from itertools import combinations, permutations
 
 from reflextor.linalg import in_row_span, rank
 from reflextor.orders import degree, sort_key
@@ -187,3 +190,32 @@ def all_pairs_groebner_check(gb):
                 else:
                     return False
     return True
+
+
+def fitting_minors_oracle(rows, size):
+    """Every size-minor of the matrix `rows` (lists of Polys), row sets outer
+    and column sets inner, by the Leibniz formula: the sum over permutations
+    of the signed products of entries, with its own sign (inversion count)
+    and its own product of term dicts."""
+    sig = rows[0][0].sig
+    fld = sig.field
+    minors = []
+    for rs in combinations(range(len(rows)), size):
+        for cs in combinations(range(len(rows[0])), size):
+            total = {}
+            for perm in permutations(range(size)):
+                inversions = sum(1 for a in range(size) for b in range(a)
+                                 if perm[b] > perm[a])
+                product = {(0,) * sig.nvars: fld.one if inversions % 2 == 0
+                           else fld.neg(fld.one)}
+                for a, b in enumerate(perm):
+                    step = {}
+                    for m1, c1 in product.items():
+                        for m2, c2 in rows[rs[a]][cs[b]].as_dict().items():
+                            m = tuple(x + y for x, y in zip(m1, m2))
+                            step[m] = fld.add(step.get(m, fld.zero), fld.mul(c1, c2))
+                    product = step
+                for m, c in product.items():
+                    total[m] = fld.add(total.get(m, fld.zero), c)
+            minors.append(Poly.from_dict(sig, total))
+    return minors

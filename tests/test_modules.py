@@ -1,11 +1,12 @@
 """Presented modules: constructors, minimize, kernel, tensor, dual,
 transpose, biduality, pushforward, Fitting ideals, local rank."""
 
+import gc
 import random
 
 import pytest
 
-from reflextor import GF, make_ring
+from reflextor import GF, QQ, make_ring
 from reflextor.groebner import FreeVector, Span, buchberger, ideal_quotient, normal_form
 from reflextor.modules import (
     DegreeError,
@@ -18,7 +19,6 @@ from reflextor.modules import (
     dual,
     fitting_ideal,
     free_module,
-    identity_map,
     kernel,
     localized_rank,
     minimize,
@@ -34,7 +34,7 @@ from reflextor.modules import (
 from reflextor.poly import Poly
 from reflextor.rings import RIdeal
 
-from oracles import all_monomials
+from oracles import all_monomials, fitting_minors_oracle
 
 
 class TestConstruction:
@@ -161,7 +161,9 @@ class TestKernelAndMaps:
         assert [str(p) for p in incl.columns[0].coords] == ["y"]
 
     def test_kernel_of_identity_is_zero(self, ring_a, n_a):
-        ker, _ = kernel(identity_map(n_a))
+        units = [FreeVector.unit(ring_a.sig, n_a.num_generators, i)
+                 for i in range(n_a.num_generators)]
+        ker, _ = kernel(ModuleMap(n_a, n_a, units, check=False))
         assert module_is_zero(ker)
 
     def test_kernel_of_map_to_zero_is_everything(self, ring_a):
@@ -259,7 +261,75 @@ class TestPushforward:
         assert res.stable_syzygy_identity is not None
 
 
+def _graded_matrix(ring, seed, gen_degrees, col_degrees):
+    """Seeded homogeneous matrix: entry (i, j) has degree col - gen, or is
+    zero when that is negative and with probability 1/4 otherwise."""
+    rng = random.Random(seed)
+    sig, fld = ring.sig, ring.sig.field
+    rows = []
+    for a in gen_degrees:
+        row = []
+        for b in col_degrees:
+            monos = all_monomials(sig.nvars, b - a)
+            coeffs = {}
+            if monos and rng.random() >= 0.25:
+                for mono in rng.sample(monos, min(len(monos), rng.randint(1, 3))):
+                    coeffs[mono] = fld.from_int(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+            row.append(Poly.from_dict(sig, coeffs))
+        rows.append(row)
+    return module_from_rows(ring, rows, gen_degrees)
+
+
+def _assert_fitting_matches_oracle(m):
+    """Every Fitt_i equals the Leibniz minors reduced in the ring, zeros and
+    repeats dropped, first occurrence kept, in order."""
+    for i in range(m.num_generators + 1):
+        want = {}
+        for d in fitting_minors_oracle(m.rows(), m.num_generators - i):
+            d = m.ring.reduce(d)
+            if not d.is_zero:
+                want.setdefault(d.terms, d)
+        assert list(fitting_ideal(m, i).generators) == list(want.values()), i
+
+
 class TestFittingIdeals:
+    @pytest.mark.parametrize("field, seed, gen_degrees, col_degrees", [
+        (GF(32003), 1, (0, 1, 0, 1), (1, 2, 2, 3, 2)),
+        (GF(32003), 2, (0, 0, 1, 0, 1), (1, 2, 1)),
+        (QQ, 3, (0, 1, 0), (1, 1, 2, 2)),
+        (QQ, 5, (0, 0, 0, 1), (1, 2, 1)),
+    ], ids=["GF32003-wide", "GF32003-tall", "QQ-wide", "QQ-tall"])
+    def test_seeded_matrices_match_leibniz_oracle(self, field, seed, gen_degrees,
+                                                  col_degrees):
+        ring = make_ring(field, ["x", "y", "z"], [])
+        m = _graded_matrix(ring, seed, gen_degrees, col_degrees)
+        assert m.num_relations == len(col_degrees)
+        entries = [p for row in m.rows() for p in row]
+        assert any(p.is_zero for p in entries)
+        assert len({p.total_degree() for p in entries if not p.is_zero}) > 1
+        _assert_fitting_matches_oracle(m)
+
+    def test_quotient_ring_matrix_matches_leibniz_oracle(self, ring_a, pa):
+        rows = [[pa(s) for s in row] for row in
+                (["x", "z", "y", "w"], ["y", "x", "w", "z"], ["w", "y", "x", "0"])]
+        m = module_from_rows(ring_a, rows, (0, 0, 0))
+        minors = fitting_minors_oracle(m.rows(), 2)
+        assert any(ring_a.reduce(d) != d for d in minors)
+        _assert_fitting_matches_oracle(m)
+
+    def test_leaves_no_reference_cycles(self):
+        ring = make_ring(GF(32003), ["x", "y", "z"], [])
+        m = _graded_matrix(ring, 1, (0, 1, 0, 1), (1, 2, 2, 3, 2))
+        fitting_ideal(m, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(m.num_generators):
+                fitting_ideal(m, i)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_cyclic_fitt0_is_the_ideal(self, ring_a, pa, n_a):
         f0 = fitting_ideal(n_a, 0)
         gb = buchberger(list(f0.generators))
