@@ -1,7 +1,8 @@
 """Computation caps and cooperative cancellation.
 
 Every potentially long-running routine threads a `Caps` value and calls
-`tick` between reduction steps.  Blowing a cap raises `CapExceeded`, a
+`tick` between reduction steps, or `poll`, the cancel check alone, where
+its steps are not S-pairs.  Blowing a cap raises `CapExceeded`, a
 distinct outcome that is never a silently wrong answer; a caller-supplied
 cancel callback raises `ComputationCancelled` the same way.
 """
@@ -26,9 +27,13 @@ class Caps:
     cancel: object = None  # optional zero-arg callable returning True to stop
     _pairs_used: int = field(default=0, repr=False)
 
-    def tick(self, degree: int = 0):
+    def poll(self):
+        """The cancel check alone; it uses none of the pair budget."""
         if self.cancel is not None and self.cancel():
             raise ComputationCancelled("computation cancelled by caller")
+
+    def tick(self, degree: int = 0):
+        self.poll()
         self._pairs_used += 1
         if self._pairs_used > self.max_pairs:
             raise CapExceeded(f"pair cap exceeded ({self.max_pairs})")

@@ -6,6 +6,12 @@ under a lock so concurrent requests serialize.  Homology of a three-term
 segment is kernel-mod-image: one syzygy run for the kernel preimage, one
 membership pass for the is_zero verdict, and a subquotient presentation
 when the module itself is wanted.
+
+Tor and Ext share one segment builder over plain column blocks; no module
+or map object is built for a segment's terms.  F_i (x) N is N^{b_i}, with
+N's relation columns repeated block-diagonally and degrees twisted by the
+shifts of F_i; its maps are d (x) id_N.  Hom(F_i, N) is the same block
+twisted by minus the shifts, and Hom(d, N) is d^T (x) id_N.
 """
 
 import math
@@ -16,7 +22,7 @@ from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groebner import FreeVector
 from .hilbert import vector_degree
 from .modules import (
-    ModuleMap,
+    DegreeError,
     PresentedModule,
     fitting_ideal,
     minimal_generator_indices,
@@ -210,169 +216,137 @@ class HomologyReport:
     index: int
     is_zero: bool
     module: object = None          # PresentedModule when materialized
-    generator_count: int = 0
     kernel_generators: tuple = ()  # membership certificate data
     relation_vectors: tuple = ()
 
-    def hilbert_series(self, caps: Caps = None):
-        if self.module is None:
-            raise ValueError("homology module was not materialized")
-        return self.module.hilbert_series(caps)
+
+def _zero_report(ring, kind, index, want_module):
+    return HomologyReport(kind, index, True,
+                          PresentedModule(ring, (), (), _minimal=True)
+                          if want_module else None)
 
 
-def _free_multiple(n: PresentedModule, shifts, sign: int) -> PresentedModule:
-    """N^r with coordinate twists: tensor for sign=+1, Hom(F, N) for sign=-1."""
-    ring = n.ring
+def _free_power(n: PresentedModule, shifts, sign: int):
+    """Degrees and relation columns of N^r, twisted by +shifts (F (x) N,
+    sign=+1) or -shifts (Hom(F, N), sign=-1); N's columns, already in normal
+    form, repeat block-diagonally, one block per shift."""
     gn = n.num_generators
-    degs = tuple(
-        sign * s + n.gen_degrees[t] for s in shifts for t in range(gn)
-    )
-    zero = Poly.zero(ring.sig)
-    cols = []
-    for s_idx in range(len(shifts)):
-        for col in n.columns:
-            coords = [zero] * (len(shifts) * gn)
-            for t in range(gn):
-                if not col.coords[t].is_zero:
-                    coords[s_idx * gn + t] = col.coords[t]
-            cols.append(FreeVector(ring.sig, coords))
-    out = PresentedModule(ring, degs, cols)
-    return out
+    degs = tuple(sign * s + d for s in shifts for d in n.gen_degrees)
+    zero = (Poly.zero(n.ring.sig),)
+    cols = [
+        FreeVector(n.ring.sig, zero * (b * gn) + col.coords
+                   + zero * ((len(shifts) - b - 1) * gn))
+        for b in range(len(shifts))
+        for col in n.columns
+    ]
+    return degs, cols
 
 
-def _tensor_map(diff_cols, source: PresentedModule, target: PresentedModule,
-                n: PresentedModule, target_rank: int) -> ModuleMap:
-    """d (x) id_N on generator grids (s, t)."""
-    ring = n.ring
+def _tensor_id(matrix, n: PresentedModule, source_degs, target_degs):
+    """Columns of A (x) id_N on grids (s, t), A given by the coordinate
+    tuples of its columns; every nonzero column must be of degree zero."""
+    sig = n.ring.sig
     gn = n.num_generators
-    zero = Poly.zero(ring.sig)
+    zero = Poly.zero(sig)
     cols = []
-    for s_idx, dcol in enumerate(diff_cols):
+    for a in matrix:
         for t in range(gn):
-            coords = [zero] * (target_rank * gn)
-            for u in range(dcol.rank):
-                p = dcol.coords[u]
-                if not p.is_zero:
-                    coords[u * gn + t] = p
-            cols.append(FreeVector(ring.sig, coords))
-    return ModuleMap(source, target, cols, check=False)
+            coords = [zero] * (len(a) * gn)
+            coords[t::gn] = a
+            col = FreeVector(sig, coords)
+            j = len(cols)
+            if not col.is_zero:
+                d = vector_degree(col, target_degs)
+                if d != source_degs[j]:
+                    raise DegreeError(f"map is not degree zero on generator "
+                                      f"{j}: {d} != {source_degs[j]}")
+            cols.append(col)
+    return cols
 
 
-def _hom_map(diff_cols, source: PresentedModule, target: PresentedModule,
-             n: PresentedModule, source_rank: int, target_rank: int) -> ModuleMap:
-    """Hom(d, N): precomposition with d on functional grids (s, t)."""
-    ring = n.ring
-    gn = n.num_generators
-    zero = Poly.zero(ring.sig)
-    cols = []
-    for s in range(source_rank):
-        for t in range(gn):
-            coords = [zero] * (target_rank * gn)
-            for u, dcol in enumerate(diff_cols):
-                p = dcol.coords[s]
-                if not p.is_zero:
-                    coords[u * gn + t] = p
-            cols.append(FreeVector(ring.sig, coords))
-    return ModuleMap(source, target, cols, check=False)
+def _segment_homology(ring, degrees, relations, outgoing, incoming,
+                      kind, index, want_module, caps):
+    """Homology at the middle of  incoming -> middle -> outgoing.
 
-
-def _segment_homology(ring, middle: PresentedModule, outgoing: ModuleMap,
-                      incoming_cols, kind, index, want_module, caps):
-    """Homology at `middle` of  .. -> middle -> next, with incoming columns."""
-    gb_rank = middle.num_generators
-    if gb_rank == 0:
-        return HomologyReport(kind, index, True,
-                              PresentedModule(ring, (), (), _minimal=True)
-                              if want_module else None)
+    The middle is R^len(degrees) modulo `relations`; `outgoing` is
+    (columns, target rank, target relation columns), or None at the end
+    of the complex; `incoming` holds the columns of the map in.
+    """
+    rank = len(degrees)
+    if rank == 0:
+        return _zero_report(ring, kind, index, want_module)
     if outgoing is None:
-        kernel_gens = [
-            FreeVector.unit(ring.sig, gb_rank, i) for i in range(gb_rank)
-        ]
+        kernel_gens = [FreeVector.unit(ring.sig, rank, i) for i in range(rank)]
     else:
-        target = outgoing.target
-        kernel_gens = syzygies_over_ring(ring, target.num_generators,
-                                         outgoing.columns, caps,
-                                         modulo=target.columns)
-    relations = list(incoming_cols) + list(middle.columns)
-    member = ring_membership_span(ring, gb_rank, relations, caps)
+        cols, target_rank, target_relations = outgoing
+        kernel_gens = syzygies_over_ring(ring, target_rank, cols, caps,
+                                         modulo=target_relations)
+    relations = list(incoming) + list(relations)
+    member = ring_membership_span(ring, rank, relations, caps)
     is_zero = all(member.contains(k) for k in kernel_gens)
     module = None
-    if want_module:
-        if is_zero:
-            module = PresentedModule(ring, (), (), _minimal=True)
-        else:
-            module, _ = present_subquotient(
-                ring, gb_rank, middle.gen_degrees, kernel_gens, relations, caps
-            )
+    if want_module and is_zero:
+        module = PresentedModule(ring, (), (), _minimal=True)
+    elif want_module:
+        module, _ = present_subquotient(ring, rank, degrees, kernel_gens,
+                                        relations, caps)
     return HomologyReport(kind, index, is_zero, module,
-                          0 if module is None else module.num_generators,
                           tuple(kernel_gens), tuple(relations))
+
+
+def _resolution_homology(kind, m, n, i, caps, want_module):
+    """Homology at F_i (x) N (Tor) or Hom(F_i, N) (Ext), F resolving M.
+
+    Hom(d, N) is d^T (x) id_N on N^r twisted by -shifts, so both are one
+    segment; only the placement differs.  Tor's map out is d_i and its map
+    in d_{i+1}; Ext's map out is d_{i+1}^T and its map in d_i^T.
+    """
+    name = "Tor" if kind == "tor" else "Ext"
+    if m.ring != n.ring:
+        raise ValueError(f"{name} across different rings")
+    if i < 0:
+        raise ValueError(f"negative {name} index")
+    caps = caps or DEFAULT_CAPS.fresh()
+    res = resolution(m)
+    res.extend_to(min(i + 1, caps.resolution_length), caps)
+    if i > res.length_computed() and res.complete:
+        return _zero_report(m.ring, kind, i, want_module)
+    if i + 1 > res.length_computed() and not res.complete:
+        res.extend_to(i + 1, caps)
+
+    def coords(k):
+        return [c.coords for c in res.differential(k)]
+
+    if kind == "tor":
+        sign, k_out, k_in = 1, i - 1, i + 1
+        a_out, a_in = coords(i), coords(i + 1)
+    else:  # Hom(d, N) = d^T (x) id_N
+        sign, k_out, k_in = -1, i + 1, i - 1
+        a_out, a_in = (list(zip(*coords(k))) for k in (i + 1, i))
+    degrees, relations = _free_power(n, res.shift(i), sign)
+    outgoing = None
+    if a_out:
+        target_degs, target_relations = _free_power(n, res.shift(k_out), sign)
+        outgoing = (_tensor_id(a_out, n, degrees, target_degs),
+                    len(target_degs), target_relations)
+    incoming = []
+    if a_in:
+        source_degs, _ = _free_power(n, res.shift(k_in), sign)
+        incoming = _tensor_id(a_in, n, source_degs, degrees)
+    return _segment_homology(m.ring, degrees, relations, outgoing, incoming,
+                             kind, i, want_module, caps)
 
 
 def tor(m: PresentedModule, n: PresentedModule, i: int,
         caps: Caps = None, want_module: bool = True) -> HomologyReport:
     """Tor_i(M, N) = H_i(F(M) (x) N)."""
-    if m.ring != n.ring:
-        raise ValueError("Tor across different rings")
-    if i < 0:
-        raise ValueError("negative Tor index")
-    caps = caps or DEFAULT_CAPS.fresh()
-    res = resolution(m)
-    res.extend_to(min(i + 1, caps.resolution_length), caps)
-    if i > res.length_computed() and res.complete:
-        return HomologyReport("tor", i, True,
-                              PresentedModule(m.ring, (), (), _minimal=True)
-                              if want_module else None)
-    if i + 1 > res.length_computed() and not res.complete:
-        res.extend_to(i + 1, caps)
-    ring = m.ring
-    middle = _free_multiple(n, res.shift(i), +1)
-    outgoing = None
-    if i >= 1:
-        target = _free_multiple(n, res.shift(i - 1), +1)
-        outgoing = _tensor_map(res.differential(i), middle, target, n,
-                               len(res.shift(i - 1)))
-    incoming = []
-    next_cols = res.differential(i + 1)
-    if next_cols:
-        source = _free_multiple(n, res.shift(i + 1), +1)
-        incoming = _tensor_map(next_cols, source, middle, n,
-                               len(res.shift(i))).columns
-    return _segment_homology(ring, middle, outgoing, incoming, "tor", i,
-                             want_module, caps)
+    return _resolution_homology("tor", m, n, i, caps, want_module)
 
 
 def ext(m: PresentedModule, n: PresentedModule, i: int,
         caps: Caps = None, want_module: bool = True) -> HomologyReport:
     """Ext^i(M, N) = H^i(Hom(F(M), N))."""
-    if m.ring != n.ring:
-        raise ValueError("Ext across different rings")
-    if i < 0:
-        raise ValueError("negative Ext index")
-    caps = caps or DEFAULT_CAPS.fresh()
-    res = resolution(m)
-    res.extend_to(min(i + 1, caps.resolution_length), caps)
-    if i > res.length_computed() and res.complete:
-        return HomologyReport("ext", i, True,
-                              PresentedModule(m.ring, (), (), _minimal=True)
-                              if want_module else None)
-    if i + 1 > res.length_computed() and not res.complete:
-        res.extend_to(i + 1, caps)
-    ring = m.ring
-    middle = _free_multiple(n, res.shift(i), -1)
-    outgoing = None
-    up_cols = res.differential(i + 1)
-    if up_cols:
-        target = _free_multiple(n, res.shift(i + 1), -1)
-        outgoing = _hom_map(up_cols, middle, target, n,
-                            len(res.shift(i)), len(res.shift(i + 1)))
-    incoming = []
-    if i >= 1:
-        source = _free_multiple(n, res.shift(i - 1), -1)
-        incoming = _hom_map(res.differential(i), source, middle, n,
-                            len(res.shift(i - 1)), len(res.shift(i))).columns
-    return _segment_homology(ring, middle, outgoing, incoming, "ext", i,
-                             want_module, caps)
+    return _resolution_homology("ext", m, n, i, caps, want_module)
 
 
 # ----------------------------------------------------------------------

@@ -610,6 +610,7 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
     with that tail; so they are built bottom-up from the empty minor 1, one
     row at a time.  Level k holds each k-minor on a length-k row tail once,
     as a term dict; only the level below is kept.  No division is used.
+    The cancel callback of `caps` is polled once per row tail.
     """
     sig = m.ring.sig
     g = m.num_generators
@@ -625,6 +626,8 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
     for k in range(1, size + 1):
         below, level = level, {}
         for tail in combinations(range(size - k, g), k):
+            if caps is not None:
+                caps.poll()
             top, rest = rows[tail[0]], tail[1:]
             for cols in combinations(range(r), k):
                 acc = level[tail, cols] = {}

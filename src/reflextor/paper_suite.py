@@ -267,17 +267,11 @@ def paper_suite(caps: Caps = None) -> dict:
 
 def _complex_exact(ring, a1, a2, a3, caps):
     from .homology import _segment_homology
-    from .modules import ModuleMap, free_module
 
-    f4a = free_module(ring, (4, 4, 4, 4))
-    f3a = free_module(ring, (3, 3, 3))
-    f3b = free_module(ring, (1, 1, 1))
-    f4b = free_module(ring, (0, 0, 0, 0))
-    m1 = ModuleMap(f4a, f3a, a1, check=False)
-    m2 = ModuleMap(f3a, f3b, a2, check=False)
-    m3 = ModuleMap(f3b, f4b, a3, check=False)
-    h1 = _segment_homology(ring, f3a, m2, m1.columns, "h", 1, False, caps.fresh())
-    h2 = _segment_homology(ring, f3b, m3, m2.columns, "h", 1, False, caps.fresh())
+    h1 = _segment_homology(ring, (3, 3, 3), (), (a2, 3, ()), a1, "h", 1, False,
+                           caps.fresh())
+    h2 = _segment_homology(ring, (1, 1, 1), (), (a3, 4, ()), a2, "h", 1, False,
+                           caps.fresh())
     return h1.is_zero and h2.is_zero
 
 
@@ -298,10 +292,3 @@ def paper_suite_text(report: dict) -> str:
         first = next(c for c in report["claims"] if not c["passed"])
         lines.append(f"FIRST FAILING CLAIM: {first['id']}")
     return "\n".join(lines) + "\n"
-
-
-def first_failing_claim(report: dict):
-    for c in report["claims"]:
-        if not c["passed"]:
-            return c["id"]
-    return None

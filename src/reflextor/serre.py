@@ -27,15 +27,6 @@ class NTorsionFreeReport:
     def all_vanish(self):
         return all(self.verdicts)
 
-    def holds_through(self):
-        """Largest prefix 1..k of vanishing Ext; monotone in n by shape."""
-        k = 0
-        for v in self.verdicts:
-            if not v:
-                break
-            k += 1
-        return k
-
 
 def n_torsion_free(m: PresentedModule, n: int, caps: Caps = None):
     """Ext^i(Tr M, R) verdict vector for i = 1..n."""

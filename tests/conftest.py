@@ -10,7 +10,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-from reflextor import QQ, make_ring
+from reflextor import GF, QQ, make_ring
 from reflextor.modules import cyclic, minimize, tensor, transpose
 from reflextor.parse import parse_poly
 from reflextor.rings import RIdeal
@@ -68,6 +68,15 @@ def n_b(ring_b, pb):
 def ring_c():
     """Q[x,y,u,v]/(xu,xv,yu,yv): two planes meeting at a point."""
     return make_ring(QQ, ["x", "y", "u", "v"], ["x*u", "x*v", "y*u", "y*v"])
+
+
+@pytest.fixture(scope="session")
+def ring_ci():
+    """GF(32003)[x,y,z,u,v] modulo a complete intersection of degrees 2, 2, 3."""
+    return make_ring(
+        GF(32003), ["x", "y", "z", "u", "v"],
+        ["x^2+y*z-u*v", "z*u-y^2+x*v", "x*y*z-v^3"],
+    )
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from reflextor.homology import (
 )
 from reflextor.isomorphism import find_graded_isomorphism
 from reflextor.modules import (
-    ModuleMap,
     cyclic,
     free_module,
     localized_rank,
@@ -82,15 +81,10 @@ def test_criterion_1_complex_and_second_syzygy(ring_a, pa, tensor_a):
     from reflextor.caps import Caps
     from reflextor.homology import _segment_homology
 
-    f4a = free_module(ring_a, (4, 4, 4, 4))
-    f3a = free_module(ring_a, (3, 3, 3))
-    f3b = free_module(ring_a, (1, 1, 1))
-    f4b = free_module(ring_a, (0, 0, 0, 0))
-    m1 = ModuleMap(f4a, f3a, a1, check=False)
-    m2 = ModuleMap(f3a, f3b, a2, check=False)
-    m3 = ModuleMap(f3b, f4b, a3, check=False)
-    h1 = _segment_homology(ring_a, f3a, m2, m1.columns, "h", 1, False, Caps())
-    h2 = _segment_homology(ring_a, f3b, m3, m2.columns, "h", 1, False, Caps())
+    h1 = _segment_homology(ring_a, (3, 3, 3), (), (a2, 3, ()), a1, "h", 1, False,
+                           Caps())
+    h2 = _segment_homology(ring_a, (1, 1, 1), (), (a3, 4, ()), a2, "h", 1, False,
+                           Caps())
     exact = h1.is_zero and h2.is_zero
 
     c = module_from_rows(

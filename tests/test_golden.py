@@ -1,12 +1,14 @@
 """Byte-for-byte checks of the CLI's `--json` output against stored copies.
 
-The files under `tests/golden/` hold the exact stdout of the two commands
+The files under `tests/golden/` hold the exact stdout of the commands
 below.  An engine change that is meant to leave every answer as it was
 must leave these bytes as they are; a change that alters an answer on
 purpose regenerates the files from the repository root with
 
     PYTHONPATH=src python3 -m reflextor paper-suite --json > tests/golden/paper_suite.json
     PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy.json --json > tests/golden/hypersurface_xy.json
+    PYTHONPATH=src python3 -m reflextor ext --session scripts/sessions/hypersurface_xy.json M N --from 0 --to 3 --json > tests/golden/ext_M_N.json
+    PYTHONPATH=src python3 -m reflextor ext --session scripts/sessions/hypersurface_xy.json N M --from 0 --to 3 --json > tests/golden/ext_N_M.json
 
 and says why in the change's notes.
 """
@@ -26,6 +28,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         (("paper-suite", "--json"), "paper_suite.json"),
         (("run", "scripts/sessions/hypersurface_xy.json", "--json"),
          "hypersurface_xy.json"),
+        (("ext", "--session", "scripts/sessions/hypersurface_xy.json", "M", "N",
+          "--from", "0", "--to", "3", "--json"), "ext_M_N.json"),
+        (("ext", "--session", "scripts/sessions/hypersurface_xy.json", "N", "M",
+          "--from", "0", "--to", "3", "--json"), "ext_N_M.json"),
     ],
 )
 def test_cli_json_matches_golden(argv, name):

@@ -112,6 +112,16 @@ class TestTorExt:
         assert ext(tr, free, 1, want_module=False).is_zero
         assert not ext(tr, free, 2, want_module=False).is_zero
 
+    def test_segment_map_columns_are_checked_degree_zero(self, pa, n_a):
+        from reflextor.homology import _tensor_id
+        from reflextor.modules import DegreeError
+
+        # x (x) id_N on one generator: degree 1 over a target in degree 0
+        assert [c.coords for c in _tensor_id([(pa("x"),)], n_a, (1,), (0,))] \
+            == [(pa("x"),)]
+        with pytest.raises(DegreeError):
+            _tensor_id([(pa("x"),)], n_a, (0,), (0,))
+
     def test_ext_of_residue_field_detects_depth(self, ring_a, n_a):
         k = ring_a.residue_field_module()
         assert ext(k, n_a, 0, want_module=False).is_zero
@@ -223,3 +233,40 @@ class TestPeriodicityCertificate:
         if v.certificate == "periodicity":
             assert v.periodicity_onset is not None
             assert v.window >= v.periodicity_onset + 1
+
+
+def _tate_degrees(top):
+    """Internal degrees of b_i(k), i <= top, over a 5-variable complete
+    intersection with relations of degrees 2, 2, 3: the s^i part of Tate's
+    (1 + st)^5 / ((1 - s^2 t^2)^2 (1 - s^2 t^3)), as sorted lists."""
+
+    def times(series, factor):  # truncated past s^top
+        out = {}
+        for (a, b), c in series.items():
+            for (a2, b2), c2 in factor.items():
+                if a + a2 <= top:
+                    out[a + a2, b + b2] = out.get((a + a2, b + b2), 0) + c * c2
+        return out
+
+    series = {(0, 0): 1}
+    for _ in range(5):
+        series = times(series, {(0, 0): 1, (1, 1): 1})
+    for d in (2, 2, 3):  # 1/(1 - s^2 t^d) = sum_j s^{2j} t^{dj}
+        series = times(series, {(2 * j, d * j): 1 for j in range(top // 2 + 1)})
+    return [
+        sorted(b for (a, b), c in series.items() if a == i for _ in range(c))
+        for i in range(top + 1)
+    ]
+
+
+class TestResidueFieldOverCompleteIntersection:
+    def test_tor_and_ext_of_k_follow_tate_series(self, ring_ci):
+        expected = _tate_degrees(2)
+        assert [len(e) for e in expected] == [1, 5, 13]
+        assert expected[2] == [2] * 12 + [3]
+        k = ring_ci.residue_field_module()
+        for i, degs in enumerate(expected):
+            t, e = tor(k, k, i), ext(k, k, i)
+            assert not t.is_zero and not e.is_zero
+            assert sorted(t.module.gen_degrees) == degs
+            assert sorted(e.module.gen_degrees) == sorted(-d for d in degs)

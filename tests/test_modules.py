@@ -7,6 +7,7 @@ import random
 import pytest
 
 from reflextor import GF, QQ, make_ring
+from reflextor.caps import Caps, ComputationCancelled
 from reflextor.groebner import FreeVector, Span, buchberger, ideal_quotient, normal_form
 from reflextor.modules import (
     DegreeError,
@@ -330,6 +331,17 @@ class TestFittingIdeals:
         finally:
             gc.enable()
 
+    def test_cancel_is_polled_once_per_row_tail(self):
+        ring = make_ring(GF(32003), ["x", "y", "z"], [])
+        m = _graded_matrix(ring, 1, (0, 0, 0), (1, 1, 1, 1, 1))
+        with pytest.raises(ComputationCancelled):
+            fitting_ideal(m, 0, Caps(cancel=lambda: True))
+        polls = []
+        caps = Caps(cancel=lambda: polls.append(1) and False)
+        assert fitting_ideal(m, 0, caps).generators == fitting_ideal(m, 0).generators
+        # one row tail per level for maximal minors; no pair budget used
+        assert len(polls) == 3 and caps._pairs_used == 0
+
     def test_cyclic_fitt0_is_the_ideal(self, ring_a, pa, n_a):
         f0 = fitting_ideal(n_a, 0)
         gb = buchberger(list(f0.generators))
@@ -403,13 +415,6 @@ class TestSyzygy:
 class TestUntailedRelations:
     """R-spans seed the ring's basis untailed; the answers are exactly those
     of the construction in which every relation g*e_i is a tailed input."""
-
-    @pytest.fixture(scope="class")
-    def ring_ci(self):
-        return make_ring(
-            GF(32003), ["x", "y", "z", "u", "v"],
-            ["x^2+y*z-u*v", "z*u-y^2+x*v", "x*y*z-v^3"],
-        )
 
     # terms per coordinate: dense vectors over the CI make the fully tailed
     # run take tens of seconds

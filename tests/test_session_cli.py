@@ -5,7 +5,7 @@ import json
 import pytest
 
 from reflextor.cli import main as cli_main
-from reflextor.paper_suite import first_failing_claim, paper_suite
+from reflextor.paper_suite import paper_suite, paper_suite_text
 from reflextor.reports import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -226,7 +226,7 @@ class TestPaperSuite:
         monkeypatch.setattr(modules_mod, "transpose", corrupted_transpose)
         report = paper_suite()
         assert report["exit_code"] == EXIT_VERIFICATION
-        assert first_failing_claim(report) is not None
+        assert "FIRST FAILING CLAIM: " in paper_suite_text(report)
 
     def test_json_mirror_matches_claim_verdicts(self):
         from reflextor.paper_suite import paper_suite_json
