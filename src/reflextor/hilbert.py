@@ -3,14 +3,16 @@
 A series is stored as an integer Laurent-polynomial numerator over the
 fixed denominator (1-t)^nvars.  The numerator is the alternating sum of
 shift contributions along a finite graded free resolution over the
-ambient ring, so it is independent of the resolution used and equality
-of numerators decides equality of series.
+ambient ring, taken from `homology.FreeResolution` over that ring, so it
+is independent of the resolution used and equality of numerators decides
+equality of series.
 """
 
 from dataclasses import dataclass
 
-from .caps import Caps
-from .groebner import FreeVector, IncrementalSpan, Span
+from .caps import DEFAULT_CAPS, Caps
+from .groebner import FreeVector, IncrementalSpan
+from .rings import QuotientRing
 
 
 def _laurent_add(a: dict, b: dict, sign=1) -> dict:
@@ -169,49 +171,38 @@ def minimal_vector_subset(sig, rank, vectors, degrees, caps: Caps = None,
     return sorted(i for i in order if span.add(vectors[i]))
 
 
-def ambient_betti_shifts(sig, gen_degrees, columns, caps: Caps = None):
-    """Shift multisets of a graded free resolution over the ambient ring.
+def hilbert_series_of_presentation(ring, gen_degrees, columns, caps: Caps = None):
+    """Alternating-shift Hilbert series of coker(columns) over `ring`, as an
+    S-module.
 
-    Returns one degree tuple per homological step, starting with the given
-    generator degrees.  Syzygy steps pick minimal generating subsets, which
-    makes the walk terminate within the syzygy bound; the alternating sum
-    of the shifts is independent of the resolution, so the series computed
-    from it is canonical even when the input presentation is not minimal.
+    Over S the module is coker(columns + g*e_i), g running over the
+    defining generators; it is resolved by `FreeResolution` over S itself,
+    the quotient ring with no defining ideal.  Hilbert's syzygy theorem,
+    not the caller's resolution cap, bounds that walk at nvars steps, so
+    it runs one step past the bound and an unfinished resolution is an
+    engine fault.
     """
-    shifts = [tuple(gen_degrees)]
-    current_rank = len(gen_degrees)
-    current_degs = list(gen_degrees)
-    vectors = [c for c in columns if not c.is_zero]
-    degs = [vector_degree(c, current_degs) for c in vectors]
-    steps = 0
-    while vectors:
-        steps += 1
-        if steps > sig.nvars + 2:
-            raise RuntimeError("ambient resolution exceeded the syzygy bound")
-        chosen = minimal_vector_subset(sig, current_rank, vectors, degs, caps)
-        vectors = [vectors[i] for i in chosen]
-        degs = [degs[i] for i in chosen]
-        if not vectors:
-            break
-        shifts.append(tuple(degs))
-        span = Span(sig, current_rank, vectors, caps=caps)
-        syz = [s for s in span.syzygies() if not s.is_zero]
-        current_rank = len(vectors)
-        current_degs = degs
-        vectors = syz
-        degs = [vector_degree(s, current_degs) for s in vectors]
-    return shifts
+    from .homology import FreeResolution
+    from .modules import PresentedModule
 
-
-def hilbert_series_of_presentation(sig, gen_degrees, columns, caps: Caps = None):
-    """Alternating-shift Hilbert series of coker(columns) as an S-module."""
+    sig = ring.sig
     if not gen_degrees:
         return HilbertSeries.from_dict({}, sig.nvars)
-    shifts = ambient_betti_shifts(sig, gen_degrees, columns, caps)
+    caps = caps or DEFAULT_CAPS.fresh()
+    rank = len(gen_degrees)
+    relations = [
+        FreeVector.unit(sig, rank, i).poly_mul(g)
+        for g in ring.ideal.generators
+        for i in range(rank)
+    ]
+    ambient = QuotientRing(sig, ())
+    module = PresentedModule(ambient, gen_degrees, list(columns) + relations)
+    res = FreeResolution(module, caps)
+    res.extend_uncapped(sig.nvars + 1, caps)
+    if not res.complete:
+        raise RuntimeError("ambient resolution exceeded the syzygy bound")
     numer = {}
-    sign = 1
-    for step in shifts:
-        for d in step:
-            numer[d] = numer.get(d, 0) + sign
-        sign = -sign
+    for k in range(res.length_computed() + 1):
+        for d in res.shift(k):
+            numer[d] = numer.get(d, 0) + (-1) ** k
     return HilbertSeries.from_dict(numer, sig.nvars)

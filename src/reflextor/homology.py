@@ -22,8 +22,10 @@ from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groebner import FreeVector
 from .hilbert import vector_degree
 from .modules import (
-    DegreeError,
     PresentedModule,
+    _free_power,
+    _tensor_id,
+    apply_columns,
     fitting_ideal,
     minimal_generator_indices,
     minimize,
@@ -32,7 +34,6 @@ from .modules import (
     ring_membership_span,
     syzygies_over_ring,
 )
-from .poly import Poly
 
 INFINITE_DEPTH = math.inf
 
@@ -40,9 +41,9 @@ INFINITE_DEPTH = math.inf
 class FreeResolution:
     """Lazy minimal graded free resolution of a presented module."""
 
-    def __init__(self, module: PresentedModule):
+    def __init__(self, module: PresentedModule, caps: Caps = None):
         self.module = module
-        base = minimize(module)
+        base = minimize(module, caps)
         self.base = base
         self._shifts = [tuple(base.gen_degrees)]
         self._diffs = []  # _diffs[k] holds d_{k+1} columns inside R^{rank F_k}
@@ -86,6 +87,11 @@ class FreeResolution:
                 f"resolution length {length} exceeds the cap "
                 f"({caps.resolution_length})"
             )
+        self.extend_uncapped(length, caps)
+
+    def extend_uncapped(self, length: int, caps: Caps):
+        """`extend_to` without the resolution-length cap, for callers that
+        bound the length themselves."""
         with self._lock:
             while not self._complete and self.length_computed() < length:
                 last_rank = len(self._shifts[-1])
@@ -122,16 +128,12 @@ class FreeResolution:
 
     def check_d_squared(self) -> bool:
         """Exact verification that consecutive differentials compose to zero."""
-        for k in range(2, len(self._diffs) + 1):
-            prev = self.differential(k - 1)
-            for col in self.differential(k):
-                acc = FreeVector.zero(self.ring.sig, len(self._shifts[k - 2]))
-                for i, p in enumerate(col.coords):
-                    if not p.is_zero:
-                        acc = acc + prev[i].poly_mul(p)
-                if not self.ring.reduce_vector(acc).is_zero:
-                    return False
-        return True
+        return all(
+            apply_columns(self.ring, self.differential(k - 1),
+                          len(self._shifts[k - 2]), col).is_zero
+            for k in range(2, len(self._diffs) + 1)
+            for col in self.differential(k)
+        )
 
     def is_minimal(self) -> bool:
         return all(
@@ -162,17 +164,18 @@ class FreeResolution:
         return None
 
 
-def resolution(m: PresentedModule) -> FreeResolution:
-    """The cached resolution attached to a module (append-only)."""
+def resolution(m: PresentedModule, caps: Caps = None) -> FreeResolution:
+    """The cached resolution attached to a module (append-only); `caps`
+    pays for minimizing its base when it is first built."""
     with m._resolution_lock:
         if m._resolution is None:
-            m._resolution = FreeResolution(m)
+            m._resolution = FreeResolution(m, caps)
         return m._resolution
 
 
 def free_resolution(m: PresentedModule, max_length: int, caps: Caps = None):
-    res = resolution(m)
     caps = caps or DEFAULT_CAPS.fresh()
+    res = resolution(m, caps)
     try:
         res.extend_to(max_length, caps)
     except CapExceeded:
@@ -199,7 +202,7 @@ class PdResult:
 def pd(m: PresentedModule, caps: Caps = None) -> PdResult:
     """Projective dimension, or AboveCap with a periodicity hint."""
     caps = caps or DEFAULT_CAPS.fresh()
-    res = resolution(m)
+    res = resolution(m, caps)
     res.extend_to(caps.resolution_length, caps)
     if res.complete:
         return PdResult(res.length_computed(), False)
@@ -224,44 +227,6 @@ def _zero_report(ring, kind, index, want_module):
     return HomologyReport(kind, index, True,
                           PresentedModule(ring, (), (), _minimal=True)
                           if want_module else None)
-
-
-def _free_power(n: PresentedModule, shifts, sign: int):
-    """Degrees and relation columns of N^r, twisted by +shifts (F (x) N,
-    sign=+1) or -shifts (Hom(F, N), sign=-1); N's columns, already in normal
-    form, repeat block-diagonally, one block per shift."""
-    gn = n.num_generators
-    degs = tuple(sign * s + d for s in shifts for d in n.gen_degrees)
-    zero = (Poly.zero(n.ring.sig),)
-    cols = [
-        FreeVector(n.ring.sig, zero * (b * gn) + col.coords
-                   + zero * ((len(shifts) - b - 1) * gn))
-        for b in range(len(shifts))
-        for col in n.columns
-    ]
-    return degs, cols
-
-
-def _tensor_id(matrix, n: PresentedModule, source_degs, target_degs):
-    """Columns of A (x) id_N on grids (s, t), A given by the coordinate
-    tuples of its columns; every nonzero column must be of degree zero."""
-    sig = n.ring.sig
-    gn = n.num_generators
-    zero = Poly.zero(sig)
-    cols = []
-    for a in matrix:
-        for t in range(gn):
-            coords = [zero] * (len(a) * gn)
-            coords[t::gn] = a
-            col = FreeVector(sig, coords)
-            j = len(cols)
-            if not col.is_zero:
-                d = vector_degree(col, target_degs)
-                if d != source_degs[j]:
-                    raise DegreeError(f"map is not degree zero on generator "
-                                      f"{j}: {d} != {source_degs[j]}")
-            cols.append(col)
-    return cols
 
 
 def _segment_homology(ring, degrees, relations, outgoing, incoming,
@@ -307,7 +272,7 @@ def _resolution_homology(kind, m, n, i, caps, want_module):
     if i < 0:
         raise ValueError(f"negative {name} index")
     caps = caps or DEFAULT_CAPS.fresh()
-    res = resolution(m)
+    res = resolution(m, caps)
     res.extend_to(min(i + 1, caps.resolution_length), caps)
     if i > res.length_computed() and res.complete:
         return _zero_report(m.ring, kind, i, want_module)
@@ -374,11 +339,8 @@ def is_torsion(t: PresentedModule, caps: Caps = None) -> bool:
     primes = t.ring.minimal_primes(caps=caps)
     tm = minimize(t, caps)
     fitt0 = fitting_ideal(tm, 0, caps)
-    from .groebner import normal_form as nf
-
     for p in primes:
-        gb = p.lift_gb(caps)
-        if all(nf(g, gb).is_zero for g in fitt0.generators):
+        if all(p.contains(g, caps) for g in fitt0.generators):
             return False  # Fitt_0 inside p: T survives at p
     return True
 
@@ -412,7 +374,7 @@ def tor_vanishing(m: PresentedModule, n: PresentedModule, window: int,
             first_nonzero = i
             break
     all_zero = first_nonzero is None
-    res = resolution(m)
+    res = resolution(m, caps)
     cert = "window_only"
     onset = None
     if res.complete:

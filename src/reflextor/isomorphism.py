@@ -10,7 +10,6 @@ certified isomorphism.
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 
 from .caps import Caps, DEFAULT_CAPS
 from .groebner import FreeVector
@@ -85,9 +84,16 @@ def shift_module(m: PresentedModule, s: int) -> PresentedModule:
     return out
 
 
+# The candidate search: a fixed seed keeps it deterministic; past
+# _MAX_UNKNOWNS entry coefficients the search is not attempted, and at most
+# _TRIES candidate maps are tested.
+_SEED = 7
+_MAX_UNKNOWNS = 600
+_TRIES = 60
+
+
 def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
-                            caps: Caps = None, seed: int = 7,
-                            max_unknowns: int = 600, tries: int = 60):
+                            caps: Caps = None):
     """Explicit isomorphism a(shift) -> b, or None if none is found.
 
     A returned map is certified: well-definedness is solved linearly,
@@ -121,7 +127,7 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
             delta = shifted.gen_degrees[j] - b.gen_degrees[i]
             for m in standard_monomials(ring, delta):
                 unknowns.append((i, j, m))
-    if not unknowns or len(unknowns) > max_unknowns:
+    if not unknowns or len(unknowns) > _MAX_UNKNOWNS:
         return None
 
     rows = []
@@ -181,10 +187,10 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
         if any(not fld.is_zero(c) for c in u) and u not in seen:
             seen.add(u)
             candidates.append(u)
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     base = list(candidates)
     attempts = 0
-    while len(candidates) < tries and base and attempts < 10 * tries:
+    while len(candidates) < _TRIES and base and attempts < 10 * _TRIES:
         attempts += 1
         combo = [fld.zero] * nunk
         for vec in base:
@@ -216,52 +222,3 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
         if all(span.contains(e) for e in units):
             return IsoResult(candidate, s, shifted, b)
     return None
-
-
-def presentations_equivalent_up_to_permutation(a: PresentedModule,
-                                               b: PresentedModule) -> bool:
-    """Entrywise match after some row/column permutation and column scaling."""
-    if a.ring != b.ring:
-        return False
-    ga, ra = a.num_generators, a.num_relations
-    gb, rb = b.num_generators, b.num_relations
-    if (ga, ra) != (gb, rb):
-        return False
-    if ga > 6 or ra > 6:
-        raise ValueError("permutation equivalence is only for small matrices")
-    fld = a.ring.sig.field
-    rows_a, rows_b = a.rows(), b.rows()
-    for rp in permutations(range(ga)):
-        if any(a.gen_degrees[rp[i]] - b.gen_degrees[i]
-               != a.gen_degrees[rp[0]] - b.gen_degrees[0] for i in range(ga)):
-            continue
-        for cp in permutations(range(ra)):
-            ok = True
-            for j in range(ra):
-                scale = None
-                for i in range(ga):
-                    lhs = rows_a[rp[i]][cp[j]]
-                    rhs = rows_b[i][j]
-                    if lhs.is_zero != rhs.is_zero:
-                        ok = False
-                        break
-                    if lhs.is_zero:
-                        continue
-                    if lhs.terms == tuple() or len(lhs.terms) != len(rhs.terms):
-                        ok = False
-                        break
-                    ratio = fld.div(lhs.leading_coefficient(),
-                                    rhs.leading_coefficient())
-                    if rhs.scale(ratio) != lhs:
-                        ok = False
-                        break
-                    if scale is None:
-                        scale = ratio
-                    elif scale != ratio:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False

@@ -36,15 +36,6 @@ def rank(rows, fld) -> int:
     return len(reduced)
 
 
-def in_row_span(rows, target, fld) -> bool:
-    """Is `target` a linear combination of `rows`?"""
-    if all(fld.is_zero(x) for x in target):
-        return True
-    if not rows:
-        return False
-    return rank(rows, fld) == rank(list(rows) + [list(target)], fld)
-
-
 def nullspace(rows, fld):
     """Basis of {x : rows_matrix @ x = 0}, for rows over ncols columns."""
     if not rows:

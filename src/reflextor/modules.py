@@ -8,7 +8,7 @@ all reduce to span membership, lifts and syzygy computations over the
 ambient polynomial ring, in spans that hold the defining ideal times the
 free module as a seeded block with no tails (`ideal=ring.ideal`).  Only
 the Hilbert series, which resolves M over the ambient ring, takes the
-ring relations g*e_i as real columns (`ring_relation_vectors`).
+ring relations g*e_i as real columns (`hilbert_series_of_presentation`).
 
 Sign and twist conventions: M = coker(P) with P acting from the column
 side, entry (i, j) homogeneous of degree coldeg(j) - gendeg(i); dualizing
@@ -139,22 +139,20 @@ class PresentedModule:
     def hilbert_series(self, caps: Caps = None):
         """Series of M as a module over the ambient polynomial ring."""
         if self._hilbert is None:
-            cols = list(self.columns) + ring_relation_vectors(
-                self.ring, self.num_generators
-            )
             self._hilbert = hilbert_series_of_presentation(
-                self.ring.sig, self.gen_degrees, cols, caps
+                self.ring, self.gen_degrees, self.columns, caps
             )
         return self._hilbert
 
 
-def ring_relation_vectors(ring: QuotientRing, rank: int):
-    """Columns g*e_i for defining generators g: R^rank presented over S."""
-    return [
-        FreeVector.unit(ring.sig, rank, i).poly_mul(g)
-        for g in ring.ideal.generators
-        for i in range(rank)
-    ]
+def apply_columns(ring: QuotientRing, columns, rank: int, vec: FreeVector):
+    """sum vec_j * columns_j in R^rank, reduced: the image of `vec` under
+    the matrix whose columns are given."""
+    out = FreeVector.zero(ring.sig, rank)
+    for j, p in enumerate(vec.coords):
+        if not p.is_zero:
+            out = out + columns[j].poly_mul(p)
+    return ring.reduce_vector(out)
 
 
 def ring_membership_span(ring, rank, vectors, caps: Caps = None) -> IncrementalSpan:
@@ -191,12 +189,12 @@ def present_subquotient(ring, rank, coord_degrees, numerators, denominators, cap
     vectors inside R^rank (reduced representatives of the classes).
     """
     den_span = ring_membership_span(ring, rank, denominators, caps)
+    # a normal form against a span seeded with ideal*S^rank is reduced in R
     reduced = []
     for v in numerators:
         nf = den_span.normal_form_terms(v)
         if nf:
-            reduced.append(ring.reduce_vector(_terms_to_vector(nf, ring.sig, rank)))
-    reduced = [v for v in reduced if not v.is_zero]
+            reduced.append(_terms_to_vector(nf, ring.sig, rank))
     degs = [vector_degree(v, coord_degrees) for v in reduced]
     kept = minimal_generator_indices(
         ring, rank, reduced, degs, modulo=denominators, caps=caps
@@ -207,7 +205,7 @@ def present_subquotient(ring, rank, coord_degrees, numerators, denominators, cap
         return PresentedModule(ring, (), (), _minimal=True), []
     rel_cols = syzygies_over_ring(ring, rank, gens, caps, modulo=denominators)
     module = PresentedModule(ring, gen_degs, rel_cols)
-    return minimize(module), gens
+    return minimize(module, caps), gens
 
 
 def module_is_zero(m: PresentedModule, caps: Caps = None) -> bool:
@@ -303,24 +301,8 @@ class ModuleMap:
 
     def apply_vector(self, vec: FreeVector) -> FreeVector:
         """Image of an element of the source's free cover."""
-        out = FreeVector.zero(self.target.ring.sig, self.target.num_generators)
-        for j, p in enumerate(vec.coords):
-            if not p.is_zero:
-                out = out + self.columns[j].poly_mul(p)
-        return self.target.ring.reduce_vector(out)
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (other's target is self's source)."""
-        if other.target is not self.source and other.target != self.source:
-            raise DegreeError("composition mismatch")
-        cols = [self.apply_vector(c) for c in other.columns]
-        return ModuleMap(other.source, self.target, cols, check=False)
-
-    def is_zero(self, caps: Caps = None) -> bool:
-        span = ring_membership_span(
-            self.target.ring, self.target.num_generators, self.target.columns, caps
-        )
-        return all(span.contains(c) for c in self.columns)
+        return apply_columns(self.target.ring, self.columns,
+                             self.target.num_generators, vec)
 
     def cokernel(self) -> PresentedModule:
         return PresentedModule(
@@ -411,10 +393,10 @@ def minimize(m: PresentedModule, caps: Caps = None) -> PresentedModule:
     if not rows or not degs:
         return PresentedModule(ring, (), (), _minimal=True)
     g = len(rows)
+    # entries are reduced: read from a presentation, or pivoted and reduced
     cols = []
     for j in range(len(rows[0])):
         col = FreeVector(ring.sig, tuple(rows[i][j] for i in range(g)))
-        col = ring.reduce_vector(col)
         if not col.is_zero:
             cols.append(col)
     col_degs = [vector_degree(c, degs) for c in cols]
@@ -428,32 +410,52 @@ def minimize(m: PresentedModule, caps: Caps = None) -> PresentedModule:
 # tensor, dual, transpose
 
 
+def _free_power(n: PresentedModule, shifts, sign: int):
+    """Degrees and relation columns of N^r, twisted by +shifts (F (x) N,
+    sign=+1) or -shifts (Hom(F, N), sign=-1); N's columns, already in normal
+    form, repeat block-diagonally, one block per shift."""
+    gn = n.num_generators
+    degs = tuple(sign * s + d for s in shifts for d in n.gen_degrees)
+    zero = (Poly.zero(n.ring.sig),)
+    cols = [
+        FreeVector(n.ring.sig, zero * (b * gn) + col.coords
+                   + zero * ((len(shifts) - b - 1) * gn))
+        for b in range(len(shifts))
+        for col in n.columns
+    ]
+    return degs, cols
+
+
+def _tensor_id(matrix, n: PresentedModule, source_degs, target_degs):
+    """Columns of A (x) id_N on grids (s, t), A given by the coordinate
+    tuples of its columns; every nonzero column must be of degree zero."""
+    sig = n.ring.sig
+    gn = n.num_generators
+    zero = Poly.zero(sig)
+    cols = []
+    for a in matrix:
+        for t in range(gn):
+            coords = [zero] * (len(a) * gn)
+            coords[t::gn] = a
+            col = FreeVector(sig, coords)
+            j = len(cols)
+            if not col.is_zero:
+                d = vector_degree(col, target_degs)
+                if d != source_degs[j]:
+                    raise DegreeError(f"map is not degree zero on generator "
+                                      f"{j}: {d} != {source_degs[j]}")
+            cols.append(col)
+    return cols
+
+
 def tensor(a: PresentedModule, b: PresentedModule) -> PresentedModule:
     """A (x) B: generator grid with block relations [P_A (x) id | id (x) P_B]."""
     if a.ring != b.ring:
         raise DegreeError("tensor product across different rings")
-    ring = a.ring
-    ga, gb = a.num_generators, b.num_generators
-    degs = tuple(
-        a.gen_degrees[i] + b.gen_degrees[k] for i in range(ga) for k in range(gb)
-    )
-    zero = Poly.zero(ring.sig)
-    cols = []
-    for col in a.columns:
-        for k in range(gb):
-            coords = [zero] * (ga * gb)
-            for i in range(ga):
-                if not col.coords[i].is_zero:
-                    coords[i * gb + k] = col.coords[i]
-            cols.append(FreeVector(ring.sig, coords))
-    for i in range(ga):
-        for col in b.columns:
-            coords = [zero] * (ga * gb)
-            for k in range(gb):
-                if not col.coords[k].is_zero:
-                    coords[i * gb + k] = col.coords[k]
-            cols.append(FreeVector(ring.sig, coords))
-    return PresentedModule(ring, degs, cols)
+    degs, id_pb = _free_power(b, a.gen_degrees, 1)
+    col_degs, _ = _free_power(b, a.col_degrees, 1)
+    pa_id = _tensor_id([c.coords for c in a.columns], b, col_degs, degs)
+    return PresentedModule(a.ring, degs, pa_id + id_pb)
 
 
 def _dual_pair(m: PresentedModule, caps: Caps = None):
@@ -672,17 +674,11 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
         raise ValueError("localized rank at the unit ideal")
     ring = m.ring
     mm = minimize(m, caps)
-    gb_p = p.lift_gb(caps)
-    from .groebner import normal_form as nf
-
-    def contained_in_p(ideal: Ideal) -> bool:
-        return all(nf(g, gb_p).is_zero for g in ideal.generators)
-
     g = mm.num_generators
     r = below = None
     for i in range(g + 1):
         fitt = fitting_ideal(mm, i, caps)
-        if not contained_in_p(fitt):
+        if not all(p.contains(f, caps) for f in fitt.generators):
             r = i
             break
         below = fitt
@@ -699,7 +695,7 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
         q = ideal_quotient(ring.ideal, f, caps)
         quot = q if quot is None else intersect_ideals(quot, q, caps)
     for c in quot.generators:
-        if not nf(c, gb_p).is_zero:
+        if not p.contains(c, caps):
             return LocalizedRank(
                 "free",
                 r,
@@ -728,6 +724,6 @@ def syzygy(m: PresentedModule, n: int, caps: Caps = None) -> PresentedModule:
         return minimize(m, caps)
     from .homology import resolution
 
-    res = resolution(m)
+    res = resolution(m, caps)
     res.extend_to(n + 1, caps)
     return res.syzygy_module(n)

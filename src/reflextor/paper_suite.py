@@ -63,14 +63,9 @@ def _matrix_columns(ring, rows):
 
 
 def _compose_is_zero(ring, left_cols, right_cols):
-    for col in right_cols:
-        acc = FreeVector.zero(ring.sig, left_cols[0].rank)
-        for i, poly in enumerate(col.coords):
-            if not poly.is_zero:
-                acc = acc + left_cols[i].poly_mul(poly)
-        if not ring.reduce_vector(acc).is_zero:
-            return False
-    return True
+    rank = left_cols[0].rank
+    return all(modules.apply_columns(ring, left_cols, rank, col).is_zero
+               for col in right_cols)
 
 
 def paper_suite(caps: Caps = None) -> dict:

@@ -24,7 +24,13 @@ from .homology import (
     tor,
     ext,
 )
-from .modules import PresentedModule, localized_rank, minimize, module_from_rows
+from .modules import (
+    PresentedModule,
+    apply_columns,
+    localized_rank,
+    minimize,
+    module_from_rows,
+)
 from .parse import parse_poly
 from .rigidity import rigidity_search
 from .rings import RIdeal
@@ -458,12 +464,9 @@ def _recheck_resolution(ring, r, name):
         diffs.append(cols)
     for k in range(1, len(diffs)):
         prev, cur = diffs[k - 1], diffs[k]
+        rank = prev[0].rank if prev else 0
         for col in cur:
-            acc = FreeVector.zero(sig, prev[0].rank if prev else 0)
-            for i, p in enumerate(col.coords):
-                if not p.is_zero:
-                    acc = acc + prev[i].poly_mul(p)
-            if not ring.reduce_vector(acc).is_zero:
+            if not apply_columns(ring, prev, rank, col).is_zero:
                 problems.append(f"{name}: d.d != 0 at step {k + 1}")
     if r.get("minimal"):
         for step in diffs:

@@ -3,13 +3,14 @@
 Nothing here touches the Groebner engine; membership and kernel
 dimensions come from row reduction of coefficient matrices, the
 monomial-order oracle is the definition unrolled term by term, the
-basis check reduces every S-pair with its own division loop, and the
-minors are Leibniz sums over plain term dicts.
+basis check reduces every S-pair with its own division loop, the
+minors are Leibniz sums over plain term dicts, and two presentations are
+matched entry by entry over every row and column permutation.
 """
 
 from itertools import combinations, permutations
 
-from reflextor.linalg import in_row_span, rank
+from reflextor.linalg import rank
 from reflextor.orders import degree, sort_key
 from reflextor.poly import Poly
 
@@ -30,6 +31,15 @@ def poly_coeff_vector(p, basis_index, fld):
     for m, c in p.terms:
         vec[basis_index[m]] = c
     return vec
+
+
+def in_row_span(rows, target, fld) -> bool:
+    """Is `target` a linear combination of `rows`?"""
+    if all(fld.is_zero(x) for x in target):
+        return True
+    if not rows:
+        return False
+    return rank(rows, fld) == rank(list(rows) + [list(target)], fld)
 
 
 def homogeneous_membership_oracle(gens, f):
@@ -219,3 +229,51 @@ def fitting_minors_oracle(rows, size):
                     total[m] = fld.add(total.get(m, fld.zero), c)
             minors.append(Poly.from_dict(sig, total))
     return minors
+
+
+def presentations_equivalent_up_to_permutation(a, b) -> bool:
+    """Entrywise match after some row/column permutation and column scaling."""
+    if a.ring != b.ring:
+        return False
+    ga, ra = a.num_generators, a.num_relations
+    gb, rb = b.num_generators, b.num_relations
+    if (ga, ra) != (gb, rb):
+        return False
+    if ga > 6 or ra > 6:
+        raise ValueError("permutation equivalence is only for small matrices")
+    fld = a.ring.sig.field
+    rows_a, rows_b = a.rows(), b.rows()
+    for rp in permutations(range(ga)):
+        if any(a.gen_degrees[rp[i]] - b.gen_degrees[i]
+               != a.gen_degrees[rp[0]] - b.gen_degrees[0] for i in range(ga)):
+            continue
+        for cp in permutations(range(ra)):
+            ok = True
+            for j in range(ra):
+                scale = None
+                for i in range(ga):
+                    lhs = rows_a[rp[i]][cp[j]]
+                    rhs = rows_b[i][j]
+                    if lhs.is_zero != rhs.is_zero:
+                        ok = False
+                        break
+                    if lhs.is_zero:
+                        continue
+                    if lhs.terms == tuple() or len(lhs.terms) != len(rhs.terms):
+                        ok = False
+                        break
+                    ratio = fld.div(lhs.leading_coefficient(),
+                                    rhs.leading_coefficient())
+                    if rhs.scale(ratio) != lhs:
+                        ok = False
+                        break
+                    if scale is None:
+                        scale = ratio
+                    elif scale != ratio:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return True
+    return False

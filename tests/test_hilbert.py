@@ -5,6 +5,7 @@ import random
 import pytest
 
 from reflextor import GF, make_ring
+from reflextor.groebner import FreeVector
 from reflextor.hilbert import laurent_div_exact
 from reflextor.modules import (
     cyclic,
@@ -17,6 +18,8 @@ from reflextor.modules import (
 )
 from reflextor.parse import parse_poly
 from reflextor.poly import Poly
+
+from oracles import all_monomials, submodule_piece_dimension
 
 
 class TestLaurent:
@@ -102,3 +105,45 @@ class TestSeries:
         hs = module_from_rows(ring, rows, (0, 0, 0)).hilbert_series()
         assert hs.nvars == 4
         assert hs.as_dict() == {0: 3, 1: -5, 4: 5, 5: -3}
+
+
+class TestAgainstPieceDimensions:
+    """The series against plain linear algebra: dim M_d is dim F_d minus
+    the degree-d piece of the S-span of the columns and the ring relations
+    g*e_i, which the oracle row-reduces with no Groebner engine."""
+
+    @pytest.mark.parametrize("which, degrees, col_degrees, top", [
+        ("ring_a", (0, 1, 1), (2, 2, 3), 4),
+        ("ring_c", (0, 1, 1), (2, 2, 3), 4),
+        ("ring_ci", (0, 1, 1), (2,), 4),
+    ])
+    def test_coefficients_match(self, which, degrees, col_degrees, top, request):
+        ring = request.getfixturevalue(which)
+        sig, fld = ring.sig, ring.sig.field
+        rng = random.Random(20261018)
+
+        def form(d):
+            if d < 0:
+                return Poly.zero(sig)
+            m = rng.choice(all_monomials(sig.nvars, d))
+            return Poly.monomial(sig, m).scale(fld.from_int(rng.randint(1, 9)))
+
+        def column(d):
+            return FreeVector(sig, tuple(form(d - g) for g in degrees))
+
+        cols = [column(d) for d in col_degrees]
+        # a unit entry, pivoted away by minimize
+        unit = FreeVector.unit(sig, len(degrees), 1) + column(degrees[1])
+        # a redundant column, a combination of two others
+        extra = col_degrees[0] + 1
+        cols += [unit, cols[0].poly_mul(form(1))
+                 + unit.poly_mul(form(extra - degrees[1]))]
+        rows = [[c.coords[i] for c in cols] for i in range(len(degrees))]
+        series = module_from_rows(ring, rows, degrees).hilbert_series()
+
+        relations = [FreeVector.unit(sig, len(degrees), i).poly_mul(g)
+                     for g in ring.ideal.generators for i in range(len(degrees))]
+        for d in range(top + 1):
+            free = sum(len(all_monomials(sig.nvars, d - g)) for g in degrees)
+            span = submodule_piece_dimension(cols + relations, degrees, d)
+            assert series.coefficient(d) == free - span, d

@@ -21,6 +21,7 @@ from reflextor.modules import (
     cyclic,
     free_module,
     minimize,
+    module_from_rows,
     transpose,
 )
 from reflextor.rings import RIdeal
@@ -52,6 +53,21 @@ class TestResolutions:
     def test_resolution_cap(self, ring_a, n_a):
         with pytest.raises(CapExceeded):
             resolution(n_a).extend_to(4, Caps(resolution_length=2))
+
+    def test_every_pair_is_charged_to_the_callers_caps(self, ring_a, pa,
+                                                       monkeypatch):
+        # a fresh module, so its resolution's base is minimized inside `tor`
+        m = module_from_rows(ring_a, [
+            [pa("x"), pa("y"), pa("z"), pa("x*z"), pa("y*z")],
+            [pa("z"), pa("w"), pa("0"), pa("z^2"), pa("w*z")],
+        ], (0, 0))
+        ticks = []
+        real_tick = Caps.tick
+        monkeypatch.setattr(Caps, "tick",
+                            lambda self, *a: (ticks.append(1), real_tick(self, *a)))
+        caps = Caps()
+        tor(m, m, 1, caps)
+        assert caps._pairs_used == len(ticks) > 0
 
     def test_d_squared_on_residue_field(self, ring_a):
         k = ring_a.residue_field_module()

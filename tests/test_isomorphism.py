@@ -5,7 +5,6 @@ import pytest
 from reflextor.isomorphism import (
     find_graded_isomorphism,
     monomials_of_degree,
-    presentations_equivalent_up_to_permutation,
     standard_monomials,
 )
 from reflextor.modules import (
@@ -16,6 +15,8 @@ from reflextor.modules import (
     syzygy,
     tensor,
 )
+
+from oracles import presentations_equivalent_up_to_permutation
 
 
 class TestMonomialEnumeration:

@@ -26,7 +26,6 @@ from reflextor.modules import (
     module_from_rows,
     module_is_zero,
     pushforward,
-    ring_relation_vectors,
     syzygies_over_ring,
     syzygy,
     tensor,
@@ -35,7 +34,11 @@ from reflextor.modules import (
 from reflextor.poly import Poly
 from reflextor.rings import RIdeal
 
-from oracles import all_monomials, fitting_minors_oracle
+from oracles import (
+    all_monomials,
+    fitting_minors_oracle,
+    presentations_equivalent_up_to_permutation,
+)
 
 
 class TestConstruction:
@@ -112,8 +115,6 @@ class TestTensor:
     def test_shape_and_paper_matrix(self, ring_a, m_a, n_a, tensor_a, pa):
         assert tensor_a.num_generators == 3
         assert tensor_a.num_relations == 4
-        from reflextor.isomorphism import presentations_equivalent_up_to_permutation
-
         displayed = module_from_rows(
             ring_a,
             [[pa("x"), pa("0"), pa("0"), pa("w")],
@@ -435,7 +436,8 @@ class TestUntailedRelations:
 
         vectors = [vector(d) for d in (1, 1, 2)]
         modulo = [vector(1)]
-        relations = ring_relation_vectors(ring, rank)
+        relations = [FreeVector.unit(sig, rank, i).poly_mul(g)
+                     for g in ring.ideal.generators for i in range(rank)]
         k = len(vectors)
 
         old = Span(sig, rank, vectors + modulo + relations)

@@ -163,6 +163,20 @@ class TestRunSession:
         report = run_session(load_session(doc))
         assert report["exit_code"] == EXIT_CAP
 
+    def test_resolution_cap_does_not_bound_hilbert_series(self):
+        # the series resolves each Ext module over the ambient ring, a walk
+        # bounded by the number of variables, not by the resolution cap
+        doc = _document()
+        doc["caps"] = {"resolution": 2}
+        doc["tasks"] = [{"task": "ext", "left": "M", "right": "N", "range": [0, 1]}]
+        report = run_session(load_session(doc))
+        task = report["tasks"][0]
+        assert report["exit_code"] == EXIT_OK and task["status"] == "ok"
+        assert [e["hilbert_series"] for e in task["result"]["values"]] == [
+            "(3*t^2 - 4*t^3 + t^4)/(1-t)^4",
+            "(1 - 4*t + 6*t^2 - 4*t^3 + t^4)/(1-t)^4",
+        ]
+
     def test_unknown_module_reference_is_input_error(self):
         doc = _document()
         doc["tasks"] = [{"task": "reflexive", "module": "NOPE"}]
