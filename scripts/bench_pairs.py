@@ -13,8 +13,10 @@ stdout is parsed, because it carries `peak_rss_mb`, which the per-run files
 under `perfbench/out/` do not.  The file has one row per run and, per
 workload and side, the median and quartiles of each metric, with the
 number of pairs the change won (lower is better; ties count for neither
-side).  It is rewritten after every pair, so an interrupted run keeps what
-it finished.
+side), and, per side, how many runs were incorrect and the sums of their
+failed and attempted units.  It is rewritten after every pair, so an
+interrupted run keeps what it finished.  The exit status is 1 when any run
+was incorrect.
 """
 
 import argparse
@@ -41,14 +43,19 @@ def run_once(root, workload, seed, seconds):
 
 
 def summarize(rows, workloads):
-    """Per workload: each side's median and quartiles, and the change's wins."""
+    """Per workload: each side's median and quartiles, the change's wins, and
+    each side's incorrect runs with its failed and attempted units."""
     out = {}
     for w in workloads:
         by_side = {side: {r["seed"]: r for r in rows
                           if r["workload"] == w and r["side"] == side}
                    for side in ("parent", "change")}
         seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
-        entry = {"pairs": len(seeds)}
+        entry = {"pairs": len(seeds), "outcomes": {
+            side: {"incorrect": sum(1 for r in runs.values() if not r["correct"]),
+                   "failed": sum(r["failed"] for r in runs.values()),
+                   "attempted": sum(r["attempted"] for r in runs.values())}
+            for side, runs in by_side.items()}}
         for m in METRICS:
             stats = {}
             for side, runs in by_side.items():
@@ -91,7 +98,11 @@ def main(argv=None):
             report = {"run_seconds": seconds, "runs": rows,
                       "summary": summarize(rows, args.workloads)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    incorrect = [r for r in rows if not r["correct"]]
+    for r in incorrect:
+        print(f"error: {r['workload']} seed {r['seed']} ({r['side']}) was incorrect: "
+              f"{r['failed']} of {r['attempted']} units failed", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ fixed denominator (1-t)^nvars.  The numerator is the alternating sum of
 shift contributions along a finite graded free resolution over the
 ambient ring, taken from `homology.FreeResolution` over that ring, so it
 is independent of the resolution used and equality of numerators decides
-equality of series.
+equality of series.  `ambient_resolution` builds that resolution;
+`homology.depth` walks the same one for pd over the ambient ring.
 """
 
 from dataclasses import dataclass
@@ -171,33 +172,42 @@ def minimal_vector_subset(sig, rank, vectors, degrees, caps: Caps = None,
     return sorted(i for i in order if span.add(vectors[i]))
 
 
-def hilbert_series_of_presentation(ring, gen_degrees, columns, caps: Caps = None):
-    """Alternating-shift Hilbert series of coker(columns) over `ring`, as an
-    S-module.
+def ambient_resolution(ring, gen_degrees, columns, caps: Caps = None):
+    """The resolution over S of coker(columns) over `ring`, not yet extended.
 
     Over S the module is coker(columns + g*e_i), g running over the
-    defining generators; it is resolved by `FreeResolution` over S itself,
-    the quotient ring with no defining ideal.  Hilbert's syzygy theorem,
-    not the caller's resolution cap, bounds that walk at nvars steps, so
-    it runs one step past the bound and an unfinished resolution is an
-    engine fault.
+    defining generators; `homology.FreeResolution` resolves it over S
+    itself, the quotient ring with no defining ideal.  Hilbert series and
+    depth both walk it.
     """
     from .homology import FreeResolution
     from .modules import PresentedModule
 
     sig = ring.sig
-    if not gen_degrees:
-        return HilbertSeries.from_dict({}, sig.nvars)
-    caps = caps or DEFAULT_CAPS.fresh()
     rank = len(gen_degrees)
     relations = [
         FreeVector.unit(sig, rank, i).poly_mul(g)
         for g in ring.ideal.generators
         for i in range(rank)
     ]
-    ambient = QuotientRing(sig, ())
-    module = PresentedModule(ambient, gen_degrees, list(columns) + relations)
-    res = FreeResolution(module, caps)
+    module = PresentedModule(QuotientRing(sig, ()), gen_degrees,
+                             list(columns) + relations)
+    return FreeResolution(module, caps)
+
+
+def hilbert_series_of_presentation(ring, gen_degrees, columns, caps: Caps = None):
+    """Alternating-shift Hilbert series of coker(columns) over `ring`, as an
+    S-module, from its `ambient_resolution`.
+
+    Hilbert's syzygy theorem, not the caller's resolution cap, bounds that
+    walk at nvars steps, so it runs one step past the bound and an
+    unfinished resolution is an engine fault.
+    """
+    sig = ring.sig
+    if not gen_degrees:
+        return HilbertSeries.from_dict({}, sig.nvars)
+    caps = caps or DEFAULT_CAPS.fresh()
+    res = ambient_resolution(ring, gen_degrees, columns, caps)
     res.extend_uncapped(sig.nvars + 1, caps)
     if not res.complete:
         raise RuntimeError("ambient resolution exceeded the syzygy bound")

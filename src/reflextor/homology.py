@@ -12,6 +12,10 @@ or map object is built for a segment's terms.  F_i (x) N is N^{b_i}, with
 N's relation columns repeated block-diagonally and degrees twisted by the
 shifts of F_i; its maps are d (x) id_N.  Hom(F_i, N) is the same block
 twisted by minus the shifts, and Hom(d, N) is d^T (x) id_N.
+
+Depth does not depend on the base ring, so it is read off the minimal
+resolution over the ambient ring S by Auslander-Buchsbaum, depth M =
+nvars - pd_S M, after one socle check Ext^0(k, M) settles depth 0.
 """
 
 import math
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groebner import FreeVector
-from .hilbert import vector_degree
+from .hilbert import ambient_resolution, vector_degree
 from .modules import (
     PresentedModule,
     _free_power,
@@ -319,18 +323,35 @@ def ext(m: PresentedModule, n: PresentedModule, i: int,
 
 
 def depth(m: PresentedModule, caps: Caps = None):
-    """min{i : Ext^i(k, M) != 0}, with depth(0) the distinguished infinity."""
+    """depth M by Auslander-Buchsbaum over S, with depth(0) the
+    distinguished infinity.
+
+    Depth does not depend on the base ring, so depth_R M = depth_S M =
+    nvars - pd_S M (Bruns & Herzog, Thm 1.3.3), and pd_S M is the length
+    of the minimal resolution over S that the Hilbert series walks too.
+    A nonzero socle Ext^0(k, M) settles depth 0 first, with a kernel
+    generator outside the relation span as its certificate: depth-0
+    modules can have long, slow resolutions over S.  The walk is a task
+    the caller asked for, so the resolution cap bounds it; pd_S M = p is
+    known once the walk asks for step p + 1.
+    """
     caps = caps or DEFAULT_CAPS.fresh()
     if module_is_zero(m, caps):
         return INFINITE_DEPTH
     k = m.ring.residue_field_module()
-    for i in range(m.ring.dim + 1):
-        report = ext(k, m, i, caps, want_module=False)
-        if not report.is_zero:
-            return i
-    raise RuntimeError(
-        "no Ext^i(k, M) found nonzero up to dim R; engine invariant violated"
-    )
+    nvars = m.ring.sig.nvars
+    try:
+        if not ext(k, m, 0, caps, want_module=False).is_zero:
+            return 0
+        res = ambient_resolution(m.ring, m.gen_degrees, m.columns, caps)
+        while not res.complete:
+            if res.length_computed() > nvars:
+                raise RuntimeError("resolution over the ambient ring passed "
+                                   "the syzygy bound; engine invariant violated")
+            res.extend_to(res.length_computed() + 1, caps)
+    except CapExceeded as exc:
+        raise CapExceeded(f"depth: {exc}") from exc
+    return nvars - res.length_computed()
 
 
 def is_torsion(t: PresentedModule, caps: Caps = None) -> bool:

@@ -7,8 +7,9 @@ pushforward, syzygy, minimize, biduality, Fitting ideals, local rank)
 all reduce to span membership, lifts and syzygy computations over the
 ambient polynomial ring, in spans that hold the defining ideal times the
 free module as a seeded block with no tails (`ideal=ring.ideal`).  Only
-the Hilbert series, which resolves M over the ambient ring, takes the
-ring relations g*e_i as real columns (`hilbert_series_of_presentation`).
+the resolution of M over the ambient ring, behind the Hilbert series and
+depth, takes the ring relations g*e_i as real columns
+(`hilbert.ambient_resolution`).
 
 Sign and twist conventions: M = coker(P) with P acting from the column
 side, entry (i, j) homogeneous of degree coldeg(j) - gendeg(i); dualizing

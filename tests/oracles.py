@@ -5,7 +5,9 @@ dimensions come from row reduction of coefficient matrices, the
 monomial-order oracle is the definition unrolled term by term, the
 basis check reduces every S-pair with its own division loop, the
 minors are Leibniz sums over plain term dicts, and two presentations are
-matched entry by entry over every row and column permutation.
+matched entry by entry over every row and column permutation.  The one
+exception is `ext_depth`, depth by its definition, the first nonzero
+Ext^i(k, M): it resolves k over R where `depth` resolves M over S.
 """
 
 from itertools import combinations, permutations
@@ -277,3 +279,17 @@ def presentations_equivalent_up_to_permutation(a, b) -> bool:
             if ok:
                 return True
     return False
+
+
+def ext_depth(m, caps=None):
+    """min{i : Ext^i(k, M) != 0}, resolving k over R; depth(0) is infinite."""
+    from reflextor.homology import INFINITE_DEPTH, ext
+    from reflextor.modules import module_is_zero
+
+    if module_is_zero(m, caps):
+        return INFINITE_DEPTH
+    k = m.ring.residue_field_module()
+    for i in range(m.ring.dim + 1):
+        if not ext(k, m, i, caps, want_module=False).is_zero:
+            return i
+    raise AssertionError("no Ext^i(k, M) nonzero up to dim R")

@@ -163,6 +163,29 @@ class TestRunSession:
         report = run_session(load_session(doc))
         assert report["exit_code"] == EXIT_CAP
 
+    def test_depth_walk_is_bounded_by_the_resolution_cap(self):
+        # depth d > 0 is read off the resolution over the ambient ring,
+        # known at step 4 - d + 1: N (depth 3) fits a cap of 2, M does not
+        doc = _document()
+        doc["caps"] = {"resolution": 2}
+        doc["tasks"] = [{"task": "depth", "module": "N"}]
+        report = run_session(load_session(doc))
+        assert report["exit_code"] == EXIT_OK
+        assert report["tasks"][0]["result"]["value"] == 3
+
+        doc["tasks"] = [{"task": "depth", "module": "M"}]
+        report = run_session(load_session(doc))
+        assert report["exit_code"] == EXIT_CAP
+        assert report["tasks"][0]["result"]["error"] == \
+            "depth: resolution length 3 exceeds the cap (2)"
+
+        doc["caps"] = {"resolution": 4}
+        doc["tasks"] = [{"task": "depth", "module": name}
+                        for name in ("M", "N", "P", "T")]
+        report = run_session(load_session(doc))
+        assert report["exit_code"] == EXIT_OK
+        assert [t["result"]["value"] for t in report["tasks"]] == [2, 3, 1, 2]
+
     def test_resolution_cap_does_not_bound_hilbert_series(self):
         # the series resolves each Ext module over the ambient ring, a walk
         # bounded by the number of variables, not by the resolution cap
