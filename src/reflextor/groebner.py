@@ -8,11 +8,11 @@ is what makes the tail-augmentation trick below work: appending a unit
 tail e_i to each tracked input vector and computing one Gröbner basis
 yields, in a single pass, lifts of members through the tracked vectors
 and a generating set of their syzygy module (the elements whose span part
-reduced to zero).  Only tracked inputs carry tails.  Vectors a query only
-needs to work modulo, and an ideal's multiples of the unit vectors, join
-the span untailed; the tails of the result are then exactly those of a
-fully tailed run with the untracked positions dropped, because those
-positions are the lowest ones.
+reduced to zero).  Only tracked inputs carry tails.  The relations D a
+query works modulo are one membership span (`IncrementalSpan`), whose
+reduced basis seeds the run with zero tails; the tails of the result are
+then exactly those of a fully tailed run with the untracked positions
+dropped, because those positions are the lowest ones.
 
 All routines are pure; caps and cancellation are threaded via `Caps`.
 """
@@ -446,15 +446,15 @@ def _ideal_block(ideal, rank, caps: Caps = None):
 class Span:
     """Lifts through, and syzygies of, `vectors` in S^rank modulo D.
 
-    D is the span of `modulo` plus `ideal`*S^rank, so over R = S/ideal the
-    answers are R-lifts and R-syzygies relative to the span of `modulo`.
-    One augmented Groebner run serves both queries: only `vectors` carry
-    unit tails, which record how each basis element was assembled from
-    them; `modulo` joins untailed, and `ideal`*S^rank as the seeded
-    `_ideal_block`.
+    D is the membership span `modulo` (an `IncrementalSpan` of rank
+    `rank`; none means D = 0), so with D seeded by an ideal*S^rank block
+    the answers are lifts and syzygies over R = S/ideal relative to D's
+    vectors.  One augmented Groebner run serves both queries: only
+    `vectors` carry unit tails, which record how each basis element was
+    assembled from them; D's reduced basis seeds the run as it is.
     """
 
-    def __init__(self, sig, rank, vectors, caps: Caps = None, modulo=(), ideal=None):
+    def __init__(self, sig, rank, vectors, caps: Caps = None, modulo=None):
         caps = caps or DEFAULT_CAPS.fresh()
         self.sig = sig
         self.rank = rank
@@ -465,11 +465,10 @@ class Span:
             terms = _as_terms(v, rank)
             terms[(rank + i, (0,) * sig.nvars)] = fld.one
             inputs.append(terms)
-        inputs += [_as_terms(v, rank) for v in modulo]
         self._keyfn = _key_fn(sig.order)
         self._aug = _buchberger_terms(
             inputs, sig.order, fld, caps, rank + self.count,
-            seeded=_ideal_block(ideal, rank, caps),
+            seeded=modulo._entries if modulo is not None else (),
         )
         # lead in the tail block forces every term into the tail
         self._syzygy_tails = [
@@ -500,10 +499,11 @@ class IncrementalSpan:
     """Membership-only span of a growing vector list, plus ideal*S^rank.
 
     No tails are carried.  The entries are always a reduced Groebner basis
-    of the span: `ideal`*S^rank joins as the seeded `_ideal_block`, and
-    `add` reduces the new vector and, when a remainder is left, hands it
-    to the pair queue seeded with the current basis, so only pairs that
-    involve the new element are formed.
+    of the span: `ideal`*S^rank is the seeded `_ideal_block`, and `add`
+    reduces the new vector and, when a remainder is left, hands it to the
+    pair queue seeded with the current basis, so only pairs that involve
+    the new element are formed.  `add` rebinds `_entries`, never mutating
+    the list, so a shallow copy grows without touching its original.
     """
 
     def __init__(self, sig, rank, vectors=(), caps: Caps = None, ideal=None):
@@ -511,10 +511,12 @@ class IncrementalSpan:
         self.rank = rank
         self.caps = caps or DEFAULT_CAPS.fresh()
         self._keyfn = _key_fn(sig.order)
-        self._entries = _buchberger_terms(
-            [_as_terms(v, rank) for v in vectors], sig.order, sig.field, self.caps,
-            rank, seeded=_ideal_block(ideal, rank, self.caps),
-        )
+        self._entries = _ideal_block(ideal, rank, self.caps)
+        if vectors:
+            self._entries = _buchberger_terms(
+                [_as_terms(v, rank) for v in vectors], sig.order, sig.field,
+                self.caps, rank, seeded=self._entries,
+            )
 
     def contains(self, v) -> bool:
         return not self.normal_form_terms(v)
@@ -589,7 +591,7 @@ def ideal_quotient(ideal: Ideal, f: Poly, caps: Caps = None) -> Ideal:
         raise ValueError("ideal quotient by zero")
     if not ideal.generators:
         return Ideal(ideal.sig, ())
-    span = Span(ideal.sig, 1, [f], caps, ideal=ideal)
+    span = Span(ideal.sig, 1, [f], caps, IncrementalSpan(ideal.sig, 1, (), caps, ideal))
     firsts = [s.coords[0] for s in span.syzygies()]
     return Ideal(ideal.sig, tuple(g for g in firsts if not g.is_zero))
 

@@ -12,7 +12,7 @@ equality of series.  `ambient_resolution` builds that resolution;
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
-from .groebner import FreeVector, IncrementalSpan
+from .groebner import FreeVector
 from .rings import QuotientRing
 
 
@@ -153,22 +153,17 @@ def vector_degree(v: FreeVector, coord_degrees):
     return degs.pop()
 
 
-def minimal_vector_subset(sig, rank, vectors, degrees, caps: Caps = None,
-                          modulo=(), ideal=None):
+def minimal_vector_subset(span, vectors, degrees):
     """Indices of a minimal generating subset of (span(vectors) + D)/D over S.
 
-    D is the span of `modulo` plus `ideal`*S^rank, if an ideal is given.
-    This is the one graded-Nakayama scan: vectors are taken by ascending
-    degree, and one is kept exactly when it does not already lie in D plus
-    the span of the ones kept before it.  The span grows in a single
-    `IncrementalSpan` seeded with D.
+    D is the membership span `span`, which this grows in place.  This is
+    the one graded-Nakayama scan: vectors are taken by ascending degree,
+    and one is kept exactly when it does not already lie in D plus the
+    span of the ones kept before it.
     """
-    if not vectors:
-        return []
     order = sorted(
         range(len(vectors)), key=lambda i: (degrees[i], str(vectors[i]))
     )
-    span = IncrementalSpan(sig, rank, modulo, caps=caps, ideal=ideal)
     return sorted(i for i in order if span.add(vectors[i]))
 
 

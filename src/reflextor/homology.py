@@ -4,8 +4,8 @@ Resolutions are computed step by step (iterated syzygies with graded
 Nakayama minimalization), cached append-only on the module, and extended
 under a lock so concurrent requests serialize.  Homology of a three-term
 segment is kernel-mod-image: one syzygy run for the kernel preimage, one
-membership pass for the is_zero verdict, and a subquotient presentation
-when the module itself is wanted.
+membership span of the relations for the is_zero verdict, and, when the
+module itself is wanted, a subquotient presentation seeded with it.
 
 Tor and Ext share one segment builder over plain column blocks; no module
 or map object is built for a segment's terms.  F_i (x) N is N^{b_i}, with
@@ -100,10 +100,9 @@ class FreeResolution:
             while not self._complete and self.length_computed() < length:
                 last_rank = len(self._shifts[-1])
                 last_cols = self._diffs[-1]
+                # nonzero syzygies, in R^{#columns} = R^{rank F_last}
                 syz = syzygies_over_ring(self.ring, len(self._shifts[-2]),
                                          list(last_cols), caps)
-                # syzygies arrive in R^{#columns} = R^{rank F_last}
-                syz = [s for s in syz if not s.is_zero]
                 if not syz:
                     self._complete = True
                     return
@@ -248,8 +247,9 @@ def _segment_homology(ring, degrees, relations, outgoing, incoming,
         kernel_gens = [FreeVector.unit(ring.sig, rank, i) for i in range(rank)]
     else:
         cols, target_rank, target_relations = outgoing
+        target = ring_membership_span(ring, target_rank, target_relations, caps)
         kernel_gens = syzygies_over_ring(ring, target_rank, cols, caps,
-                                         modulo=target_relations)
+                                         modulo=target)
     relations = list(incoming) + list(relations)
     member = ring_membership_span(ring, rank, relations, caps)
     is_zero = all(member.contains(k) for k in kernel_gens)
@@ -258,7 +258,7 @@ def _segment_homology(ring, degrees, relations, outgoing, incoming,
         module = PresentedModule(ring, (), (), _minimal=True)
     elif want_module:
         module, _ = present_subquotient(ring, rank, degrees, kernel_gens,
-                                        relations, caps)
+                                        member, caps)
     return HomologyReport(kind, index, is_zero, module,
                           tuple(kernel_gens), tuple(relations))
 

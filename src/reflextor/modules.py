@@ -5,11 +5,12 @@ relation columns, everything reduced to normal form modulo the defining
 ideal.  The operations here (kernel, tensor, dual, transpose,
 pushforward, syzygy, minimize, biduality, Fitting ideals, local rank)
 all reduce to span membership, lifts and syzygy computations over the
-ambient polynomial ring, in spans that hold the defining ideal times the
-free module as a seeded block with no tails (`ideal=ring.ideal`).  Only
-the resolution of M over the ambient ring, behind the Hilbert series and
-depth, takes the ring relations g*e_i as real columns
-(`hilbert.ambient_resolution`).
+ambient polynomial ring.  A relation set D over R is one membership span
+(`ring_membership_span`: the defining ideal times the free module as a
+seeded block, plus D's vectors), reduced to a basis once; it seeds the
+Nakayama scan (on a copy) and the tailed syzygy run.  Only the resolution
+of M over the ambient ring, behind the Hilbert series and depth, takes
+the ring relations g*e_i as real columns (`hilbert.ambient_resolution`).
 
 Sign and twist conventions: M = coker(P) with P acting from the column
 side, entry (i, j) homogeneous of degree coldeg(j) - gendeg(i); dualizing
@@ -18,6 +19,7 @@ coordinate degrees -gendeg(i).
 """
 
 import threading
+from copy import copy
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -157,39 +159,45 @@ def apply_columns(ring: QuotientRing, columns, rank: int, vec: FreeVector):
 
 
 def ring_membership_span(ring, rank, vectors, caps: Caps = None) -> IncrementalSpan:
-    """Membership in the R-span of `vectors` inside R^rank."""
+    """Membership in the R-span of `vectors` inside R^rank; as a relation
+    set D it seeds `syzygies_over_ring` and the Nakayama scan."""
     return IncrementalSpan(ring.sig, rank, vectors, caps=caps, ideal=ring.ideal)
 
 
 def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None,
-                       modulo=()):
-    """Generators of {a in R^len(vectors) : sum a_i * vectors_i in span(modulo)}.
+                       modulo=None):
+    """Generators of {a in R^len(vectors) : sum a_i * vectors_i in D}.
 
-    With no `modulo` these are the syzygies of `vectors` over R.  One
-    augmented run in which only `vectors` carry tails; its syzygies,
-    reduced and nonzero, are the answer.
+    D is the membership span `modulo`, by default the zero submodule of
+    R^rank, when these are the syzygies of `vectors` over R.  One augmented
+    run seeded with D's basis, in which only `vectors` carry tails; its
+    syzygies, reduced and nonzero, are the answer.
     """
     if not vectors:
         return []
-    span = Span(ring.sig, rank, vectors, caps, modulo, ideal=ring.ideal)
+    modulo = modulo or ring_membership_span(ring, rank, (), caps)
+    span = Span(ring.sig, rank, vectors, caps, modulo)
     syz = (ring.reduce_vector(s) for s in span.syzygies())
     return [s for s in syz if not s.is_zero]
 
 
-def minimal_generator_indices(ring, rank, vectors, degrees, modulo=(), caps=None):
-    """Graded-Nakayama choice of generators of (span(vectors)+D)/D over R."""
-    return minimal_vector_subset(
-        ring.sig, rank, vectors, degrees, caps, modulo, ideal=ring.ideal
-    )
+def minimal_generator_indices(ring, rank, vectors, degrees, modulo=None, caps=None):
+    """Graded-Nakayama choice of generators of (span(vectors)+D)/D over R,
+    D the membership span `modulo` (zero by default); the scan grows a
+    copy charged to `caps`, so D is left as it was."""
+    span = copy(modulo or ring_membership_span(ring, rank, (), caps))
+    span.caps = caps or span.caps
+    return minimal_vector_subset(span, vectors, degrees)
 
 
-def present_subquotient(ring, rank, coord_degrees, numerators, denominators, caps=None):
-    """Present (span(numerators) + D)/D, with D = span(denominators) over R.
+def present_subquotient(ring, rank, coord_degrees, numerators, den_span, caps=None):
+    """Present (span(numerators) + D)/D, D the membership span `den_span`.
 
-    Returns the presented module together with the chosen generator
-    vectors inside R^rank (reduced representatives of the classes).
+    D's basis reduces the numerators and seeds both the Nakayama scan (on a
+    copy) and the relation syzygies.  Returns the presented module together
+    with the chosen generator vectors inside R^rank (reduced
+    representatives of the classes).
     """
-    den_span = ring_membership_span(ring, rank, denominators, caps)
     # a normal form against a span seeded with ideal*S^rank is reduced in R
     reduced = []
     for v in numerators:
@@ -198,13 +206,13 @@ def present_subquotient(ring, rank, coord_degrees, numerators, denominators, cap
             reduced.append(_terms_to_vector(nf, ring.sig, rank))
     degs = [vector_degree(v, coord_degrees) for v in reduced]
     kept = minimal_generator_indices(
-        ring, rank, reduced, degs, modulo=denominators, caps=caps
+        ring, rank, reduced, degs, modulo=den_span, caps=caps
     )
     gens = [reduced[i] for i in kept]
     gen_degs = [degs[i] for i in kept]
     if not gens:
         return PresentedModule(ring, (), (), _minimal=True), []
-    rel_cols = syzygies_over_ring(ring, rank, gens, caps, modulo=denominators)
+    rel_cols = syzygies_over_ring(ring, rank, gens, caps, modulo=den_span)
     module = PresentedModule(ring, gen_degs, rel_cols)
     return minimize(module, caps), gens
 
@@ -328,11 +336,11 @@ def kernel(phi: ModuleMap, caps: Caps = None):
         zero = PresentedModule(ring, (), (), _minimal=True)
         return zero, ModuleMap(zero, phi.source, (), check=False)
     # preimage of the target relations inside the source free cover
-    preimage = syzygies_over_ring(
-        ring, g_t, phi.columns, caps, modulo=phi.target.columns
-    )
+    target = ring_membership_span(ring, g_t, phi.target.columns, caps)
+    preimage = syzygies_over_ring(ring, g_t, phi.columns, caps, modulo=target)
+    source = ring_membership_span(ring, g_s, phi.source.columns, caps)
     module, gens = present_subquotient(
-        ring, g_s, phi.source.gen_degrees, preimage, list(phi.source.columns), caps
+        ring, g_s, phi.source.gen_degrees, preimage, source, caps
     )
     incl = ModuleMap(module, phi.source, gens, check=False)
     return module, incl
@@ -523,7 +531,7 @@ def biduality(m: PresentedModule, caps: Caps = None) -> BidualityReport:
         zero = PresentedModule(ring, (), (), _minimal=True)
         return BidualityReport(ModuleMap(zero, mstarstar, (), check=False), zero, zero)
     lift_span = Span(ring.sig, mstar.num_generators, bidual_vectors, caps,
-                     ideal=ring.ideal)
+                     ring_membership_span(ring, mstar.num_generators, (), caps))
     cols = []
     for j in range(g):
         ev = FreeVector(

@@ -317,6 +317,52 @@ class TestSeededQueue:
         assert not all(e in seeded for e in block)
 
 
+class TestIdealOnlySpan:
+    """An `IncrementalSpan` with no vectors is the ideal block as it stands."""
+
+    @staticmethod
+    def _setting(fld):
+        sig = RingSignature(fld, ("x", "y", "z"))
+        x, y, z = (Poly.variable(sig, n) for n in ("x", "y", "z"))
+        return sig, Ideal(sig, (x * x - y * z, y * y * z - z * z * z, x * y * z))
+
+    @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
+    def test_passes_verify_groebner(self, fld):
+        sig, ideal = self._setting(fld)
+        span = IncrementalSpan(sig, 3, (), ideal=ideal)
+        assert span._entries
+        assert_verified(GroebnerBasis(sig, 3, [], True, span._entries))
+
+    @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
+    def test_agrees_with_the_pair_queue(self, fld):
+        sig, ideal = self._setting(fld)
+        rank = 2
+        old = _buchberger_terms([], sig.order, fld, Caps(), rank,
+                                seeded=_ideal_block(ideal, rank))
+        span = IncrementalSpan(sig, rank, (), ideal=ideal)
+        assert len(span._entries) == len(old)
+        assert all(e in old for e in span._entries)
+
+        rng = random.Random(20261021)
+
+        def form(d):
+            monos = all_monomials(sig.nvars, d)
+            picks = rng.sample(monos, min(3, len(monos)))
+            return Poly.from_dict(sig, {m: fld.from_int(rng.randint(1, 9)) for m in picks})
+
+        gens = ideal.generators
+        probes = [FreeVector(sig, (form(2), form(3))) for _ in range(4)]
+        # members: combinations of g*e_i
+        probes += [
+            FreeVector(sig, (gens[0] * form(1) + gens[2], gens[1] * form(2)))
+            for _ in range(4)
+        ]
+        old_gb = GroebnerBasis(sig, rank, [], True, old)
+        verdicts = [span.contains(v) for v in probes]
+        assert verdicts == [normal_form(v, old_gb).is_zero for v in probes]
+        assert verdicts[4:] == [True] * 4 and not all(verdicts[:4])
+
+
 class TestIdealOperations:
     def test_quotient_by_element(self, sig4, p4):
         ideal = Ideal(sig4, (p4("x*y"),))

@@ -22,10 +22,13 @@ from reflextor.modules import (
     free_module,
     kernel,
     localized_rank,
+    minimal_generator_indices,
     minimize,
     module_from_rows,
     module_is_zero,
+    present_subquotient,
     pushforward,
+    ring_membership_span,
     syzygies_over_ring,
     syzygy,
     tensor,
@@ -443,11 +446,12 @@ class TestUntailedRelations:
         old = Span(sig, rank, vectors + modulo + relations)
         heads = (ring.reduce_vector(FreeVector(sig, s.coords[:k])) for s in old.syzygies())
         expected = [h for h in heads if not h.is_zero]
-        got = syzygies_over_ring(ring, rank, vectors, modulo=modulo)
+        got = syzygies_over_ring(ring, rank, vectors,
+                                 modulo=ring_membership_span(ring, rank, modulo))
         assert got and got == expected
 
         # lifts as `biduality` takes them: of a member, and of a probe
-        lifted = Span(sig, rank, vectors, ideal=ring.ideal)
+        lifted = Span(sig, rank, vectors, modulo=ring_membership_span(ring, rank, ()))
         old = Span(sig, rank, vectors + relations)
         member = vectors[0].poly_mul(form(1)) + relations[-1]
         assert lifted.lift(member) is not None
@@ -459,3 +463,32 @@ class TestUntailedRelations:
             old = Span(sig, 1, [f] + list(ring.ideal.generators))
             firsts = tuple(s.coords[0] for s in old.syzygies() if not s.coords[0].is_zero)
             assert ideal_quotient(ring.ideal, f).generators == firsts
+
+
+class TestRelationSpanIsShared:
+    """A relation span handed to a query is seeded from, never grown."""
+
+    def test_caller_span_is_left_as_it_was(self, ring_a, pa):
+        sig = ring_a.sig
+        vec = lambda a, b: FreeVector(sig, (pa(a), pa(b)))
+        d_caps, scan_caps = Caps(), Caps()
+        d_span = ring_membership_span(ring_a, 2, [vec("x", "z"), vec("w", "y")], d_caps)
+        entries = d_span._entries
+        snapshot = list(entries)
+        outside = vec("1", "0")
+        assert not d_span.contains(outside)
+
+        numerators = [outside, vec("0", "1"), vec("x", "z"), vec("y", "0")]
+        module, gens = present_subquotient(ring_a, 2, (0, 0), numerators, d_span, d_caps)
+        assert gens == [outside, vec("0", "1")]
+        assert module.num_generators == 2
+        d_pairs = d_caps._pairs_used
+        kept = minimal_generator_indices(ring_a, 2, numerators, [0, 0, 1, 1],
+                                         modulo=d_span, caps=scan_caps)
+        assert kept == [0, 1]
+        # the scan's pairs are charged to the caps it was given
+        assert scan_caps._pairs_used > 0 and d_caps._pairs_used == d_pairs
+
+        assert d_span._entries is entries and d_span._entries == snapshot
+        assert not d_span.contains(outside)
+        assert not d_span.contains(vec("y", "0"))

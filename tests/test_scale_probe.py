@@ -1,0 +1,15 @@
+"""The scale probe's smallest row, run in process against pinned verdicts."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scale_probe.py"
+spec = importlib.util.spec_from_file_location("scale_probe", SCRIPT)
+scale_probe = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(scale_probe)
+
+
+def test_gf_two_by_three_verdicts():
+    verdicts, times = scale_probe.probe_row("GF(32003)", 2, 3)
+    assert verdicts == {"reflexive": False, "depth": 1, "tor1_degrees": (2, 1, 1)}
+    assert set(times) == set(verdicts)
