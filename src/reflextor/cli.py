@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .caps import CapExceeded, ComputationCancelled
-from .paper_suite import paper_suite, paper_suite_json, paper_suite_text
+from .paper_suite import paper_suite, paper_suite_text
 from .reports import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
         if args.command == "paper-suite":
             report = paper_suite()
             if args.json:
-                sys.stdout.write(paper_suite_json(report))
+                sys.stdout.write(report_json(report))
             else:
                 sys.stdout.write(paper_suite_text(report))
             return report["exit_code"]

@@ -2,10 +2,12 @@
 
 Resolutions are computed step by step (iterated syzygies with graded
 Nakayama minimalization), cached append-only on the module, and extended
-under a lock so concurrent requests serialize.  Homology of a three-term
-segment is kernel-mod-image: one syzygy run for the kernel preimage, one
-membership span of the relations for the is_zero verdict, and, when the
-module itself is wanted, a subquotient presentation seeded with it.
+under a lock so concurrent requests serialize.  Every capped walk obeys
+one rule (`FreeResolution.extend_to`), so an answer depends on the
+module, the length asked for and the cap, never on what the cache holds.
+Homology of a three-term segment is kernel-mod-image: one syzygy run for
+the kernel preimage, then `modules.subquotient` of it modulo the image
+and the relations.
 
 Tor and Ext share one segment builder over plain column blocks; no module
 or map object is built for a segment's terms.  F_i (x) N is N^{b_i}, with
@@ -20,6 +22,7 @@ nvars - pd_S M, after one socle check Ext^0(k, M) settles depth 0.
 
 import math
 import threading
+from copy import copy
 from dataclasses import dataclass
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
@@ -34,8 +37,8 @@ from .modules import (
     minimal_generator_indices,
     minimize,
     module_is_zero,
-    present_subquotient,
     ring_membership_span,
+    subquotient,
     syzygies_over_ring,
 )
 
@@ -83,15 +86,26 @@ class FreeResolution:
             return self._diffs[k - 1]
         return ()
 
+    def ends_within(self, length: int) -> bool:
+        """Whether a walk of `length` steps finds the end: a free or zero
+        base ends at step 0, otherwise the end is found at the step past
+        the last computed one."""
+        return self._complete and (not self._diffs
+                                   or self.length_computed() < length)
+
     def extend_to(self, length: int, caps: Caps = None):
-        """Ensure the resolution is computed to homological degree `length`."""
+        """Walk to homological degree min(length, cap).
+
+        Past the cap, CapExceeded names the first step beyond it, unless
+        the walk to the cap finds the end; the cache never changes which.
+        """
         caps = caps or DEFAULT_CAPS.fresh()
-        if length > caps.resolution_length:
+        cap = caps.resolution_length
+        self.extend_uncapped(min(length, cap), caps)
+        if length > cap and not self.ends_within(cap):
             raise CapExceeded(
-                f"resolution length {length} exceeds the cap "
-                f"({caps.resolution_length})"
+                f"resolution length {cap + 1} exceeds the cap ({cap})"
             )
-        self.extend_uncapped(length, caps)
 
     def extend_uncapped(self, length: int, caps: Caps):
         """`extend_to` without the resolution-length cap, for callers that
@@ -113,6 +127,15 @@ class FreeResolution:
                 cols = tuple(syz[i] for i in kept)
                 self._diffs.append(cols)
                 self._shifts.append(tuple(degs[i] for i in kept))
+
+    def truncated(self, length: int) -> "FreeResolution":
+        """The resolution as a walk of `length` steps reports it: no step
+        past `length`, complete only when that walk finds the end."""
+        view = copy(self)
+        view._shifts = self._shifts[:length + 1]
+        view._diffs = self._diffs[:length]
+        view._complete = self.ends_within(length)
+        return view
 
     # -- derived data ------------------------------------------------------
     def syzygy_module(self, n: int) -> PresentedModule:
@@ -177,14 +200,12 @@ def resolution(m: PresentedModule, caps: Caps = None) -> FreeResolution:
 
 
 def free_resolution(m: PresentedModule, max_length: int, caps: Caps = None):
+    """The resolution of M walked to `max_length` under the cap rule of
+    `extend_to`, as a view cut at step `max_length`."""
     caps = caps or DEFAULT_CAPS.fresh()
     res = resolution(m, caps)
-    try:
-        res.extend_to(max_length, caps)
-    except CapExceeded:
-        if res.length_computed() < max_length and not res.complete:
-            raise
-    return res
+    res.extend_to(max_length, caps)
+    return res.truncated(max_length)
 
 
 @dataclass
@@ -205,8 +226,7 @@ class PdResult:
 def pd(m: PresentedModule, caps: Caps = None) -> PdResult:
     """Projective dimension, or AboveCap with a periodicity hint."""
     caps = caps or DEFAULT_CAPS.fresh()
-    res = resolution(m, caps)
-    res.extend_to(caps.resolution_length, caps)
+    res = free_resolution(m, caps.resolution_length, caps)
     if res.complete:
         return PdResult(res.length_computed(), False)
     return PdResult(None, True, res.periodicity_onset())
@@ -251,15 +271,9 @@ def _segment_homology(ring, degrees, relations, outgoing, incoming,
         kernel_gens = syzygies_over_ring(ring, target_rank, cols, caps,
                                          modulo=target)
     relations = list(incoming) + list(relations)
-    member = ring_membership_span(ring, rank, relations, caps)
-    is_zero = all(member.contains(k) for k in kernel_gens)
-    module = None
-    if want_module and is_zero:
-        module = PresentedModule(ring, (), (), _minimal=True)
-    elif want_module:
-        module, _ = present_subquotient(ring, rank, degrees, kernel_gens,
-                                        member, caps)
-    return HomologyReport(kind, index, is_zero, module,
+    module, gens = subquotient(ring, degrees, kernel_gens, relations, caps,
+                               want_module)
+    return HomologyReport(kind, index, not gens, module,
                           tuple(kernel_gens), tuple(relations))
 
 
@@ -277,11 +291,9 @@ def _resolution_homology(kind, m, n, i, caps, want_module):
         raise ValueError(f"negative {name} index")
     caps = caps or DEFAULT_CAPS.fresh()
     res = resolution(m, caps)
-    res.extend_to(min(i + 1, caps.resolution_length), caps)
-    if i > res.length_computed() and res.complete:
+    res.extend_to(i + 1, caps)
+    if i > res.length_computed():  # the walk ended before F_i
         return _zero_report(m.ring, kind, i, want_module)
-    if i + 1 > res.length_computed() and not res.complete:
-        res.extend_to(i + 1, caps)
 
     def coords(k):
         return [c.coords for c in res.differential(k)]
@@ -332,8 +344,9 @@ def depth(m: PresentedModule, caps: Caps = None):
     A nonzero socle Ext^0(k, M) settles depth 0 first, with a kernel
     generator outside the relation span as its certificate: depth-0
     modules can have long, slow resolutions over S.  The walk is a task
-    the caller asked for, so the resolution cap bounds it; pd_S M = p is
-    known once the walk asks for step p + 1.
+    the caller asked for, so it is one `extend_to(nvars + 1)` under the
+    resolution cap; pd_S M = p is known once the walk reaches step p + 1,
+    and Hilbert's syzygy theorem says it ends by step nvars + 1.
     """
     caps = caps or DEFAULT_CAPS.fresh()
     if module_is_zero(m, caps):
@@ -344,13 +357,12 @@ def depth(m: PresentedModule, caps: Caps = None):
         if not ext(k, m, 0, caps, want_module=False).is_zero:
             return 0
         res = ambient_resolution(m.ring, m.gen_degrees, m.columns, caps)
-        while not res.complete:
-            if res.length_computed() > nvars:
-                raise RuntimeError("resolution over the ambient ring passed "
-                                   "the syzygy bound; engine invariant violated")
-            res.extend_to(res.length_computed() + 1, caps)
+        res.extend_to(nvars + 1, caps)
     except CapExceeded as exc:
         raise CapExceeded(f"depth: {exc}") from exc
+    if not res.complete:
+        raise RuntimeError("resolution over the ambient ring passed "
+                           "the syzygy bound; engine invariant violated")
     return nvars - res.length_computed()
 
 
@@ -395,7 +407,8 @@ def tor_vanishing(m: PresentedModule, n: PresentedModule, window: int,
             first_nonzero = i
             break
     all_zero = first_nonzero is None
-    res = resolution(m, caps)
+    # read the steps the loop walked, not what the cache holds
+    res = resolution(m, caps).truncated((first_nonzero or window) + 1)
     cert = "window_only"
     onset = None
     if res.complete:

@@ -8,9 +8,11 @@ all reduce to span membership, lifts and syzygy computations over the
 ambient polynomial ring.  A relation set D over R is one membership span
 (`ring_membership_span`: the defining ideal times the free module as a
 seeded block, plus D's vectors), reduced to a basis once; it seeds the
-Nakayama scan (on a copy) and the tailed syzygy run.  Only the resolution
-of M over the ambient ring, behind the Hilbert series and depth, takes
-the ring relations g*e_i as real columns (`hilbert.ambient_resolution`).
+Nakayama scan (on a copy) and the tailed syzygy run.  Every kernel modulo
+an image (kernels of maps, the zero test, Tor and Ext) is one
+`subquotient` over such a span.  Only the resolution of M over the
+ambient ring, behind the Hilbert series and depth, takes the ring
+relations g*e_i as real columns (`hilbert.ambient_resolution`).
 
 Sign and twist conventions: M = coker(P) with P acting from the column
 side, entry (i, j) homogeneous of degree coldeg(j) - gendeg(i); dualizing
@@ -190,43 +192,49 @@ def minimal_generator_indices(ring, rank, vectors, degrees, modulo=None, caps=No
     return minimal_vector_subset(span, vectors, degrees)
 
 
-def present_subquotient(ring, rank, coord_degrees, numerators, den_span, caps=None):
-    """Present (span(numerators) + D)/D, D the membership span `den_span`.
+def subquotient(ring, coord_degrees, numerators, relations, caps=None,
+                want_module=True):
+    """(span(numerators) + D)/D inside R^rank, D the R-span of `relations`
+    and rank = len(coord_degrees): the one kernel-mod-image routine.
 
-    D's basis reduces the numerators and seeds both the Nakayama scan (on a
-    copy) and the relation syzygies.  Returns the presented module together
-    with the chosen generator vectors inside R^rank (reduced
-    representatives of the classes).
+    D is one membership span, and each numerator is reduced modulo its
+    basis once; the quotient is zero exactly when no normal form survives.
+    Returns the module (None when not wanted) and the chosen generators,
+    reduced representatives of their classes inside R^rank: empty for the
+    zero quotient, and without the module only the first survivor, where
+    the scan stops.  With the module, the survivors seed the Nakayama scan
+    (on a copy of D) and the relation syzygies.
     """
+    rank = len(coord_degrees)
+    den_span = ring_membership_span(ring, rank, relations, caps)
     # a normal form against a span seeded with ideal*S^rank is reduced in R
     reduced = []
     for v in numerators:
         nf = den_span.normal_form_terms(v)
         if nf:
             reduced.append(_terms_to_vector(nf, ring.sig, rank))
+            if not want_module:
+                break
+    if not want_module:
+        return None, reduced
+    if not reduced:
+        return PresentedModule(ring, (), (), _minimal=True), []
     degs = [vector_degree(v, coord_degrees) for v in reduced]
     kept = minimal_generator_indices(
         ring, rank, reduced, degs, modulo=den_span, caps=caps
     )
     gens = [reduced[i] for i in kept]
-    gen_degs = [degs[i] for i in kept]
-    if not gens:
-        return PresentedModule(ring, (), (), _minimal=True), []
     rel_cols = syzygies_over_ring(ring, rank, gens, caps, modulo=den_span)
-    module = PresentedModule(ring, gen_degs, rel_cols)
+    module = PresentedModule(ring, [degs[i] for i in kept], rel_cols)
     return minimize(module, caps), gens
 
 
 def module_is_zero(m: PresentedModule, caps: Caps = None) -> bool:
     """Membership-certified: every generator lies in the relation span."""
-    if m.num_generators == 0:
-        return True
-    span = ring_membership_span(ring=m.ring, rank=m.num_generators,
-                                vectors=m.columns, caps=caps)
-    return all(
-        span.contains(FreeVector.unit(m.ring.sig, m.num_generators, i))
-        for i in range(m.num_generators)
-    )
+    g = m.num_generators
+    units = [FreeVector.unit(m.ring.sig, g, i) for i in range(g)]
+    return not subquotient(m.ring, m.gen_degrees, units, m.columns, caps,
+                           want_module=False)[1]
 
 
 # ----------------------------------------------------------------------
@@ -338,10 +346,8 @@ def kernel(phi: ModuleMap, caps: Caps = None):
     # preimage of the target relations inside the source free cover
     target = ring_membership_span(ring, g_t, phi.target.columns, caps)
     preimage = syzygies_over_ring(ring, g_t, phi.columns, caps, modulo=target)
-    source = ring_membership_span(ring, g_s, phi.source.columns, caps)
-    module, gens = present_subquotient(
-        ring, g_s, phi.source.gen_degrees, preimage, source, caps
-    )
+    module, gens = subquotient(ring, phi.source.gen_degrees, preimage,
+                               phi.source.columns, caps)
     incl = ModuleMap(module, phi.source, gens, check=False)
     return module, incl
 
@@ -467,6 +473,13 @@ def tensor(a: PresentedModule, b: PresentedModule) -> PresentedModule:
     return PresentedModule(a.ring, degs, pa_id + id_pb)
 
 
+def _transposed(sig, vectors, rank: int):
+    """The vectors (v_j[i])_j for i < rank: the i-th coordinate of every
+    vector, so rank-0 vectors when there are none."""
+    return [FreeVector(sig, tuple(v.coords[i] for v in vectors))
+            for i in range(rank)]
+
+
 def _dual_pair(m: PresentedModule, caps: Caps = None):
     """Hom(M, R) as kernel of the transposed presentation, plus embedding.
 
@@ -474,12 +487,9 @@ def _dual_pair(m: PresentedModule, caps: Caps = None):
     -gendeg(i); coordinate i of a functional is its value on generator i.
     """
     ring = m.ring
-    g, r = m.num_generators, m.num_relations
     f0_dual = free_module(ring, tuple(-d for d in m.gen_degrees))
     f1_dual = free_module(ring, tuple(-d for d in m.col_degrees))
-    cols = []
-    for j in range(g):
-        cols.append(FreeVector(ring.sig, tuple(m.entry(j, c) for c in range(r))))
+    cols = _transposed(ring.sig, m.columns, m.num_generators)
     psi = ModuleMap(f0_dual, f1_dual, cols, check=False)
     return kernel(psi, caps)
 
@@ -490,13 +500,9 @@ def dual(m: PresentedModule, caps: Caps = None) -> PresentedModule:
 
 def transpose(m: PresentedModule, caps: Caps = None) -> PresentedModule:
     """Cokernel of the dualized presentation map, returned minimized."""
-    ring = m.ring
-    g, r = m.num_generators, m.num_relations
     degs = tuple(-d for d in m.col_degrees)
-    cols = []
-    for j in range(g):
-        cols.append(FreeVector(ring.sig, tuple(m.entry(j, c) for c in range(r))))
-    return minimize(PresentedModule(ring, degs, cols), caps)
+    cols = _transposed(m.ring.sig, m.columns, m.num_generators)
+    return minimize(PresentedModule(m.ring, degs, cols), caps)
 
 
 # ----------------------------------------------------------------------
@@ -533,10 +539,8 @@ def biduality(m: PresentedModule, caps: Caps = None) -> BidualityReport:
     lift_span = Span(ring.sig, mstar.num_generators, bidual_vectors, caps,
                      ring_membership_span(ring, mstar.num_generators, (), caps))
     cols = []
-    for j in range(g):
-        ev = FreeVector(
-            ring.sig, tuple(v.coords[j] for v in star_vectors)
-        )  # evaluation of functionals at generator j
+    # per generator of M, the values of the functionals at it
+    for ev in _transposed(ring.sig, star_vectors, g):
         if ev.is_zero:
             cols.append(FreeVector.zero(ring.sig, gss))
             continue
@@ -586,15 +590,8 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
     )
     minimal_functionals = [star_vectors[i] for i in kept]
     e_degs = [star_degs[i] for i in kept]
-    s = len(minimal_functionals)
     target = free_module(ring, tuple(-e for e in e_degs))
-    cols = []
-    for j in range(n.num_generators):
-        cols.append(
-            FreeVector(
-                ring.sig, tuple(v.coords[j] for v in minimal_functionals)
-            )
-        )
+    cols = _transposed(ring.sig, minimal_functionals, n.num_generators)
     emb = ModuleMap(n, target, cols, caps=caps)
     n1 = minimize(emb.cokernel(), caps)
     recheck = ext(transpose(n1, caps), free_module(ring, (0,)), 1, caps)

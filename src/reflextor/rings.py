@@ -118,26 +118,30 @@ class QuotientRing:
         self._min_primes = primes
         return primes
 
-    def _monomial_minimal_primes(self):
+    def _monomial_covers(self):
+        """Variable index sets meeting the support of every lead term of
+        the defining basis, in bitmask order: for a monomial ideal, the
+        variable-generated primes containing it."""
         n = self.sig.nvars
         supports = [
             frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
             for g in self.ideal.gb().generators
         ]
-        covers = []
-        for mask in range(1 << n):
-            subset = frozenset(i for i in range(n) if (mask >> i) & 1)
-            if all(s & subset for s in supports):
-                covers.append(subset)
+        subsets = (frozenset(i for i in range(n) if (mask >> i) & 1)
+                   for mask in range(1 << n))
+        return [c for c in subsets if all(s & c for s in supports)]
+
+    def _variable_prime(self, cover):
+        gens = tuple(
+            Poly.variable(self.sig, self.sig.variables[i]) for i in sorted(cover)
+        )
+        return RIdeal(self, gens, prime_status="verified")
+
+    def _monomial_minimal_primes(self):
+        covers = self._monomial_covers()
         minimal = [c for c in covers if not any(d < c for d in covers)]
         minimal.sort(key=lambda c: (len(c), sorted(c)))
-        out = []
-        for cover in minimal:
-            gens = tuple(
-                Poly.variable(self.sig, self.sig.variables[i]) for i in sorted(cover)
-            )
-            out.append(RIdeal(self, gens, prime_status="verified"))
-        return out
+        return [self._variable_prime(c) for c in minimal]
 
     def _primes_from_factors(self, factors):
         if len(self.ideal.generators) != 1:
@@ -231,22 +235,8 @@ class QuotientRing:
         """
         if not self.is_monomial():
             raise UnsupportedIdealClass("monomial prime enumeration needs a monomial ideal")
-        n = self.sig.nvars
-        supports = [
-            frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-            for g in self.ideal.gb().generators
-        ]
-        out = []
-        for mask in range(1 << n):
-            subset = frozenset(i for i in range(n) if (mask >> i) & 1)
-            if not all(s & subset for s in supports):
-                continue
-            gens = tuple(
-                Poly.variable(self.sig, self.sig.variables[i]) for i in sorted(subset)
-            )
-            p = RIdeal(self, gens, prime_status="verified")
-            if self.height(p, caps) <= bound:
-                out.append(p)
+        primes = map(self._variable_prime, self._monomial_covers())
+        out = [p for p in primes if self.height(p, caps) <= bound]
         out.sort(key=lambda p: (len(p.generators), str(p)))
         return out
 

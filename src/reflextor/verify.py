@@ -193,6 +193,25 @@ def _height_one_list(ring, extra, caps):
     return _dedupe_primes(primes), complete_note
 
 
+def _height_one_freeness(ring, n, extra, caps, surrogate):
+    """The locally-free-height-one entry for N, every listed prime checked
+    and the first failure named, plus the list's completeness note;
+    `surrogate` adds that freeness stands in for finite local pd."""
+    y1, completeness = _height_one_list(ring, extra, caps)
+    ranks = [(prime, localized_rank(n, prime, caps)) for prime in y1]
+    failures = [(prime, lr) for prime, lr in ranks if lr.kind != "free"]
+    if failures:
+        prime, lr = failures[0]
+        note = (" (local freeness is the checkable surrogate for finite "
+                "local projective dimension)" if surrogate else "")
+        status, detail = FAILED, f"not free at {prime}{note}: {lr.witness}"
+    else:
+        note = ("; freeness is a sufficient surrogate for finite local "
+                "projective dimension" if surrogate else "")
+        status, detail = VERIFIED, f"free at every checked prime ({completeness}){note}"
+    return LedgerEntry("locally-free-height-one", status, detail), completeness
+
+
 # ----------------------------------------------------------------------
 # pipelines
 
@@ -248,25 +267,9 @@ def verify_strong_second_rigidity(m, n, caps: Caps = None, window: int = None,
         rep.hypotheses.append(LedgerEntry(
             "finite-projective-dimension", VERIFIED, f"pd = {p.value}"
         ))
-    y1, completeness = _height_one_list(ring, height_one_primes, caps)
-    failures = []
-    for prime in y1:
-        lr = localized_rank(n, prime, caps)
-        if lr.kind != "free":
-            failures.append((prime, lr))
-    if failures:
-        prime, lr = failures[0]
-        rep.hypotheses.append(LedgerEntry(
-            "locally-free-height-one", FAILED,
-            f"not free at {prime} (local freeness is the checkable surrogate "
-            f"for finite local projective dimension): {lr.witness}",
-        ))
-    else:
-        rep.hypotheses.append(LedgerEntry(
-            "locally-free-height-one", VERIFIED,
-            f"free at every checked prime ({completeness}); freeness is a "
-            "sufficient surrogate for finite local projective dimension",
-        ))
+    entry, completeness = _height_one_freeness(ring, n, height_one_primes,
+                                               caps, True)
+    rep.hypotheses.append(entry)
     t = minimize(tensor(m, n), caps)
     rep.hypotheses.append(
         _reflexivity_entry("tensor-reflexive", t, "tensor product", caps)
@@ -362,23 +365,9 @@ def verify_rigidity_vanishing_strong(m, n, level: int,
     ))
     base = verify_rigidity_vanishing(m, n, level, rigidity, caps, window)
     rep.hypotheses.extend(base.hypotheses)
-    y1, completeness = _height_one_list(ring, height_one_primes, caps)
-    failures = []
-    for prime in y1:
-        lr = localized_rank(n, prime, caps)
-        if lr.kind != "free":
-            failures.append((prime, lr))
-    if failures:
-        prime, lr = failures[0]
-        rep.hypotheses.append(LedgerEntry(
-            "locally-free-height-one", FAILED,
-            f"not free at {prime}: {lr.witness}",
-        ))
-    else:
-        rep.hypotheses.append(LedgerEntry(
-            "locally-free-height-one", VERIFIED,
-            f"free at every checked prime ({completeness})",
-        ))
+    entry, completeness = _height_one_freeness(ring, n, height_one_primes,
+                                               caps, False)
+    rep.hypotheses.append(entry)
     gr = graph_rank(n, hh_graph(ring, caps), caps)
     if gr.has_rank and gr.rank and gr.rank > 0:
         rep.hypotheses.append(LedgerEntry(

@@ -22,6 +22,7 @@ from reflextor.modules import (
     free_module,
     minimize,
     module_from_rows,
+    syzygy,
     transpose,
 )
 from reflextor.rings import RIdeal
@@ -53,6 +54,42 @@ class TestResolutions:
     def test_resolution_cap(self, ring_a, n_a):
         with pytest.raises(CapExceeded):
             resolution(n_a).extend_to(4, Caps(resolution_length=2))
+
+    def test_cap_message_names_the_first_step_past_the_cap(self, ring_a, n_a):
+        with pytest.raises(CapExceeded,
+                           match=r"^resolution length 3 exceeds the cap \(2\)$"):
+            resolution(n_a).extend_to(6, Caps(resolution_length=2))
+
+    def test_cap_rule_ignores_the_cache(self, ring_a, m_a):
+        res = resolution(m_a)
+        res.extend_to(2)  # the cache now knows pd M = 1
+        assert res.complete and res.length_computed() == 1
+        # a walk of one step cannot see that end, so a cap of 1 still stops
+        with pytest.raises(CapExceeded,
+                           match=r"^resolution length 2 exceeds the cap \(1\)$"):
+            res.extend_to(2, Caps(resolution_length=1))
+        res.extend_to(5, Caps(resolution_length=2))  # the end is inside a cap of 2
+
+    def test_view_is_cut_at_the_length_asked_for(self, ring_a, n_a, m_a):
+        resolution(n_a).extend_to(5)
+        view = free_resolution(n_a, 1)
+        assert view.betti_numbers() == [1, 1] and not view.complete
+        assert view.periodicity_onset() is None
+        assert resolution(n_a).length_computed() >= 5
+        # pd M = 1 is found at step 2, past a one-step walk
+        assert not free_resolution(m_a, 1).complete
+        assert free_resolution(m_a, 2).complete
+
+    def test_free_base_ends_at_step_zero(self, ring_a):
+        res = free_resolution(free_module(ring_a, (0, 1)), 0)
+        assert res.complete and res.betti_numbers() == [2]
+
+    def test_syzygy_past_the_cap_of_a_finite_resolution(self, ring_a, m_a, n_a):
+        # pd M = 1 lies inside a cap of 3, so the 5th syzygy is zero, as
+        # Tor_5(M, N) is under the same cap
+        caps = Caps(resolution_length=3)
+        assert syzygy(m_a, 5, caps).num_generators == 0
+        assert tor(m_a, n_a, 5, caps).is_zero
 
     def test_every_pair_is_charged_to_the_callers_caps(self, ring_a, pa,
                                                        monkeypatch):
@@ -90,6 +127,15 @@ class TestPd:
 
     def test_free(self, ring_a):
         assert pd(free_module(ring_a, (0,))).value == 0
+
+    def test_value_reads_the_walk_to_the_cap_not_the_cache(self, m_a, n_a):
+        resolution(m_a).extend_to(2)  # the cache knows pd M = 1
+        # a one-step walk cannot see that end, so pd M = 1 is above a cap of 1
+        assert pd(m_a, Caps(resolution_length=1)).above_cap
+        assert pd(m_a, Caps(resolution_length=2)).value == 1
+        resolution(n_a).extend_to(6)
+        # two steps show no 2-periodicity yet
+        assert pd(n_a, Caps(resolution_length=2)).periodicity_onset is None
 
 
 class TestTorExt:

@@ -26,9 +26,9 @@ from reflextor.modules import (
     minimize,
     module_from_rows,
     module_is_zero,
-    present_subquotient,
     pushforward,
     ring_membership_span,
+    subquotient,
     syzygies_over_ring,
     syzygy,
     tensor,
@@ -472,14 +472,15 @@ class TestRelationSpanIsShared:
         sig = ring_a.sig
         vec = lambda a, b: FreeVector(sig, (pa(a), pa(b)))
         d_caps, scan_caps = Caps(), Caps()
-        d_span = ring_membership_span(ring_a, 2, [vec("x", "z"), vec("w", "y")], d_caps)
+        relations = [vec("x", "z"), vec("w", "y")]
+        d_span = ring_membership_span(ring_a, 2, relations, d_caps)
         entries = d_span._entries
         snapshot = list(entries)
         outside = vec("1", "0")
         assert not d_span.contains(outside)
 
         numerators = [outside, vec("0", "1"), vec("x", "z"), vec("y", "0")]
-        module, gens = present_subquotient(ring_a, 2, (0, 0), numerators, d_span, d_caps)
+        module, gens = subquotient(ring_a, (0, 0), numerators, relations, d_caps)
         assert gens == [outside, vec("0", "1")]
         assert module.num_generators == 2
         d_pairs = d_caps._pairs_used

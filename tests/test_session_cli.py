@@ -186,6 +186,41 @@ class TestRunSession:
         assert report["exit_code"] == EXIT_OK
         assert [t["result"]["value"] for t in report["tasks"]] == [2, 3, 1, 2]
 
+    @pytest.mark.parametrize("module, length, cap, betti, complete", [
+        ("M", 5, 3, [3, 1], True),   # pd M = 1 ends inside the cap
+        ("N", 1, 4, [1, 1], False),  # only the step asked for
+        ("M", 1, 2, [3, 1], False),  # the end of M is found at step 2
+    ])
+    def test_resolve_answer_does_not_depend_on_task_order(
+            self, module, length, cap, betti, complete):
+        # alone, and after a pd task has walked the same module to the cap
+        doc = _document()
+        doc["caps"] = {"resolution": cap}
+        resolve = {"task": "resolve", "module": module, "length": length}
+        doc["tasks"] = [resolve]
+        alone = run_session(load_session(doc))["tasks"][0]
+        doc["tasks"] = [{"task": "pd", "module": module}, resolve]
+        after = run_session(load_session(doc))["tasks"][1]
+        assert (after["status"], after["result"]) == \
+            (alone["status"], alone["result"])
+        assert alone["status"] == "ok"
+        assert alone["result"]["betti"] == betti
+        assert alone["result"]["complete"] is complete
+
+    def test_tor_certificate_does_not_depend_on_task_order(self):
+        # the certificate reads the steps the Tor window walked (two here),
+        # where no periodicity shows yet, not the three a pd task leaves
+        doc = _document()
+        doc["caps"] = {"resolution": 3}
+        formula = {"task": "depth-formula", "left": "N", "right": "N",
+                   "window": 2}
+        doc["tasks"] = [formula]
+        alone = run_session(load_session(doc))["tasks"][0]
+        doc["tasks"] = [{"task": "pd", "module": "N"}, formula]
+        after = run_session(load_session(doc))["tasks"][1]
+        assert after["result"] == alone["result"]
+        assert alone["result"]["tor_certificate"] == "window_only"
+
     def test_resolution_cap_does_not_bound_hilbert_series(self):
         # the series resolves each Ext module over the ambient ring, a walk
         # bounded by the number of variables, not by the resolution cap
@@ -266,10 +301,10 @@ class TestPaperSuite:
         assert "FIRST FAILING CLAIM: " in paper_suite_text(report)
 
     def test_json_mirror_matches_claim_verdicts(self):
-        from reflextor.paper_suite import paper_suite_json
+        from reflextor.reports import report_json
 
         report = paper_suite()
-        parsed = json.loads(paper_suite_json(report))
+        parsed = json.loads(report_json(report))
         assert parsed["claims"] == report["claims"]
 
 
