@@ -2,12 +2,16 @@
 
 Every potentially long-running routine threads a `Caps` value and calls
 `tick` between reduction steps, or `poll`, the cancel check alone, where
-its steps are not S-pairs.  Blowing a cap raises `CapExceeded`, a
-distinct outcome that is never a silently wrong answer; a caller-supplied
-cancel callback raises `ComputationCancelled` the same way.
+its steps are not S-pairs; a normal form calls `step` once per reduction
+step, which polls every POLL_STEPS steps of the run.  Blowing a cap
+raises `CapExceeded`, a distinct outcome that is never a silently wrong
+answer; a caller-supplied cancel callback raises `ComputationCancelled`
+the same way.
 """
 
 from dataclasses import dataclass, field
+
+POLL_STEPS = 256  # reduction steps between two cancel polls
 
 
 class CapExceeded(RuntimeError):
@@ -26,11 +30,18 @@ class Caps:
     tor_window: int = 6
     cancel: object = None  # optional zero-arg callable returning True to stop
     _pairs_used: int = field(default=0, repr=False)
+    _steps: int = field(default=0, repr=False)
 
     def poll(self):
         """The cancel check alone; it uses none of the pair budget."""
         if self.cancel is not None and self.cancel():
             raise ComputationCancelled("computation cancelled by caller")
+
+    def step(self):
+        """Count one reduction step; every POLL_STEPS-th polls the cancel."""
+        self._steps += 1
+        if self._steps % POLL_STEPS == 0:
+            self.poll()
 
     def tick(self, degree: int = 0):
         self.poll()

@@ -1,6 +1,7 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields."""
 
 from fractions import Fraction
+from math import gcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -74,12 +75,18 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return a / b
+        return Fraction(a) / b
+
+    def cofactors(self, c, lc):
+        """Smallest integers (a, b) with a*c == b*lc, for integers c and
+        lc > 0: a scales the element being reduced, b the reducer."""
+        g = gcd(c, lc)
+        return lc // g, c // g
 
     def is_zero(self, a):
         return a == 0
@@ -143,6 +150,10 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def cofactors(self, c, lc):
+        """(1, c/lc): a*c == b*lc with the element being reduced left as it is."""
+        return 1, c * pow(lc, -1, self.p) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0

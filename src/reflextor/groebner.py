@@ -14,11 +14,25 @@ reduced basis seeds the run with zero tails; the tails of the result are
 then exactly those of a fully tailed run with the untracked positions
 dropped, because those positions are the lowest ones.
 
+Coefficients inside the engine are Python ints over either field.  A
+basis entry (lead, lc, terms) stands for the monic element terms / lc:
+over QQ its terms are primitive integers with lc > 0, over GF(p) it is
+monic already and lc = 1.  A reduction scales what it reduces by the
+field's cofactors (over QQ, lc/g and c/g with g = gcd(c, lc); over GF(p)
+1 and c/lc), so it returns scale * NF with the scale it accumulated.
+`Fraction`s are made only at the boundary, by `_unscale`: the public
+generators and syzygy tails divide by their entry's lc, and the exact
+normal forms (`normal_form`, `Span.lift`, `IncrementalSpan.
+normal_form_terms`) divide once by the scale of their one reduction.
+
 All routines are pure; caps and cancellation are threaded via `Caps`.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 
 from .caps import DEFAULT_CAPS, Caps
 from .orders import degree, mono_div, mono_divides, mono_lcm, mono_mul
@@ -136,36 +150,56 @@ def _key_fn(order):
     return key
 
 
-def _strip_content(terms, fld):
-    """Rescale so coefficients are primitive integers (QQ) or monic (GF)."""
-    if not terms:
+def _integral(terms, fld):
+    """(den, den * terms) with integer coefficients over QQ, den the lcm of
+    the denominators; (1, a copy of terms) over GF(p)."""
+    if fld.characteristic:
+        return 1, dict(terms)
+    # two-argument folds: math.gcd and math.lcm leak memory on CPython 3.11
+    # when given more than two arguments
+    den = reduce(math.lcm, (c.denominator for c in terms.values()), 1)
+    return den, {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
+
+
+def _unscale(terms, scale, fld):
+    """The field-valued terms / scale: the one place `Fraction`s are made.
+    Over GF(p) every scale is 1 and the terms are returned as they are."""
+    if fld.characteristic:
         return terms
-    if fld.characteristic == 0:
-        from math import gcd
-
-        den = 1
-        for c in terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in terms.values():
-            num = gcd(num, abs(c.numerator * den) // c.denominator)
-        if num == 0:
-            return terms
-        factor = fld.from_rational(den, num)
-        return {t: c * factor for t, c in terms.items()}
-    return terms
+    return {t: Fraction(c, scale) for t, c in terms.items()}
 
 
-def _reduce_full(work, basis, keyfn, fld):
-    """Full normal form of a term dict against basis entries.
+def _entry(terms, keyfn, fld):
+    """Basis entry (lead, lc, terms) of a nonzero term dict, standing for
+    the monic terms / lc: primitive integers with lc > 0 over QQ, monic
+    over GF(p)."""
+    lt = min(terms, key=keyfn)
+    if fld.characteristic:
+        inv = fld.inv(terms[lt])
+        terms = {t: fld.mul(inv, c) for t, c in terms.items()}
+    else:
+        _, terms = _integral(terms, fld)
+        g = reduce(math.gcd, terms.values(), 0)
+        g = -g if terms[lt] < 0 else g
+        terms = {t: c // g for t, c in terms.items()}
+    return (lt, terms[lt], terms)
 
-    basis entries are (lead_term, lead_coeff, terms_dict); every term of
-    the result is divisible by no basis lead in the same position.  The
+
+def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
+    """Full normal form of a term dict against basis entries, up to a scale.
+
+    Returns (remainder, scale) with remainder = scale * NF(work) and, over
+    QQ, integer coefficients; `_unscale` divides once.  Every term of the
+    remainder is divisible by no basis lead in the same position.  The
     largest term is popped from a heap on the descending key `keyfn`; a
     term is pushed when it enters `work` and skipped if it has cancelled
     since.  A step adds only smaller terms, so none re-enters once popped.
+    Each step takes its multipliers (a, b) from `fld.cofactors`: work is
+    scaled by a, which is 1 over GF(p), and b times the shifted entry is
+    subtracted.  Each step is counted on `caps`, where one is given, so
+    a cancel is seen inside a long reduction too.
     """
-    work = dict(work)
+    scale, work = _integral(work, fld)
     heap = [(keyfn(t), t) for t in work]
     heapq.heapify(heap)
     remainder = {}
@@ -184,9 +218,17 @@ def _reduce_full(work, basis, keyfn, fld):
         if hit is None:
             remainder[t] = c
             continue
+        if caps is not None:
+            caps.step()
         lt, lc, terms = hit
+        a, b = fld.cofactors(c, lc)
+        if a != 1:  # QQ only: integers, so plain products
+            scale *= a
+            for k in work:
+                work[k] *= a
+            for k in remainder:
+                remainder[k] *= a
         shift = mono_div(mono, lt[1])
-        factor = fld.div(c, lc)
         for (p2, m2), c2 in terms.items():
             if (p2, m2) == lt:
                 continue
@@ -194,28 +236,29 @@ def _reduce_full(work, basis, keyfn, fld):
             old = work.get(key2)
             if old is None:
                 heapq.heappush(heap, (keyfn(key2), key2))
-                old = fld.zero
-            s = fld.sub(old, fld.mul(factor, c2))
+                old = 0  # the integer zero: entries hold ints over either field
+            s = fld.sub(old, fld.mul(b, c2))
             if fld.is_zero(s):
                 work.pop(key2, None)
             else:
                 work[key2] = s
-    return remainder
+    return remainder, scale
 
 
 def _spair(e1, e2, fld):
-    """S-vector of two basis entries with leads in the same position."""
+    """S-vector b*x^s1*f1 - a*x^s2*f2 of two basis entries with leads in the
+    same position, (a, b) = fld.cofactors(c2, c1) so the leads cancel."""
     (pos, m1), c1, t1 = e1
     (_, m2), c2, t2 = e2
     lcm = mono_lcm(m1, m2)
     s1, s2 = mono_div(lcm, m1), mono_div(lcm, m2)
-    inv1, inv2 = fld.inv(c1), fld.inv(c2)
+    a, b = fld.cofactors(c2, c1)
     acc = {}
     for (p, m), c in t1.items():
-        acc[(p, mono_mul(m, s1))] = fld.mul(inv1, c)
+        acc[(p, mono_mul(m, s1))] = fld.mul(b, c)
     for (p, m), c in t2.items():
         key = (p, mono_mul(m, s2))
-        v = fld.sub(acc.get(key, fld.zero), fld.mul(inv2, c))
+        v = fld.sub(acc.get(key, 0), fld.mul(a, c))
         if fld.is_zero(v):
             acc.pop(key, None)
         else:
@@ -223,30 +266,24 @@ def _spair(e1, e2, fld):
     return acc
 
 
-def _entry(terms, keyfn):
-    lt = min(terms, key=keyfn)
-    return (lt, terms[lt], terms)
-
-
 def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
-    """The one pair queue; returns the interreduced monic basis as entry triples.
+    """The one pair queue; returns the interreduced basis as entry triples.
 
     `inputs` are term dicts.  `seeded` are entry triples that must already
-    form a reduced basis: monic, and no term of one divisible by the lead
-    of another in its position, as an earlier result of this function or
-    `_ideal_block` gives.  The result is the reduced basis of their span
-    together with the inputs.  Pairs are taken from a heap of (deg lcm,
-    j, i, lcm), lcm computed once at queueing; `pending` mirrors it for the
-    chain criterion, which with the product criterion (rank one only)
-    drops pairs before they are reduced.
+    form a reduced basis: normalized as `_entry` leaves them, and no term
+    of one divisible by the lead of another in its position, as an earlier
+    result of this function or `_ideal_block` gives.  The result is the
+    reduced basis of their span together with the inputs.  Pairs are taken
+    from a heap of (deg lcm, j, i, lcm), lcm computed once at queueing;
+    `pending` mirrors it for the chain criterion, which with the product
+    criterion (rank one only) drops pairs before they are reduced.
     """
     keyfn = _key_fn(order)
     basis = list(seeded)
     n_seeded = len(basis)
     for terms in inputs:
-        terms = _strip_content(dict(terms), fld)
         if terms:
-            basis.append(_entry(terms, keyfn))
+            basis.append(_entry(terms, keyfn, fld))
 
     pending, heap = set(), []
 
@@ -286,12 +323,10 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
                     break
         if skip:
             continue
-        s = _spair(basis[i], basis[j], fld)
-        nf = _reduce_full(s, basis, keyfn, fld)
+        nf, _ = _reduce_full(_spair(basis[i], basis[j], fld), basis, keyfn, fld, caps)
         if not nf:
             continue
-        nf = _strip_content(nf, fld)
-        basis.append(_entry(nf, keyfn))
+        basis.append(_entry(nf, keyfn, fld))
         queue_pairs(len(basis) - 1)
 
     # minimalize, smallest lead first: drop entries whose lead is divisible by
@@ -304,7 +339,7 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
             basis[x][0][0] == p and mono_divides(basis[x][0][1], m) for x in kept
         ):
             kept.append(k)
-    # tail-reduce and normalize monic.  A kept seeded entry is already
+    # tail-reduce and normalize.  A kept seeded entry is already
     # reduced against the other seeded ones, so it needs work only when the
     # lead of a kept new entry divides one of its terms.
     fresh = [basis[k][0] for k in kept if k >= n_seeded]
@@ -317,11 +352,8 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
             reduced.append(e)
             continue
         others = [basis[x] for x in kept if x != k]
-        nf = _reduce_full(e[2], others, keyfn, fld)
-        lt = min(nf, key=keyfn)
-        inv = fld.inv(nf[lt])
-        nf = {t: fld.mul(inv, c) for t, c in nf.items()}
-        reduced.append(_entry(nf, keyfn))
+        nf, _ = _reduce_full(e[2], others, keyfn, fld, caps)
+        reduced.append(_entry(nf, keyfn, fld))
     reduced.sort(key=lambda e: keyfn(e[0]), reverse=True)
     return reduced
 
@@ -381,10 +413,11 @@ def buchberger(gens, caps: Caps = None):
     caps = caps or DEFAULT_CAPS.fresh()
     inputs, sig, rank, is_poly = _as_term_inputs(gens)
     entries = _buchberger_terms(inputs, sig.order, sig.field, caps, rank)
+    monic = [_unscale(terms, lc, sig.field) for _, lc, terms in entries]
     if is_poly:
-        out = [_terms_to_poly(e[2], sig) for e in entries]
+        out = [_terms_to_poly(t, sig) for t in monic]
     else:
-        out = [_terms_to_vector(e[2], sig, rank) for e in entries]
+        out = [_terms_to_vector(t, sig, rank) for t in monic]
     return GroebnerBasis(sig, rank, out, True, entries)
 
 
@@ -392,8 +425,8 @@ def normal_form(f, gb: GroebnerBasis):
     """Unique canonical representative of f modulo the basis."""
     if f.sig != gb.sig:
         raise SignatureMismatch("signature mismatch in normal form")
-    keyfn = _key_fn(gb.sig.order)
-    nf = _reduce_full(_as_terms(f, gb.rank), gb._entries, keyfn, gb.sig.field)
+    keyfn, fld = _key_fn(gb.sig.order), gb.sig.field
+    nf = _unscale(*_reduce_full(_as_terms(f, gb.rank), gb._entries, keyfn, fld), fld)
     if isinstance(f, Poly):
         return _terms_to_poly(nf, gb.sig)
     return _terms_to_vector(nf, gb.sig, gb.rank)
@@ -421,7 +454,7 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
             )
             if not chained and _reduce_full(
                 _spair(entries[i], entries[j], fld), entries, keyfn, fld
-            ):
+            )[0]:
                 return False
             done |= {(i, j), (j, i)}
     return True
@@ -472,17 +505,18 @@ class Span:
         )
         # lead in the tail block forces every term into the tail
         self._syzygy_tails = [
-            {(p - rank, m): c for (p, m), c in terms.items()}
-            for lt, _, terms in self._aug
+            _unscale({(p - rank, m): c for (p, m), c in terms.items()}, lc, fld)
+            for lt, lc, terms in self._aug
             if lt[0] >= rank
         ]
 
     def lift(self, v):
         """Coefficients a with v = sum a_i * vectors_i modulo D, or None."""
         fld = self.sig.field
-        nf = _reduce_full(_as_terms(v, self.rank), self._aug, self._keyfn, fld)
+        nf, scale = _reduce_full(_as_terms(v, self.rank), self._aug, self._keyfn, fld)
         if any(t[0] < self.rank for t in nf):
             return None
+        nf = _unscale(nf, scale, fld)
         coeffs = [dict() for _ in range(self.count)]
         for (p, m), c in nf.items():
             coeffs[p - self.rank][m] = fld.neg(c)
@@ -519,16 +553,19 @@ class IncrementalSpan:
             )
 
     def contains(self, v) -> bool:
-        return not self.normal_form_terms(v)
+        return not self._reduce(v)[0]
 
     def normal_form_terms(self, v):
-        return _reduce_full(
-            _as_terms(v, self.rank), self._entries, self._keyfn, self.sig.field
-        )
+        """The exact normal form of v, as a field-valued term dict."""
+        return _unscale(*self._reduce(v), self.sig.field)
+
+    def _reduce(self, v):
+        return _reduce_full(_as_terms(v, self.rank), self._entries, self._keyfn,
+                            self.sig.field, self.caps)
 
     def add(self, v) -> bool:
         """Absorb a vector; True exactly when it was not already in the span."""
-        nf = self.normal_form_terms(v)
+        nf, _ = self._reduce(v)
         if nf:
             self._entries = _buchberger_terms(
                 [nf], self.sig.order, self.sig.field, self.caps, self.rank,

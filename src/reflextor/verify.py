@@ -194,14 +194,19 @@ def _height_one_list(ring, extra, caps):
 
 
 def _height_one_freeness(ring, n, extra, caps, surrogate):
-    """The locally-free-height-one entry for N, every listed prime checked
-    and the first failure named, plus the list's completeness note;
-    `surrogate` adds that freeness stands in for finite local pd."""
+    """The locally-free-height-one entry for N, the listed primes checked
+    in order up to the first where N is not free, which is named, plus the
+    list's completeness note; `surrogate` adds that freeness stands in for
+    finite local pd."""
     y1, completeness = _height_one_list(ring, extra, caps)
-    ranks = [(prime, localized_rank(n, prime, caps)) for prime in y1]
-    failures = [(prime, lr) for prime, lr in ranks if lr.kind != "free"]
-    if failures:
-        prime, lr = failures[0]
+    failure = None
+    for prime in y1:
+        lr = localized_rank(n, prime, caps)
+        if lr.kind != "free":
+            failure = prime, lr
+            break
+    if failure:
+        prime, lr = failure
         note = (" (local freeness is the checkable surrogate for finite "
                 "local projective dimension)" if surrogate else "")
         status, detail = FAILED, f"not free at {prime}{note}: {lr.witness}"

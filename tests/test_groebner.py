@@ -456,3 +456,34 @@ class TestCaps:
         caps = Caps(cancel=cancel)
         with pytest.raises(ComputationCancelled):
             buchberger([p4("x^2 - y"), p4("y^2 - z"), p4("z^2 - w")], caps)
+
+    def test_cancel_is_polled_inside_reductions(self):
+        # homogenized cyclic-5: its reductions poll the cancel more often
+        # than its S-pair ticks do, so a cancel after the last tick fires
+        sig = RingSignature(QQ, ("a", "b", "c", "d", "e", "h"))
+        gens = [parse_poly(t, sig) for t in (
+            "a + b + c + d + e", "a*b + b*c + c*d + d*e + e*a",
+            "a*b*c + b*c*d + c*d*e + d*e*a + e*a*b",
+            "a*b*c*d + b*c*d*e + c*d*e*a + d*e*a*b + e*a*b*c", "a*b*c*d*e - h^5",
+        )]
+        polls = {"n": 0}
+
+        def count():
+            polls["n"] += 1
+            return False
+
+        caps = Caps(cancel=count)
+        assert len(buchberger(gens, caps)) == 38
+        ticks = caps._pairs_used
+        assert polls["n"] > ticks
+
+        late = {"n": 0}
+
+        def cancel_after_every_tick():
+            late["n"] += 1
+            return late["n"] > ticks
+
+        caps = Caps(cancel=cancel_after_every_tick)
+        with pytest.raises(ComputationCancelled):
+            buchberger(gens, caps)
+        assert caps._pairs_used <= ticks

@@ -25,6 +25,22 @@ class TestFields:
     def test_rationals_exact(self):
         assert QQ.div(QQ.from_int(1), QQ.from_int(3)) * 3 == 1
 
+    def test_rationals_exact_on_int_arguments(self):
+        for value in (QQ.inv(3), QQ.div(1, 3), QQ.div(2, 6)):
+            assert value == Fraction(1, 3)
+            assert isinstance(value, Fraction)
+        assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+
+    def test_cofactors_cancel_the_lead(self):
+        for c, lc in ((6, 4), (-9, 12), (5, 1), (0, 7)):
+            a, b = QQ.cofactors(c, lc)
+            assert a * c == b * lc and a > 0
+        f7 = GF(7)
+        a, b = f7.cofactors(3, 5)
+        assert a == 1 and f7.mul(b, 5) == 3
+
     def test_rationals_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             QQ.div(QQ.one, QQ.zero)
