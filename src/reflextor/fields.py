@@ -91,6 +91,10 @@ class Rationals:
     def is_zero(self, a):
         return a == 0
 
+    def normalized(self, terms):
+        """An integer term dict with its zeros dropped."""
+        return {t: c for t, c in terms.items() if c}
+
     def coeff_str(self, a):
         return str(a)
 
@@ -157,6 +161,10 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def normalized(self, terms):
+        """An integer term dict reduced into [0, p), its zeros dropped."""
+        return {t: r for t, c in terms.items() if (r := c % self.p)}
 
     def coeff_str(self, a):
         return str(a % self.p)

@@ -20,10 +20,14 @@ over QQ its terms are primitive integers with lc > 0, over GF(p) it is
 monic already and lc = 1.  A reduction scales what it reduces by the
 field's cofactors (over QQ, lc/g and c/g with g = gcd(c, lc); over GF(p)
 1 and c/lc), so it returns scale * NF with the scale it accumulated.
+Each step is plain integer arithmetic, old - b * c2, then one `% p`
+over GF(p); the values are those the field operations give.
 `Fraction`s are made only at the boundary, by `_unscale`: the public
 generators and syzygy tails divide by their entry's lc, and the exact
 normal forms (`normal_form`, `Span.lift`, `IncrementalSpan.
 normal_form_terms`) divide once by the scale of their one reduction.
+`normal_form` returns its input itself when no term of it is divisible
+by a basis lead in its position: such an input is its own normal form.
 
 All routines are pure; caps and cancellation are threaded via `Caps`.
 """
@@ -33,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add, le, sub
 
 from .caps import DEFAULT_CAPS, Caps
 from .orders import degree, mono_div, mono_divides, mono_lcm, mono_mul
@@ -199,6 +204,7 @@ def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
     subtracted.  Each step is counted on `caps`, where one is given, so
     a cancel is seen inside a long reduction too.
     """
+    p = fld.characteristic
     scale, work = _integral(work, fld)
     heap = [(keyfn(t), t) for t in work]
     heapq.heapify(heap)
@@ -212,7 +218,7 @@ def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
         hit = None
         for entry in basis:
             lt = entry[0]
-            if lt[0] == pos and mono_divides(lt[1], mono):
+            if lt[0] == pos and all(map(le, lt[1], mono)):
                 hit = entry
                 break
         if hit is None:
@@ -228,20 +234,22 @@ def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
                 work[k] *= a
             for k in remainder:
                 remainder[k] *= a
-        shift = mono_div(mono, lt[1])
+        shift = tuple(map(sub, mono, lt[1]))
         for (p2, m2), c2 in terms.items():
             if (p2, m2) == lt:
                 continue
-            key2 = (p2, mono_mul(m2, shift))
+            key2 = (p2, tuple(map(add, m2, shift)))
             old = work.get(key2)
             if old is None:
                 heapq.heappush(heap, (keyfn(key2), key2))
-                old = 0  # the integer zero: entries hold ints over either field
-            s = fld.sub(old, fld.mul(b, c2))
-            if fld.is_zero(s):
-                work.pop(key2, None)
-            else:
+                old = 0
+            s = old - b * c2
+            if p:
+                s %= p
+            if s:
                 work[key2] = s
+            else:
+                del work[key2]
     return remainder, scale
 
 
@@ -253,17 +261,11 @@ def _spair(e1, e2, fld):
     lcm = mono_lcm(m1, m2)
     s1, s2 = mono_div(lcm, m1), mono_div(lcm, m2)
     a, b = fld.cofactors(c2, c1)
-    acc = {}
-    for (p, m), c in t1.items():
-        acc[(p, mono_mul(m, s1))] = fld.mul(b, c)
+    acc = {(p, mono_mul(m, s1)): b * c for (p, m), c in t1.items()}
     for (p, m), c in t2.items():
         key = (p, mono_mul(m, s2))
-        v = fld.sub(acc.get(key, 0), fld.mul(a, c))
-        if fld.is_zero(v):
-            acc.pop(key, None)
-        else:
-            acc[key] = v
-    return acc
+        acc[key] = acc.get(key, 0) - a * c
+    return fld.normalized(acc)
 
 
 def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
@@ -422,11 +424,16 @@ def buchberger(gens, caps: Caps = None):
 
 
 def normal_form(f, gb: GroebnerBasis):
-    """Unique canonical representative of f modulo the basis."""
+    """Unique canonical representative of f modulo the basis: f itself when
+    no term of f is divisible by a basis lead in its position."""
     if f.sig != gb.sig:
         raise SignatureMismatch("signature mismatch in normal form")
+    work = _as_terms(f, gb.rank)
+    if not any(lp == pos and all(map(le, lm, mono))
+               for pos, mono in work for (lp, lm), _, _ in gb._entries):
+        return f
     keyfn, fld = _key_fn(gb.sig.order), gb.sig.field
-    nf = _unscale(*_reduce_full(_as_terms(f, gb.rank), gb._entries, keyfn, fld), fld)
+    nf = _unscale(*_reduce_full(work, gb._entries, keyfn, fld), fld)
     if isinstance(f, Poly):
         return _terms_to_poly(nf, gb.sig)
     return _terms_to_vector(nf, gb.sig, gb.rank)

@@ -23,7 +23,10 @@ coordinate degrees -gendeg(i).
 import threading
 from copy import copy
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from math import lcm, prod
+from operator import mul
 
 from .caps import Caps
 from .groebner import (
@@ -32,6 +35,7 @@ from .groebner import (
     IncrementalSpan,
     Span,
     _terms_to_vector,
+    _unscale,
     ideal_quotient,
     intersect_ideals,
 )
@@ -40,7 +44,6 @@ from .hilbert import (
     minimal_vector_subset,
     vector_degree,
 )
-from .orders import mono_mul
 from .poly import Poly
 from .rings import QuotientRing, RIdeal
 
@@ -617,8 +620,16 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
     along r0 into minors on the row tail (r1, ...), shared by every row set
     with that tail; so they are built bottom-up from the empty minor 1, one
     row at a time.  Level k holds each k-minor on a length-k row tail once,
-    as a term dict; only the level below is kept.  No division is used.
+    as a term dict; only the level below is kept.  Expansion never divides.
     The cancel callback of `caps` is polled once per row tail.
+
+    Minors are built on integers, a monomial packed into one int in base
+    B = size * e + 1, e the largest exponent in any entry: no exponent of a
+    minor exceeds size * e < B, so a monomial product is one addition with
+    no carry.  The cofactor sign is folded into the top row, and each
+    minor is normalized once (`fld.normalized`).  Over QQ each row is
+    scaled by the lcm of its denominators; a minor on row set T is divided
+    by the product of T's scales when it is unpacked into `Fraction`s.
     """
     sig = m.ring.sig
     g = m.num_generators
@@ -629,8 +640,18 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
     if size > g or size > r:
         return Ideal(sig, ())
     fld = sig.field
-    rows = [[p.terms for p in row] for row in m.rows()]
-    level = {((), ()): {(0,) * sig.nvars: fld.one}}
+    mat = m.rows()
+    base = size * max((e for row in mat for q in row for mono, _ in q.terms
+                       for e in mono), default=0) + 1
+    weights = [base ** v for v in range(sig.nvars)]
+    scales, rows = [], []  # rows[k][parity][col]: packed terms, sign folded in
+    for row in mat:
+        scale = reduce(lcm, (c.denominator for q in row for _, c in q.terms), 1)
+        packed = [[(sum(map(mul, mono, weights)), c.numerator * (scale // c.denominator))
+                   for mono, c in q.terms] for q in row]
+        scales.append(scale)
+        rows.append((packed, [[(mo, -c) for mo, c in q] for q in packed]))
+    level = {((), ()): {0: 1}}
     for k in range(1, size + 1):
         below, level = level, {}
         for tail in combinations(range(size - k, g), k):
@@ -638,20 +659,22 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
                 caps.poll()
             top, rest = rows[tail[0]], tail[1:]
             for cols in combinations(range(r), k):
-                acc = level[tail, cols] = {}
+                acc = {}
                 for j, col in enumerate(cols):
-                    lower = below[rest, cols[:j] + cols[j + 1:]]
-                    add = fld.sub if j % 2 else fld.add
-                    for m1, c1 in top[col]:
-                        for m2, c2 in lower.items():
-                            mono = mono_mul(m1, m2)
-                            s = add(acc.get(mono, fld.zero), fld.mul(c1, c2))
-                            if fld.is_zero(s):
-                                acc.pop(mono, None)
-                            else:
-                                acc[mono] = s
-    minors = {}
-    for terms in level.values():
+                    lower = below[rest, cols[:j] + cols[j + 1:]].items()
+                    for m1, c1 in top[j % 2][col]:
+                        for m2, c2 in lower:
+                            mono = m1 + m2
+                            acc[mono] = acc.get(mono, 0) + c1 * c2
+                level[tail, cols] = fld.normalized(acc)
+    exponents, minors = {}, {}
+    for (tail, _), packed in level.items():
+        terms = {}
+        for mo, c in packed.items():
+            if mo not in exponents:
+                exponents[mo] = tuple(mo // w % base for w in weights)
+            terms[exponents[mo]] = c
+        terms = _unscale(terms, prod(scales[t] for t in tail), fld)
         d = m.ring.reduce(Poly.from_dict(sig, terms))
         if not d.is_zero:
             minors.setdefault(d.terms, d)

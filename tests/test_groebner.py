@@ -27,7 +27,12 @@ from reflextor.orders import GREVLEX, LEX, elimination, mono_divides
 from reflextor.parse import parse_poly
 from reflextor.poly import Poly, RingSignature, SignatureMismatch
 
-from oracles import all_monomials, all_pairs_groebner_check, submodule_piece_dimension
+from oracles import (
+    all_monomials,
+    all_pairs_groebner_check,
+    homogeneous_membership_oracle,
+    submodule_piece_dimension,
+)
 
 
 def assert_verified(gb):
@@ -142,6 +147,36 @@ class TestNormalForm:
         gb = buchberger([FreeVector(sig4, (p4("x"), p4("y")))])
         with pytest.raises(ValueError):
             normal_form(p4("x"), gb)
+
+    def test_reduced_input_is_returned_itself(self, sig4, p4):
+        gb = buchberger([p4("x^2 - y*z"), p4("x*y - w^2")])
+        f = p4("y^3 + 3*z*w - 1/2*x*z")
+        assert normal_form(f, gb) is f
+        gb = buchberger([FreeVector(sig4, (p4("x"), p4("y"))),
+                         FreeVector(sig4, (p4("0"), p4("z")))])
+        v = FreeVector(sig4, (p4("y + z"), p4("x + w")))
+        assert normal_form(v, gb) is v
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+    def test_seeded_forms_against_the_membership_oracle(self, fld, seed):
+        rng = random.Random(seed)
+        sig = RingSignature(fld, ("x", "y", "z", "w"))
+
+        def form(d, size):
+            return Poly.from_dict(sig, {
+                m: fld.from_rational(rng.randint(-9, 9), rng.randint(1, 5))
+                for m in rng.sample(all_monomials(4, d), size)})
+
+        gens = [g for g in (form(2, 3) for _ in range(3)) if not g.is_zero]
+        gb = buchberger(gens)
+        leads = [g.leading_monomial() for g in gb.generators]
+        for _ in range(6):
+            f = form(3, 6)
+            nf = normal_form(f, gb)
+            assert not any(mono_divides(lm, m) for m, _ in nf.terms for lm in leads)
+            assert homogeneous_membership_oracle(gens, f - nf)
+            assert normal_form(nf, gb) is nf
 
 
 class TestSyzygies:

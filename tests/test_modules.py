@@ -34,6 +34,8 @@ from reflextor.modules import (
     tensor,
     transpose,
 )
+from reflextor.orders import LEX, elimination
+from reflextor.parse import parse_poly
 from reflextor.poly import Poly
 from reflextor.rings import RIdeal
 
@@ -285,12 +287,14 @@ def _graded_matrix(ring, seed, gen_degrees, col_degrees):
     return module_from_rows(ring, rows, gen_degrees)
 
 
-def _assert_fitting_matches_oracle(m):
-    """Every Fitt_i equals the Leibniz minors reduced in the ring, zeros and
-    repeats dropped, first occurrence kept, in order."""
-    for i in range(m.num_generators + 1):
+def _assert_fitting_matches_oracle(m, rows=None):
+    """Every Fitt_i, i up to g + 1, equals the Leibniz minors of `rows` (by
+    default the presentation's) reduced in the ring, zeros and repeats
+    dropped, first occurrence kept, in order."""
+    rows = m.rows() if rows is None else rows
+    for i in range(m.num_generators + 2):
         want = {}
-        for d in fitting_minors_oracle(m.rows(), m.num_generators - i):
+        for d in fitting_minors_oracle(rows, max(m.num_generators - i, 0)):
             d = m.ring.reduce(d)
             if not d.is_zero:
                 want.setdefault(d.terms, d)
@@ -321,6 +325,46 @@ class TestFittingIdeals:
         minors = fitting_minors_oracle(m.rows(), 2)
         assert any(ring_a.reduce(d) != d for d in minors)
         _assert_fitting_matches_oracle(m)
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+    def test_high_powers_of_one_variable(self, field):
+        # the entries' largest exponent is 5, a 3-minor reaches x^13: packing
+        # in base 6 would carry x's exponent into y's
+        ring = make_ring(field, ["x", "y", "z"], [])
+        rows = [["x^4", "x^4*y + y^5", "x^3*z"],
+                ["x^3*y", "-x^5", "x^4 - z^4"],
+                ["y^4", "x^2*y^3", "x^4 + 2*y^4"]]
+        m = module_from_rows(ring, [[parse_poly(s, ring.sig) for s in row]
+                                    for row in rows], (0, 0, 0))
+        assert max(e for row in m.rows() for p in row for mono, _ in p.terms
+                   for e in mono) == 5
+        _assert_fitting_matches_oracle(m)
+
+    def test_rows_with_different_denominators(self):
+        ring = make_ring(QQ, ["x", "y", "z"], [])
+        rows = [["1/2*x", "-2/3*y", "5/7*z", "x - y"],
+                ["-5/7*y", "2/3*x + 1/2*z", "x", "-1/2*z"],
+                ["2/3*z", "-x", "y - 5/7*x", "3*y"]]
+        m = module_from_rows(ring, [[parse_poly(s, ring.sig) for s in row]
+                                    for row in rows], (0, 0, 0))
+        _assert_fitting_matches_oracle(m)
+
+    @pytest.mark.parametrize("order, field", [(LEX, QQ), (elimination(1), GF(32003))],
+                             ids=["lex-QQ", "elim1-GF32003"])
+    def test_other_monomial_orders(self, order, field):
+        ring = make_ring(field, ["x", "y", "z"], ["x*y - z^2"], order=order)
+        m = _graded_matrix(ring, 4, (0, 1, 0), (1, 2, 2, 3))
+        _assert_fitting_matches_oracle(m)
+
+    def test_zero_row_zero_column_and_fewer_columns_than_rows(self):
+        ring = make_ring(GF(32003), ["x", "y", "z"], [])
+        rows = [[parse_poly(s, ring.sig) for s in row] for row in
+                (["x", "0", "y + z"], ["0", "0", "0"], ["z", "0", "2*x - y"])]
+        m = module_from_rows(ring, rows, (0, 0, 0))
+        # the zero column is dropped, so Fitt_0 asks for 3-minors of 2 columns
+        assert m.num_relations == 2
+        _assert_fitting_matches_oracle(m)
+        _assert_fitting_matches_oracle(m, rows)
 
     def test_leaves_no_reference_cycles(self):
         ring = make_ring(GF(32003), ["x", "y", "z"], [])
