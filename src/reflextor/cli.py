@@ -22,8 +22,7 @@ from .reports import (
     run_session,
     )
 from .session import SessionError, load_session_file
-
-VERIFY_PIPELINES = ("thm1.1", "thm1.2", "thm3.1", "cor4.6")
+from .verify import PIPELINES
 
 
 def _env_default(name, fallback=None):
@@ -109,7 +108,7 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run a verification pipeline",
                          parents=[common])
-    ver.add_argument("pipeline", choices=VERIFY_PIPELINES)
+    ver.add_argument("pipeline", choices=tuple(PIPELINES))
     ver.add_argument("--session", required=True)
     ver.add_argument("left")
     ver.add_argument("right")

@@ -14,20 +14,23 @@ reduced basis seeds the run with zero tails; the tails of the result are
 then exactly those of a fully tailed run with the untracked positions
 dropped, because those positions are the lowest ones.
 
-Coefficients inside the engine are Python ints over either field.  A
-basis entry (lead, lc, terms) stands for the monic element terms / lc:
-over QQ its terms are primitive integers with lc > 0, over GF(p) it is
-monic already and lc = 1.  A reduction scales what it reduces by the
-field's cofactors (over QQ, lc/g and c/g with g = gcd(c, lc); over GF(p)
-1 and c/lc), so it returns scale * NF with the scale it accumulated.
-Each step is plain integer arithmetic, old - b * c2, then one `% p`
-over GF(p); the values are those the field operations give.
-`Fraction`s are made only at the boundary, by `_unscale`: the public
-generators and syzygy tails divide by their entry's lc, and the exact
-normal forms (`normal_form`, `Span.lift`, `IncrementalSpan.
-normal_form_terms`) divide once by the scale of their one reduction.
-`normal_form` returns its input itself when no term of it is divisible
-by a basis lead in its position: such an input is its own normal form.
+Field values cross two boundaries.  `_as_terms` is the way in: it turns
+a polynomial or vector v into (den, terms), a fresh dict of Python ints
+equal to den * v, den the lcm of the denominators over QQ and 1 over
+GF(p); a tracked `Span` input's unit tail is den, so the tail records
+den * v too.  Inside, every coefficient is an int.  A basis entry (lead,
+lc, terms) stands for the monic element terms / lc: over QQ its terms
+are primitive integers with lc > 0, over GF(p) it is monic and lc = 1.
+`_reduce_full` consumes the dict it reduces and scales it by the field's
+cofactors (over QQ, lc/g and c/g with g = gcd(c, lc); over GF(p) 1 and
+c/lc), each step plain integer arithmetic, old - b * c2, then one `% p`
+over GF(p); it returns scale * NF, the scale starting at 1.  `_unscale`
+is the way out and the one place `Fraction`s are made: generators and
+syzygy tails divide by their entry's lc, and the exact normal forms
+(`normal_form`, `Span.lift`, `IncrementalSpan.normal_form`) divide once
+by scale * den.  `normal_form` returns its input itself, converting
+nothing, when no term of it is divisible by a basis lead in its
+position: such an input is its own normal form.
 
 All routines are pure; caps and cancellation are threaded via `Caps`.
 """
@@ -111,16 +114,6 @@ class FreeVector:
         return f"FreeVector{self}"
 
 
-def _poly_terms(p: Poly, pos=0):
-    return {(pos, m): c for m, c in p.terms}
-
-def _vector_terms(v: FreeVector):
-    out = {}
-    for i, p in enumerate(v.coords):
-        for m, c in p.terms:
-            out[(i, m)] = c
-    return out
-
 def _terms_to_vector(terms, sig, rank) -> FreeVector:
     buckets = [dict() for _ in range(rank)]
     for (i, m), c in terms.items():
@@ -130,15 +123,27 @@ def _terms_to_vector(terms, sig, rank) -> FreeVector:
 def _terms_to_poly(terms, sig) -> Poly:
     return Poly.from_dict(sig, {m: c for (_, m), c in terms.items()})
 
-def _as_terms(v, rank):
-    """Fresh term dict of a polynomial (rank one) or a vector of S^rank."""
+def _coords(v, rank):
+    """The coordinates of a polynomial (rank one) or a vector of S^rank."""
     if isinstance(v, Poly):
         if rank != 1:
             raise ValueError(f"polynomial against a module of rank {rank}")
-        return _poly_terms(v)
+        return (v,)
     if v.rank != rank:
         raise ValueError(f"rank mismatch: {v.rank} vs {rank}")
-    return _vector_terms(v)
+    return v.coords
+
+def _as_terms(v, rank, fld):
+    """(den, terms): a fresh term dict of Python ints equal to den * v, the
+    one entry point for field values.  Over QQ den is the lcm of the
+    denominators, over GF(p) it is 1."""
+    items = [((i, m), c) for i, p in enumerate(_coords(v, rank)) for m, c in p.terms]
+    if fld.characteristic:
+        return 1, dict(items)
+    # two-argument folds: math.gcd and math.lcm leak memory on CPython 3.11
+    # when given more than two arguments
+    den = reduce(math.lcm, (c.denominator for _, c in items), 1)
+    return den, {t: c.numerator * (den // c.denominator) for t, c in items}
 
 
 # ----------------------------------------------------------------------
@@ -155,35 +160,24 @@ def _key_fn(order):
     return key
 
 
-def _integral(terms, fld):
-    """(den, den * terms) with integer coefficients over QQ, den the lcm of
-    the denominators; (1, a copy of terms) over GF(p)."""
-    if fld.characteristic:
-        return 1, dict(terms)
-    # two-argument folds: math.gcd and math.lcm leak memory on CPython 3.11
-    # when given more than two arguments
-    den = reduce(math.lcm, (c.denominator for c in terms.values()), 1)
-    return den, {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
-
-
 def _unscale(terms, scale, fld):
-    """The field-valued terms / scale: the one place `Fraction`s are made.
-    Over GF(p) every scale is 1 and the terms are returned as they are."""
+    """The field-valued terms / scale: the one place `Fraction`s are made,
+    the exit matching `_as_terms`.  Over GF(p) every scale is 1 and the
+    terms are returned as they are."""
     if fld.characteristic:
         return terms
     return {t: Fraction(c, scale) for t, c in terms.items()}
 
 
 def _entry(terms, keyfn, fld):
-    """Basis entry (lead, lc, terms) of a nonzero term dict, standing for
-    the monic terms / lc: primitive integers with lc > 0 over QQ, monic
-    over GF(p)."""
+    """Basis entry (lead, lc, terms) of a nonzero integer term dict,
+    standing for the monic terms / lc: primitive integers with lc > 0 over
+    QQ, monic over GF(p)."""
     lt = min(terms, key=keyfn)
     if fld.characteristic:
         inv = fld.inv(terms[lt])
         terms = {t: fld.mul(inv, c) for t, c in terms.items()}
     else:
-        _, terms = _integral(terms, fld)
         g = reduce(math.gcd, terms.values(), 0)
         g = -g if terms[lt] < 0 else g
         terms = {t: c // g for t, c in terms.items()}
@@ -191,10 +185,11 @@ def _entry(terms, keyfn, fld):
 
 
 def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
-    """Full normal form of a term dict against basis entries, up to a scale.
+    """Full normal form of an integer term dict against basis entries, up
+    to a scale; `work` is consumed.
 
-    Returns (remainder, scale) with remainder = scale * NF(work) and, over
-    QQ, integer coefficients; `_unscale` divides once.  Every term of the
+    Returns (remainder, scale) with remainder = scale * NF(work), scale
+    starting at 1; `_unscale` divides once.  Every term of the
     remainder is divisible by no basis lead in the same position.  The
     largest term is popped from a heap on the descending key `keyfn`; a
     term is pushed when it enters `work` and skipped if it has cancelled
@@ -205,7 +200,7 @@ def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
     a cancel is seen inside a long reduction too.
     """
     p = fld.characteristic
-    scale, work = _integral(work, fld)
+    scale = 1
     heap = [(keyfn(t), t) for t in work]
     heapq.heapify(heap)
     remainder = {}
@@ -251,6 +246,14 @@ def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
             else:
                 del work[key2]
     return remainder, scale
+
+
+def _reduce_value(v, rank, basis, keyfn, fld, caps: Caps = None):
+    """(remainder, scale) of a field-valued v: remainder = scale * NF(v),
+    the scale counting the denominators `_as_terms` cleared."""
+    den, work = _as_terms(v, rank, fld)
+    remainder, scale = _reduce_full(work, basis, keyfn, fld, caps)
+    return remainder, scale * den
 
 
 def _spair(e1, e2, fld):
@@ -354,7 +357,7 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
             reduced.append(e)
             continue
         others = [basis[x] for x in kept if x != k]
-        nf, _ = _reduce_full(e[2], others, keyfn, fld, caps)
+        nf, _ = _reduce_full(dict(e[2]), others, keyfn, fld, caps)
         reduced.append(_entry(nf, keyfn, fld))
     reduced.sort(key=lambda e: keyfn(e[0]), reverse=True)
     return reduced
@@ -386,28 +389,21 @@ class GroebnerBasis:
 
 
 def _as_term_inputs(gens):
-    """Normalize a list of Poly or FreeVector into term dicts + context."""
+    """Normalize a list of Poly or FreeVector into integer term dicts +
+    context; each input's scale is dropped, as its span is the same."""
     gens = list(gens)
     if not gens:
         raise ValueError("empty generating set")
-    if isinstance(gens[0], Poly):
-        sig = gens[0].sig
-        for g in gens:
-            if not isinstance(g, Poly):
-                raise ValueError("mixed polynomial and vector generators")
-            if g.sig != sig:
-                raise SignatureMismatch("mixed signatures in generating set")
-        return [_poly_terms(g) for g in gens], sig, 1, True
-    sig = gens[0].sig
-    rank = gens[0].rank
+    sig, is_poly = gens[0].sig, isinstance(gens[0], Poly)
+    rank = 1 if is_poly else gens[0].rank
     for g in gens:
-        if not isinstance(g, FreeVector):
+        if not isinstance(g, Poly if is_poly else FreeVector):
             raise ValueError("mixed polynomial and vector generators")
         if g.sig != sig:
             raise SignatureMismatch("mixed signatures in generating set")
-        if g.rank != rank:
+        if not is_poly and g.rank != rank:
             raise ValueError(f"mixed ranks in generating set: {g.rank} vs {rank}")
-    return [_vector_terms(g) for g in gens], sig, rank, False
+    return [_as_terms(g, rank, sig.field)[1] for g in gens], sig, rank, is_poly
 
 
 def buchberger(gens, caps: Caps = None):
@@ -428,12 +424,12 @@ def normal_form(f, gb: GroebnerBasis):
     no term of f is divisible by a basis lead in its position."""
     if f.sig != gb.sig:
         raise SignatureMismatch("signature mismatch in normal form")
-    work = _as_terms(f, gb.rank)
     if not any(lp == pos and all(map(le, lm, mono))
-               for pos, mono in work for (lp, lm), _, _ in gb._entries):
+               for pos, p in enumerate(_coords(f, gb.rank)) for mono, _ in p.terms
+               for (lp, lm), _, _ in gb._entries):
         return f
     keyfn, fld = _key_fn(gb.sig.order), gb.sig.field
-    nf = _unscale(*_reduce_full(work, gb._entries, keyfn, fld), fld)
+    nf = _unscale(*_reduce_value(f, gb.rank, gb._entries, keyfn, fld), fld)
     if isinstance(f, Poly):
         return _terms_to_poly(nf, gb.sig)
     return _terms_to_vector(nf, gb.sig, gb.rank)
@@ -502,8 +498,9 @@ class Span:
         fld = sig.field
         inputs = []
         for i, v in enumerate(vectors):
-            terms = _as_terms(v, rank)
-            terms[(rank + i, (0,) * sig.nvars)] = fld.one
+            # the unit tail is den, so the input is den * (v, e_i)
+            den, terms = _as_terms(v, rank, fld)
+            terms[(rank + i, (0,) * sig.nvars)] = den
             inputs.append(terms)
         self._keyfn = _key_fn(sig.order)
         self._aug = _buchberger_terms(
@@ -520,7 +517,7 @@ class Span:
     def lift(self, v):
         """Coefficients a with v = sum a_i * vectors_i modulo D, or None."""
         fld = self.sig.field
-        nf, scale = _reduce_full(_as_terms(v, self.rank), self._aug, self._keyfn, fld)
+        nf, scale = _reduce_value(v, self.rank, self._aug, self._keyfn, fld)
         if any(t[0] < self.rank for t in nf):
             return None
         nf = _unscale(nf, scale, fld)
@@ -555,20 +552,21 @@ class IncrementalSpan:
         self._entries = _ideal_block(ideal, rank, self.caps)
         if vectors:
             self._entries = _buchberger_terms(
-                [_as_terms(v, rank) for v in vectors], sig.order, sig.field,
-                self.caps, rank, seeded=self._entries,
+                [_as_terms(v, rank, sig.field)[1] for v in vectors], sig.order,
+                sig.field, self.caps, rank, seeded=self._entries,
             )
 
     def contains(self, v) -> bool:
         return not self._reduce(v)[0]
 
-    def normal_form_terms(self, v):
-        """The exact normal form of v, as a field-valued term dict."""
-        return _unscale(*self._reduce(v), self.sig.field)
+    def normal_form(self, v) -> FreeVector:
+        """The exact normal form of v modulo the span."""
+        nf = _unscale(*self._reduce(v), self.sig.field)
+        return _terms_to_vector(nf, self.sig, self.rank)
 
     def _reduce(self, v):
-        return _reduce_full(_as_terms(v, self.rank), self._entries, self._keyfn,
-                            self.sig.field, self.caps)
+        return _reduce_value(v, self.rank, self._entries, self._keyfn,
+                             self.sig.field, self.caps)
 
     def add(self, v) -> bool:
         """Absorb a vector; True exactly when it was not already in the span."""
@@ -640,26 +638,23 @@ def ideal_quotient(ideal: Ideal, f: Poly, caps: Caps = None) -> Ideal:
     return Ideal(ideal.sig, tuple(g for g in firsts if not g.is_zero))
 
 
-def krull_dimension(ideal: Ideal, caps: Caps = None) -> int:
-    """dim(ambient/I) via independent variable sets of the lead-term ideal."""
+def lead_covers(ideal: Ideal, caps: Caps = None):
+    """Variable index sets meeting the support of every lead term of the
+    ideal's basis, in bitmask order; every set for the zero ideal."""
     n = ideal.sig.nvars
-    if not ideal.generators:
-        return n
-    gb = ideal.gb(caps)
-    if gb.contains_unit():
+    supports = [frozenset(i for i, e in enumerate(lt[1]) if e)
+                for lt, _, _ in ideal.gb(caps)._entries]
+    subsets = (frozenset(i for i in range(n) if (mask >> i) & 1)
+               for mask in range(1 << n))
+    return [c for c in subsets if all(s & c for s in supports)]
+
+
+def krull_dimension(ideal: Ideal, caps: Caps = None) -> int:
+    """dim(ambient/I): nvars minus the smallest cover of the lead supports,
+    whose complement is a largest independent variable set."""
+    if ideal.generators and ideal.gb(caps).contains_unit():
         raise ValueError("unit ideal has no dimension")
-    supports = []
-    for g in gb.generators:
-        m = g.leading_monomial()
-        supports.append(frozenset(i for i, e in enumerate(m) if e))
-    best = 0
-    for mask in range(1 << n):
-        subset = {i for i in range(n) if (mask >> i) & 1}
-        if len(subset) <= best:
-            continue
-        if all(not s <= subset for s in supports):
-            best = len(subset)
-    return best
+    return ideal.sig.nvars - min(map(len, lead_covers(ideal, caps)))
 
 
 def _fresh_var(sig, base="t"):

@@ -34,7 +34,6 @@ from .groebner import (
     Ideal,
     IncrementalSpan,
     Span,
-    _terms_to_vector,
     _unscale,
     ideal_quotient,
     intersect_ideals,
@@ -213,9 +212,9 @@ def subquotient(ring, coord_degrees, numerators, relations, caps=None,
     # a normal form against a span seeded with ideal*S^rank is reduced in R
     reduced = []
     for v in numerators:
-        nf = den_span.normal_form_terms(v)
-        if nf:
-            reduced.append(_terms_to_vector(nf, ring.sig, rank))
+        nf = den_span.normal_form(v)
+        if not nf.is_zero:
+            reduced.append(nf)
             if not want_module:
                 break
     if not want_module:

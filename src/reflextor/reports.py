@@ -11,7 +11,7 @@ import json
 
 from . import __version__
 from .caps import CapExceeded, ComputationCancelled
-from .fields import QQ
+from .fields import GF, QQ
 from .graphs import graph_rank, hh_graph
 from .groebner import FreeVector, buchberger, verify_groebner
 from .homology import (
@@ -30,12 +30,14 @@ from .modules import (
     localized_rank,
     minimize,
     module_from_rows,
+    ring_membership_span,
 )
 from .parse import parse_poly
+from .poly import RingSignature
 from .rigidity import rigidity_search
-from .rings import RIdeal
+from .rings import QuotientRing, RIdeal
 from .serre import is_reflexive, n_torsion_free
-from .session import Session, SessionError, rigidity_assertion_from
+from .session import Session, SessionError, int_field, rigidity_assertion_from
 from .verify import PIPELINES
 
 EXIT_OK, EXIT_VERIFICATION, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
@@ -63,20 +65,25 @@ def _depth_value(d):
     return "infinity" if d == INFINITE_DEPTH else d
 
 
-def _get_module(session, name):
-    if name not in session.modules:
-        raise SessionError(f"task references unknown module {name!r}")
+def _get_module(session, task, key):
+    """The module named by the task field `key`; a missing field or a name
+    of no module is an input error naming the field."""
+    name = task.get(key)
+    if not isinstance(name, str) or name not in session.modules:
+        raise SessionError(f"task field {key!r} names no module: {name!r}")
     return session.modules[name]
 
 
-def _task_name(task, index):
-    return task.get("name", f"task-{index}")
+def _int_task_field(task, key, default):
+    """The integer task field `key`, `default` when absent (None stays None)."""
+    value = task.get(key, default)
+    return value if value is None else int_field(value, key)
 
 
 def run_task(session: Session, task: dict, index: int) -> dict:
     kind = task["task"]
     caps = session.caps.fresh()
-    out = {"name": _task_name(task, index), "kind": kind}
+    out = {"name": task.get("name", f"task-{index}"), "kind": kind}
     try:
         result, ok = _dispatch(session, task, caps)
         out["result"] = result
@@ -84,8 +91,6 @@ def run_task(session: Session, task: dict, index: int) -> dict:
     except (CapExceeded, ComputationCancelled) as e:
         out["status"] = "cap_exceeded"
         out["result"] = {"error": str(e)}
-    except SessionError:
-        raise
     return out
 
 
@@ -100,7 +105,7 @@ def _dispatch(session: Session, task: dict, caps):
     kind = task["task"]
     ring = session.ring
     if kind in ("reflexive", "torsionless"):
-        m = _get_module(session, task["module"])
+        m = _get_module(session, task, "module")
         rep = is_reflexive(m, caps)
         verdict = rep.reflexive if kind == "reflexive" else rep.torsionless
         result = {
@@ -115,8 +120,8 @@ def _dispatch(session: Session, task: dict, caps):
         }
         return result, _expect_check(task, "expect", verdict)
     if kind == "ntf":
-        m = _get_module(session, task["module"])
-        rep = n_torsion_free(m, int(task.get("n", 1)), caps)
+        m = _get_module(session, task, "module")
+        rep = n_torsion_free(m, _int_task_field(task, "n", 1), caps)
         result = {
             "module": task["module"],
             "verdicts": list(rep.verdicts),
@@ -124,12 +129,15 @@ def _dispatch(session: Session, task: dict, caps):
         }
         return result, _expect_check(task, "expect", list(rep.verdicts))
     if kind in ("tor", "ext"):
-        left = _get_module(session, task["left"])
-        right = _get_module(session, task["right"])
+        left = _get_module(session, task, "left")
+        right = _get_module(session, task, "right")
         if "range" in task:
-            lo, hi = task["range"]
+            bounds = task["range"]
+            if not isinstance(bounds, list) or len(bounds) != 2:
+                raise SessionError(f"task field 'range' must be [lo, hi]: {bounds!r}")
+            lo, hi = (int_field(b, "range") for b in bounds)
         else:
-            lo = hi = int(task.get("i", 1))
+            lo = hi = _int_task_field(task, "i", 1)
         fn = tor if kind == "tor" else ext
         entries = []
         all_zero = True
@@ -151,8 +159,8 @@ def _dispatch(session: Session, task: dict, caps):
         result = {"left": task["left"], "right": task["right"], "values": entries}
         return result, _expect_check(task, "expect_zero", all_zero)
     if kind == "resolve":
-        m = _get_module(session, task["module"])
-        length = int(task.get("length", caps.resolution_length))
+        m = _get_module(session, task, "module")
+        length = _int_task_field(task, "length", caps.resolution_length)
         res = free_resolution(m, length, caps)
         result = {
             "module": task["module"],
@@ -169,7 +177,7 @@ def _dispatch(session: Session, task: dict, caps):
         }
         return result, True
     if kind == "pd":
-        m = _get_module(session, task["module"])
+        m = _get_module(session, task, "module")
         r = pd(m, caps)
         result = {
             "module": task["module"],
@@ -180,16 +188,17 @@ def _dispatch(session: Session, task: dict, caps):
         expected_ok = _expect_check(task, "expect", r.value)
         return result, expected_ok
     if kind == "depth":
-        m = _get_module(session, task["module"])
+        m = _get_module(session, task, "module")
         d = depth(m, caps)
         return (
             {"module": task["module"], "value": _depth_value(d)},
             _expect_check(task, "expect", _depth_value(d)),
         )
     if kind == "depth-formula":
-        left = _get_module(session, task["left"])
-        right = _get_module(session, task["right"])
-        rep = depth_formula_check(left, right, task.get("window"), caps)
+        left = _get_module(session, task, "left")
+        right = _get_module(session, task, "right")
+        window = _int_task_field(task, "window", None)
+        rep = depth_formula_check(left, right, window, caps)
         result = {
             "left": task["left"],
             "right": task["right"],
@@ -205,7 +214,7 @@ def _dispatch(session: Session, task: dict, caps):
         }
         return result, _expect_check(task, "expect", rep.holds)
     if kind == "is-torsion":
-        m = _get_module(session, task["module"])
+        m = _get_module(session, task, "module")
         verdict = is_torsion(m, caps)
         return (
             {"module": task["module"], "verdict": verdict},
@@ -223,7 +232,7 @@ def _dispatch(session: Session, task: dict, caps):
         return ({"graph": g.describe()},
                 _expect_check(task, "expect_connected", g.is_connected()))
     if kind == "graph-rank":
-        m = _get_module(session, task["module"])
+        m = _get_module(session, task, "module")
         g = hh_graph(ring, caps)
         r = graph_rank(m, g, caps)
         result = {
@@ -235,7 +244,7 @@ def _dispatch(session: Session, task: dict, caps):
         }
         return result, _expect_check(task, "expect", r.kind)
     if kind == "localized-rank":
-        m = _get_module(session, task["module"])
+        m = _get_module(session, task, "module")
         prime = RIdeal(
             ring,
             tuple(parse_poly(t, ring.sig) for t in task["prime"]),
@@ -255,14 +264,14 @@ def _dispatch(session: Session, task: dict, caps):
         if key not in PIPELINES:
             raise SessionError(f"unknown pipeline {key!r}")
         name, fn = PIPELINES[key]
-        left = _get_module(session, task["left"])
-        right = _get_module(session, task["right"])
-        kwargs = {"caps": caps, "window": task.get("window")}
+        left = _get_module(session, task, "left")
+        right = _get_module(session, task, "right")
+        kwargs = {"caps": caps, "window": _int_task_field(task, "window", None)}
         if key == "thm3.1":
-            rep = fn(left, right, int(task.get("n", 1)),
+            rep = fn(left, right, _int_task_field(task, "n", 1),
                      rigidity_assertion_from(task.get("rigidity")), **kwargs)
         elif key == "cor4.6":
-            rep = fn(left, right, int(task.get("n", 1)),
+            rep = fn(left, right, _int_task_field(task, "n", 1),
                      rigidity_assertion_from(task.get("rigidity")),
                      height_one_primes=session.height_one_primes, **kwargs)
         elif key == "thm1.2":
@@ -275,8 +284,8 @@ def _dispatch(session: Session, task: dict, caps):
         return rep.as_dict(), ok
     if kind == "rigidity-search":
         names = task.get("catalog") or sorted(session.modules)
-        catalog = [_get_module(session, n) for n in names]
-        window = int(task.get("window", 3))
+        catalog = [_get_module(session, {"catalog": n}, "catalog") for n in names]
+        window = _int_task_field(task, "window", 3)
         violations = rigidity_search(ring, catalog, window, caps)
         result = {
             "catalog": list(names),
@@ -410,10 +419,6 @@ def revalidate_report(report: dict) -> list:
     if "error" in report:
         return problems
     ringspec = report["ring"]
-    from .fields import GF
-    from .poly import RingSignature
-    from .rings import QuotientRing
-
     fld = QQ if ringspec["field"] == "QQ" else GF(ringspec["field"]["prime"])
     sig = RingSignature(fld, tuple(ringspec["vars"]))
     gens = [parse_poly(t, sig) for t in ringspec["ideal"]]
@@ -453,15 +458,13 @@ def _presentations_in(result):
             yield from _presentations_in(v)
 
 
+def _parse_vectors(sig, cols):
+    return [FreeVector(sig, tuple(parse_poly(s, sig) for s in col)) for col in cols]
+
+
 def _recheck_resolution(ring, r, name):
     problems = []
-    sig = ring.sig
-    diffs = []
-    for step in r["differentials"]:
-        cols = [
-            FreeVector(sig, tuple(parse_poly(s, sig) for s in col)) for col in step
-        ]
-        diffs.append(cols)
+    diffs = [_parse_vectors(ring.sig, step) for step in r["differentials"]]
     for k in range(1, len(diffs)):
         prev, cur = diffs[k - 1], diffs[k]
         rank = prev[0].rank if prev else 0
@@ -478,23 +481,12 @@ def _recheck_resolution(ring, r, name):
 
 
 def _recheck_membership(ring, entry, name):
-    problems = []
-    sig = ring.sig
     cert = entry.get("certificate", {})
-    kgens = [
-        FreeVector(sig, tuple(parse_poly(s, sig) for s in col))
-        for col in cert.get("kernel_generators", [])
-    ]
-    rels = [
-        FreeVector(sig, tuple(parse_poly(s, sig) for s in col))
-        for col in cert.get("relations", [])
-    ]
+    kgens = _parse_vectors(ring.sig, cert.get("kernel_generators", []))
     if not kgens:
-        return problems
-    from .modules import ring_membership_span
-
+        return []
+    rels = _parse_vectors(ring.sig, cert.get("relations", []))
     span = ring_membership_span(ring, kgens[0].rank, rels)
-    contained = all(span.contains(k) for k in kgens)
-    if contained != entry["is_zero"]:
-        problems.append(f"{name}: membership recheck disagrees with is_zero")
-    return problems
+    if all(span.contains(k) for k in kgens) != entry["is_zero"]:
+        return [f"{name}: membership recheck disagrees with is_zero"]
+    return []

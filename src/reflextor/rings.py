@@ -15,6 +15,7 @@ from .groebner import (
     Ideal,
     intersect_ideals,
     krull_dimension,
+    lead_covers,
     normal_form,
     radical_membership,
 )
@@ -118,19 +119,6 @@ class QuotientRing:
         self._min_primes = primes
         return primes
 
-    def _monomial_covers(self):
-        """Variable index sets meeting the support of every lead term of
-        the defining basis, in bitmask order: for a monomial ideal, the
-        variable-generated primes containing it."""
-        n = self.sig.nvars
-        supports = [
-            frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-            for g in self.ideal.gb().generators
-        ]
-        subsets = (frozenset(i for i in range(n) if (mask >> i) & 1)
-                   for mask in range(1 << n))
-        return [c for c in subsets if all(s & c for s in supports)]
-
     def _variable_prime(self, cover):
         gens = tuple(
             Poly.variable(self.sig, self.sig.variables[i]) for i in sorted(cover)
@@ -138,7 +126,7 @@ class QuotientRing:
         return RIdeal(self, gens, prime_status="verified")
 
     def _monomial_minimal_primes(self):
-        covers = self._monomial_covers()
+        covers = lead_covers(self.ideal)
         minimal = [c for c in covers if not any(d < c for d in covers)]
         minimal.sort(key=lambda c: (len(c), sorted(c)))
         return [self._variable_prime(c) for c in minimal]
@@ -209,19 +197,19 @@ class QuotientRing:
     # -- dimension theory -------------------------------------------------
     def is_equidimensional(self, caps: Caps = None) -> bool:
         primes = self.minimal_primes(caps=caps)
-        dims = {
-            krull_dimension(Ideal(self.sig, p.generators), caps) if p.generators
-            else self.sig.nvars
-            for p in primes
-        }
+        dims = {krull_dimension(Ideal(self.sig, p.generators), caps) for p in primes}
         return len(dims) == 1
 
-    def height(self, j: "RIdeal", caps: Caps = None) -> int:
-        """height(J) = dim R - dim R/J, guarded by equidimensionality."""
+    def _require_equidimensional(self, caps: Caps = None):
+        """The guard of every height read as a codimension."""
         if not self.is_equidimensional(caps):
             raise RingConstructionError(
                 "height via codimension refused: ring is not equidimensional"
             )
+
+    def height(self, j: "RIdeal", caps: Caps = None) -> int:
+        """height(J) = dim R - dim R/J, guarded by equidimensionality."""
+        self._require_equidimensional(caps)
         lifted = Ideal(self.sig, self.ideal.generators + j.generators)
         if not lifted.is_proper(caps):
             raise ValueError("height of the unit ideal")
@@ -231,12 +219,16 @@ class QuotientRing:
         """All variable-generated primes containing I of height <= bound.
 
         Only available for monomial defining ideals, where these are
-        enumerable; used to stock Y^1 checks without caller input.
+        enumerable; used to stock Y^1 checks without caller input.  The
+        prime P on a cover c contains I, so height(P) = dim R - (nvars -
+        |c|), read from |c|: P's generators drop the variables in I.
         """
         if not self.is_monomial():
             raise UnsupportedIdealClass("monomial prime enumeration needs a monomial ideal")
-        primes = map(self._variable_prime, self._monomial_covers())
-        out = [p for p in primes if self.height(p, caps) <= bound]
+        self._require_equidimensional(caps)
+        n = self.sig.nvars
+        out = [self._variable_prime(c) for c in lead_covers(self.ideal)
+               if self.dim - (n - len(c)) <= bound]
         out.sort(key=lambda p: (len(p.generators), str(p)))
         return out
 

@@ -53,26 +53,40 @@ class Session:
     source: dict = None
 
 
+def int_field(value, name):
+    """The integer value of the session field `name`; a value that is not
+    an integer is an input error naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SessionError(f"field {name!r} must be an integer: {value!r}") from None
+
+
 def _parse_field(spec):
     if spec in ("QQ", "Q", "rationals", None):
         return QQ
     if isinstance(spec, dict) and "prime" in spec:
-        return GF(int(spec["prime"]))
+        p = int_field(spec["prime"], "ring.field.prime")
+        try:
+            return GF(p)
+        except ValueError as e:
+            raise SessionError(f"unrecognized field spec: {e}") from None
     raise SessionError(f"unrecognized field spec: {spec!r}")
 
 
+_CAP_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
+               "resolution": "resolution_length", "tor_window": "tor_window"}
+
+
 def _parse_caps(spec, overrides=None) -> Caps:
+    if not isinstance(spec, (dict, type(None))):
+        raise SessionError(f"caps must be an object, got {spec!r}")
     spec = dict(spec or {})
     spec.update({k: v for k, v in (overrides or {}).items() if v is not None})
     caps = Caps()
-    if "pairs" in spec:
-        caps.max_pairs = int(spec["pairs"])
-    if "degree" in spec:
-        caps.max_degree = int(spec["degree"])
-    if "resolution" in spec:
-        caps.resolution_length = int(spec["resolution"])
-    if "tor_window" in spec:
-        caps.tor_window = int(spec["tor_window"])
+    for key, attr in _CAP_FIELDS.items():
+        if key in spec:
+            setattr(caps, attr, int_field(spec[key], f"caps.{key}"))
     return caps
 
 
@@ -211,7 +225,7 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
     if op == "pushforward":
         return pushforward(base, caps).module
     if op == "syzygy":
-        return syzygy(base, int(expr.get("n", 1)), caps)
+        return syzygy(base, int_field(expr.get("n", 1), f"module {name}.n"), caps)
     raise SessionError(f"module {name!r}: unhandled op {op!r}")
 
 

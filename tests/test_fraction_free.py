@@ -12,8 +12,16 @@ from fractions import Fraction
 
 import pytest
 
+from reflextor import groebner
 from reflextor.fields import QQ
-from reflextor.groebner import FreeVector, Span, buchberger, normal_form, verify_groebner
+from reflextor.groebner import (
+    FreeVector,
+    IncrementalSpan,
+    Span,
+    buchberger,
+    normal_form,
+    verify_groebner,
+)
 from reflextor.hilbert import vector_degree
 from reflextor.poly import Poly, RingSignature
 
@@ -89,6 +97,10 @@ def member(kind, gens, v):
     return in_module(gens, v)
 
 
+def rank_of(kind):
+    return 1 if kind == "ideal" else 2
+
+
 @pytest.mark.parametrize("kind,seed", CASES)
 def test_basis_checks_and_spans_the_input(kind, seed):
     gens = gens_of(kind, seed)
@@ -115,9 +127,12 @@ def test_normal_forms_are_exact(kind, seed):
                           Poly.zero(SIG)))
     else:
         probes.append(gens[0].poly_mul(form(rng, 2, 2)) + gens[1].poly_mul(form(rng, 1, 2)))
+    span = IncrementalSpan(SIG, rank_of(kind), gens)
     for f in probes:
         nf = normal_form(f, gb)
         assert all(type(c) is Fraction for c in coefficients(nf))
+        assert span.contains(f) == member(kind, gens, f)
+        assert span.contains(f - nf)
         c = rational(rng)
         scaled = f.scale(c) if kind == "ideal" else f.poly_mul(Poly.constant(SIG, c))
         expect = nf.scale(c) if kind == "ideal" else nf.poly_mul(Poly.constant(SIG, c))
@@ -129,8 +144,7 @@ def test_normal_forms_are_exact(kind, seed):
 @pytest.mark.parametrize("kind,seed", CASES)
 def test_lift_witnesses_recombine(kind, seed):
     gens = gens_of(kind, seed)
-    rank = 1 if kind == "ideal" else 2
-    span = Span(SIG, rank, gens)
+    span = Span(SIG, rank_of(kind), gens)
     rng = random.Random(2000 + seed)
     for _ in range(3):
         if kind == "ideal":
@@ -147,3 +161,35 @@ def test_lift_witnesses_recombine(kind, seed):
             rebuilt = sum((g.poly_mul(a) for a, g in zip(coeffs, gens)),
                           FreeVector.zero(SIG, 2))
         assert rebuilt == v
+
+
+@pytest.mark.parametrize("kind,seed", CASES)
+def test_engine_sees_only_integers(kind, seed, monkeypatch):
+    """`_reduce_full` and `_entry` are past the `_as_terms` boundary: every
+    coefficient they receive is an int, whatever the public entry point."""
+    seen = []
+
+    def watch(name):
+        inner = getattr(groebner, name)
+
+        def wrapper(terms, *args, **kwargs):
+            seen.extend(type(c) for c in terms.values())
+            return inner(terms, *args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, wrapper)
+
+    watch("_reduce_full")
+    watch("_entry")
+    gens = gens_of(kind, seed)
+    rng = random.Random(3000 + seed)
+    probe = form(rng, 3) if kind == "ideal" else vector(rng, 3)
+    gb = buchberger(gens)
+    normal_form(probe, gb)
+    span = Span(SIG, rank_of(kind), gens)
+    span.lift(probe)
+    span.syzygies()
+    inc = IncrementalSpan(SIG, rank_of(kind), gens[:1])
+    for g in gens[1:]:
+        inc.add(g)
+    inc.contains(probe)
+    assert seen and set(seen) == {int}

@@ -12,9 +12,9 @@ from reflextor.groebner import (
     Ideal,
     IncrementalSpan,
     Span,
+    _as_terms,
     _buchberger_terms,
     _ideal_block,
-    _vector_terms,
     buchberger,
     ideal_quotient,
     intersect_ideals,
@@ -322,9 +322,9 @@ class TestSeededQueue:
             return Poly.from_dict(sig, {m: fld.from_int(rng.randint(1, 5)) for m in picks})
 
         def vector(d):
-            return _vector_terms(
-                FreeVector(sig, tuple(form(d - cd) for cd in coord_degrees))
-            )
+            return _as_terms(
+                FreeVector(sig, tuple(form(d - cd) for cd in coord_degrees)), 2, fld
+            )[1]
 
         def run(inputs, seeded=()):
             return _buchberger_terms(inputs, sig.order, fld, Caps(), 2, seeded=seeded)
@@ -338,13 +338,14 @@ class TestSeededQueue:
         block = _ideal_block(ideal, 2)
         assert len(block) == 2 * len(ideal.gb()._entries)
         relations = [
-            _vector_terms(FreeVector(sig, (g, Poly.zero(sig))))
+            _as_terms(FreeVector(sig, (g, Poly.zero(sig))), 2, fld)[1]
             for g in ideal.generators
         ] + [
-            _vector_terms(FreeVector(sig, (Poly.zero(sig), g)))
+            _as_terms(FreeVector(sig, (Poly.zero(sig), g)), 2, fld)[1]
             for g in ideal.generators
         ]
-        c = b[:1] + [_vector_terms(FreeVector(sig, (x * y * z, Poly.zero(sig))))]
+        xyz = FreeVector(sig, (x * y * z, Poly.zero(sig)))
+        c = b[:1] + [_as_terms(xyz, 2, fld)[1]]
         seeded = run(c, seeded=block)
         assert seeded == run(c + relations)
         # some block entries come through untouched and some do not

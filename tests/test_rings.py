@@ -3,7 +3,7 @@
 import pytest
 
 from reflextor.fields import QQ
-from reflextor.groebner import Ideal, radical_membership
+from reflextor.groebner import Ideal, lead_covers, radical_membership
 from reflextor.parse import parse_poly
 from reflextor.rings import (
     QuotientRing,
@@ -173,6 +173,27 @@ class TestHeight:
         assert ("x", "z") in named
         assert ("x",) in named and ("y",) in named
         assert ("x", "z", "w") not in named
+
+    @pytest.mark.parametrize(
+        "fixture", ["ring_a", "ring_b", "ring_c", "ring_regular", None]
+    )
+    def test_enumeration_equals_filtering_covers_by_height(self, fixture, request):
+        # None: Q[x,y,z]/(x, yz), where x lies in I, so the prime on the
+        # cover {x, y} has the one generator y and its height is not read
+        # from its generator count
+        ring = (request.getfixturevalue(fixture) if fixture
+                else make_ring(QQ, ["x", "y", "z"], ["x", "y*z"]))
+        primes = [ring._variable_prime(c) for c in lead_covers(ring.ideal)]
+        for bound in range(ring.sig.nvars + 1):
+            expect = sorted((p for p in primes if ring.height(p) <= bound),
+                            key=lambda p: (len(p.generators), str(p)))
+            got = ring.monomial_primes_of_height_at_most(bound)
+            assert [str(p) for p in got] == [str(p) for p in expect]
+
+    def test_enumeration_keeps_the_equidimensionality_guard(self):
+        ring = make_ring(QQ, ["x", "y", "z"], ["x*y", "x*z"])
+        with pytest.raises(RingConstructionError):
+            ring.monomial_primes_of_height_at_most(1)
 
 
 class TestDepthCertificates:

@@ -325,6 +325,24 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "position" in proc.stderr
 
+    @pytest.mark.parametrize("change,field", [
+        (lambda doc: doc.update(caps={"pairs": "abc"}), "caps.pairs"),
+        (lambda doc: doc.update(caps={"resolution": [1]}), "caps.resolution"),
+        (lambda doc: doc.update(tasks=[{"task": "pd"}]), "module"),
+        (lambda doc: doc.update(tasks=[{"task": "tor", "left": "M", "right": "N",
+                                        "i": "x"}]), "i"),
+    ], ids=["caps-pairs", "caps-resolution", "pd-no-module", "tor-i"])
+    def test_malformed_field_exits_two_naming_it(self, tmp_path, change, field):
+        doc = _document()
+        change(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "input error" in proc.stdout + proc.stderr
+        assert repr(field) in proc.stdout + proc.stderr
+
     def test_missing_file_exits_two(self):
         proc = run_cli("run", "/nonexistent/session.json")
         assert proc.returncode == 2, proc.stderr
