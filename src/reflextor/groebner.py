@@ -12,7 +12,12 @@ reduced to zero).  Only tracked inputs carry tails.  The relations D a
 query works modulo are one membership span (`IncrementalSpan`), whose
 reduced basis seeds the run with zero tails; the tails of the result are
 then exactly those of a fully tailed run with the untracked positions
-dropped, because those positions are the lowest ones.
+dropped, because those positions are the lowest ones.  All of these runs
+go through one pair queue (`_PairQueue`).  The graded-Nakayama scan
+grows a copy of D through the same queue, kept across offers and
+drained only up to each offered degree, with no interreduction: a
+homogeneous vector of degree delta lies in the span exactly when it
+reduces to zero against a basis truncated at delta.
 
 Field values cross two boundaries.  `_as_terms` is the way in: it turns
 a polynomial or vector v into (den, terms), a fresh dict of Python ints
@@ -271,96 +276,112 @@ def _spair(e1, e2, fld):
     return fld.normalized(acc)
 
 
-def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
-    """The one pair queue; returns the interreduced basis as entry triples.
+class _PairQueue:
+    """The one pair queue: a basis list, its pending pairs and their heap.
 
-    `inputs` are term dicts.  `seeded` are entry triples that must already
-    form a reduced basis: normalized as `_entry` leaves them, and no term
-    of one divisible by the lead of another in its position, as an earlier
-    result of this function or `_ideal_block` gives.  The result is the
-    reduced basis of their span together with the inputs.  Pairs are taken
-    from a heap of (deg lcm, j, i, lcm), lcm computed once at queueing;
-    `pending` mirrors it for the chain criterion, which with the product
-    criterion (rank one only) drops pairs before they are reduced.
+    The `seeded` entries must already form a reduced basis (normalized as
+    `_entry` leaves them, no term of one divisible by another's lead in
+    its position), as `reduced` or `_ideal_block` gives; their pairs are
+    never queued and count as treated for the chain criterion.  The heap
+    holds (key, j, i, lcm), lcm computed once, and `pending` mirrors it.
+    A pair's key is deg lcm or, in a `graded` queue, its vector degree
+    deg lcm + delta_j - deg lead_j, where j, the newer entry, is never
+    seeded and was pushed with its vector degree delta_j.
     """
-    keyfn = _key_fn(order)
-    basis = list(seeded)
-    n_seeded = len(basis)
-    for terms in inputs:
-        if terms:
-            basis.append(_entry(terms, keyfn, fld))
 
-    pending, heap = set(), []
+    def __init__(self, seeded, order, fld, caps: Caps, rank: int, graded=False):
+        self.keyfn = _key_fn(order)
+        self.fld, self.caps, self.rank, self.graded = fld, caps, rank, graded
+        self.basis = list(seeded)
+        self.n_seeded = len(self.basis)
+        self.pending, self.heap = set(), []
 
-    def queue_pairs(j):
+    def push(self, terms, delta=None):
+        """Append the entry of a nonzero integer term dict, of vector degree
+        `delta` in a graded queue, and queue its pairs."""
+        basis, j = self.basis, len(self.basis)
+        basis.append(_entry(terms, self.keyfn, self.fld))
         (pj, mj) = basis[j][0]
+        shift = delta - degree(mj) if self.graded else 0
         for i in range(j):
             (pi, mi) = basis[i][0]
             if pi == pj:
                 lcm = mono_lcm(mi, mj)
-                pending.add((i, j))
-                heapq.heappush(heap, (degree(lcm), j, i, lcm))
+                self.pending.add((i, j))
+                heapq.heappush(self.heap, (degree(lcm) + shift, j, i, lcm))
 
-    # Pairs of two seeded entries are never queued: the seeded entries form
-    # a basis, so their S-pairs already reduce to zero, and they count as
-    # treated for the chain criterion below.
-    for j in range(n_seeded, len(basis)):
-        queue_pairs(j)
-
-    while heap:
-        d, j, i, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        caps.tick(d)
-        (pi, mi) = basis[i][0]
-        (pj, mj) = basis[j][0]
-        # product criterion is only sound for rank-one (polynomial) input
-        if rank == 1 and lcm == mono_mul(mi, mj):
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+    def drain(self, bound=None):
+        """Treat the pairs of key at most `bound` (all without one), smallest
+        first: the chain criterion and, for rank one only, the product
+        criterion drop a pair, else its remainder, if any, is pushed."""
+        basis, pending, heap, fld = self.basis, self.pending, self.heap, self.fld
+        while heap and (bound is None or heap[0][0] <= bound):
+            d, j, i, lcm = heapq.heappop(heap)
+            pending.discard((i, j))
+            self.caps.tick(degree(lcm))
+            (pi, mi) = basis[i][0]
+            (pj, mj) = basis[j][0]
+            # product criterion is only sound for rank-one (polynomial) input
+            if self.rank == 1 and lcm == mono_mul(mi, mj):
                 continue
-            (pk, mk) = basis[k][0]
-            if pk == pi and mono_divides(mk, lcm):
-                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        nf, _ = _reduce_full(_spair(basis[i], basis[j], fld), basis, keyfn, fld, caps)
-        if not nf:
-            continue
-        basis.append(_entry(nf, keyfn, fld))
-        queue_pairs(len(basis) - 1)
+            skip = False
+            for k in range(len(basis)):
+                if k in (i, j):
+                    continue
+                (pk, mk) = basis[k][0]
+                if pk == pi and mono_divides(mk, lcm):
+                    a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
+                    if a not in pending and b not in pending:
+                        skip = True
+                        break
+            if skip:
+                continue
+            nf, _ = _reduce_full(_spair(basis[i], basis[j], fld), basis, self.keyfn,
+                                 fld, self.caps)
+            if nf:
+                self.push(nf, d)
 
-    # minimalize, smallest lead first: drop entries whose lead is divisible by
-    # another lead; stable under reverse=True, the sort keeps a seeded entry
-    # over a new one with the same lead
-    kept = []
-    for k in sorted(range(len(basis)), key=lambda k: keyfn(basis[k][0]), reverse=True):
-        (p, m) = basis[k][0]
-        if not any(
-            basis[x][0][0] == p and mono_divides(basis[x][0][1], m) for x in kept
-        ):
-            kept.append(k)
-    # tail-reduce and normalize.  A kept seeded entry is already
-    # reduced against the other seeded ones, so it needs work only when the
-    # lead of a kept new entry divides one of its terms.
-    fresh = [basis[k][0] for k in kept if k >= n_seeded]
-    reduced = []
-    for k in kept:
-        e = basis[k]
-        if k < n_seeded and not any(
-            fp == p and mono_divides(fm, m) for (p, m) in e[2] for (fp, fm) in fresh
-        ):
-            reduced.append(e)
-            continue
-        others = [basis[x] for x in kept if x != k]
-        nf, _ = _reduce_full(dict(e[2]), others, keyfn, fld, caps)
-        reduced.append(_entry(nf, keyfn, fld))
-    reduced.sort(key=lambda e: keyfn(e[0]), reverse=True)
-    return reduced
+    def reduced(self):
+        """The reduced basis of the entries' span; the queue must be drained."""
+        basis, keyfn, n_seeded = self.basis, self.keyfn, self.n_seeded
+        # minimalize, smallest lead first: drop entries whose lead is divisible by
+        # another lead; stable under reverse=True, the sort keeps a seeded entry
+        # over a new one with the same lead
+        kept = []
+        for k in sorted(range(len(basis)), key=lambda k: keyfn(basis[k][0]), reverse=True):
+            (p, m) = basis[k][0]
+            if not any(
+                basis[x][0][0] == p and mono_divides(basis[x][0][1], m) for x in kept
+            ):
+                kept.append(k)
+        # tail-reduce and normalize.  A kept seeded entry is already
+        # reduced against the other seeded ones, so it needs work only when the
+        # lead of a kept new entry divides one of its terms.
+        fresh = [basis[k][0] for k in kept if k >= n_seeded]
+        reduced = []
+        for k in kept:
+            e = basis[k]
+            if k < n_seeded and not any(
+                fp == p and mono_divides(fm, m) for (p, m) in e[2] for (fp, fm) in fresh
+            ):
+                reduced.append(e)
+                continue
+            others = [basis[x] for x in kept if x != k]
+            nf, _ = _reduce_full(dict(e[2]), others, keyfn, self.fld, self.caps)
+            reduced.append(_entry(nf, keyfn, self.fld))
+        reduced.sort(key=lambda e: keyfn(e[0]), reverse=True)
+        return reduced
+
+
+def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
+    """One full run of the pair queue: the reduced basis, as entry triples,
+    of the span of the `seeded` entries and the term dicts `inputs`."""
+    queue = _PairQueue(seeded, order, fld, caps, rank)
+    for terms in inputs:
+        if terms:
+            queue.push(terms)
+    queue.drain()
+    return queue.reduced()
 
 
 # ----------------------------------------------------------------------
@@ -536,12 +557,16 @@ class Span:
 class IncrementalSpan:
     """Membership-only span of a growing vector list, plus ideal*S^rank.
 
-    No tails are carried.  The entries are always a reduced Groebner basis
-    of the span: `ideal`*S^rank is the seeded `_ideal_block`, and `add`
-    reduces the new vector and, when a remainder is left, hands it to the
-    pair queue seeded with the current basis, so only pairs that involve
-    the new element are formed.  `add` rebinds `_entries`, never mutating
-    the list, so a shallow copy grows without touching its original.
+    No tails are carried; `ideal`*S^rank is the seeded `_ideal_block`.
+    `add(v)` reduces v against the reduced basis `_entries` and hands a
+    remainder to the pair queue seeded with it, so only pairs that involve
+    the new element are formed.  `add(v, degree)`, the graded-Nakayama
+    scan's step, keeps one graded `_PairQueue` across calls, drained only
+    to `degree` and never interreduced: mid-scan its entries are a basis
+    only up to the degrees offered.  Any other use (`contains`,
+    `normal_form`, `add` with no degree, `_entries` as a seed) first drains
+    that queue and interreduces.  The list a span started from is never
+    mutated, so a shallow copy of a span with no queue grows alone.
     """
 
     def __init__(self, sig, rank, vectors=(), caps: Caps = None, ideal=None):
@@ -549,12 +574,21 @@ class IncrementalSpan:
         self.rank = rank
         self.caps = caps or DEFAULT_CAPS.fresh()
         self._keyfn = _key_fn(sig.order)
-        self._entries = _ideal_block(ideal, rank, self.caps)
+        self._basis = _ideal_block(ideal, rank, self.caps)
+        self._queue = None
         if vectors:
-            self._entries = _buchberger_terms(
+            self._basis = _buchberger_terms(
                 [_as_terms(v, rank, sig.field)[1] for v in vectors], sig.order,
-                sig.field, self.caps, rank, seeded=self._entries,
+                sig.field, self.caps, rank, seeded=self._basis,
             )
+
+    @property
+    def _entries(self):
+        """The reduced basis of the span, settling a scan's queue first."""
+        if self._queue is not None:
+            self._queue.drain()
+            self._basis, self._queue = self._queue.reduced(), None
+        return self._basis
 
     def contains(self, v) -> bool:
         return not self._reduce(v)[0]
@@ -568,14 +602,28 @@ class IncrementalSpan:
         return _reduce_value(v, self.rank, self._entries, self._keyfn,
                              self.sig.field, self.caps)
 
-    def add(self, v) -> bool:
-        """Absorb a vector; True exactly when it was not already in the span."""
-        nf, _ = self._reduce(v)
+    def add(self, v, degree=None) -> bool:
+        """Absorb a vector; True exactly when it was not already in the span.
+
+        With `degree`, v is homogeneous of that vector degree and the span
+        is being scanned: the queue's pairs up to `degree` are treated, v
+        is reduced against its entries and a remainder joins the queue."""
+        if degree is None:
+            nf, _ = self._reduce(v)
+            if nf:
+                self._basis = _buchberger_terms(
+                    [nf], self.sig.order, self.sig.field, self.caps, self.rank,
+                    seeded=self._basis,
+                )
+            return bool(nf)
+        if self._queue is None:
+            self._queue = _PairQueue(self._basis, self.sig.order, self.sig.field,
+                                     self.caps, self.rank, graded=True)
+        self._queue.drain(degree)
+        nf, _ = _reduce_value(v, self.rank, self._queue.basis, self._keyfn,
+                              self.sig.field, self.caps)
         if nf:
-            self._entries = _buchberger_terms(
-                [nf], self.sig.order, self.sig.field, self.caps, self.rank,
-                seeded=self._entries,
-            )
+            self._queue.push(nf, degree)
         return bool(nf)
 
 

@@ -188,7 +188,8 @@ def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None
 def minimal_generator_indices(ring, rank, vectors, degrees, modulo=None, caps=None):
     """Graded-Nakayama choice of generators of (span(vectors)+D)/D over R,
     D the membership span `modulo` (zero by default); the scan grows a
-    copy charged to `caps`, so D is left as it was."""
+    copy charged to `caps`, so D is left as it was, and the copy, with
+    the pairs it left above the top degree, is dropped on return."""
     span = copy(modulo or ring_membership_span(ring, rank, (), caps))
     span.caps = caps or span.caps
     return minimal_vector_subset(span, vectors, degrees)

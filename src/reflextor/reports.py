@@ -37,7 +37,9 @@ from .poly import RingSignature
 from .rigidity import rigidity_search
 from .rings import QuotientRing, RIdeal
 from .serre import is_reflexive, n_torsion_free
-from .session import Session, SessionError, int_field, rigidity_assertion_from
+from .session import (
+    Session, SessionError, int_field, poly_field, rigidity_assertion_from,
+)
 from .verify import PIPELINES
 
 EXIT_OK, EXIT_VERIFICATION, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
@@ -245,9 +247,12 @@ def _dispatch(session: Session, task: dict, caps):
         return result, _expect_check(task, "expect", r.kind)
     if kind == "localized-rank":
         m = _get_module(session, task, "module")
+        texts = task.get("prime")
+        if not isinstance(texts, list):
+            raise SessionError(f"task field 'prime' must be a list of polynomials: {texts!r}")
         prime = RIdeal(
             ring,
-            tuple(parse_poly(t, ring.sig) for t in task["prime"]),
+            tuple(poly_field(ring.sig, t, "task field 'prime'") for t in texts),
             prime_status="asserted",
         )
         r = localized_rank(m, prime, caps)

@@ -8,6 +8,7 @@ may carry an "expect" field; a mismatch is a verification failure.
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from .caps import Caps
 from .fields import GF, QQ
@@ -62,6 +63,22 @@ def int_field(value, name):
         raise SessionError(f"field {name!r} must be an integer: {value!r}") from None
 
 
+def int_list_field(value, name):
+    """The integers of the list-valued session field `name`."""
+    if not isinstance(value, (list, tuple)):
+        raise SessionError(f"field {name!r} must be a list of integers: {value!r}")
+    return tuple(int_field(v, name) for v in value)
+
+
+def poly_field(sig, text, where):
+    """The polynomial `text` of the session field `where` over `sig`; text
+    the parser rejects is an input error naming the field and position."""
+    try:
+        return parse_poly(text, sig)
+    except PolyParseError as e:
+        raise SessionError(f"bad polynomial in {where}: {text!r}: {e}") from None
+
+
 def _parse_field(spec):
     if spec in ("QQ", "Q", "rationals", None):
         return QQ
@@ -111,12 +128,7 @@ def load_session(document, caps_overrides=None) -> Session:
         raise SessionError(f"bad variable list: {e}") from None
     caps = _parse_caps(document.get("caps"), caps_overrides)
 
-    def poly(text, where):
-        try:
-            return parse_poly(text, sig)
-        except PolyParseError as e:
-            raise SessionError(f"bad polynomial in {where}: {text!r}: {e}") from None
-
+    poly = partial(poly_field, sig)
     ideal_gens = [poly(t, "ring.ideal") for t in ringspec.get("ideal", [])]
     try:
         ring = QuotientRing(sig, ideal_gens, caps)
@@ -202,14 +214,16 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
         gens = tuple(poly(t, f"module {name}") for t in expr.get("ideal", []))
         return cyclic(ring, gens)
     if op == "free":
-        return free_module(ring, tuple(expr.get("degrees", [0])))
+        return free_module(ring, int_list_field(expr.get("degrees", [0]),
+                                                f"module {name}.degrees"))
     if op == "coker":
         matrix = expr.get("matrix")
         degrees = expr.get("degrees")
         if not matrix or degrees is None:
             raise SessionError(f"module {name!r}: coker needs matrix and degrees")
         rows = [[poly(t, f"module {name}") for t in row] for row in matrix]
-        return module_from_rows(ring, rows, tuple(degrees))
+        return module_from_rows(ring, rows,
+                                int_list_field(degrees, f"module {name}.degrees"))
     if op == "tensor":
         args = expr.get("args", [])
         if len(args) != 2:
@@ -230,10 +244,13 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
 
 
 def rigidity_assertion_from(spec):
+    """The assertion of the task field 'rigidity': a catalogued class, by
+    name or as {"kind": ..., "detail": ...}, or None when absent."""
     if spec is None:
         return None
-    if isinstance(spec, str):
-        return RigidityAssertion(spec)
-    if isinstance(spec, dict) and "kind" in spec:
-        return RigidityAssertion(spec["kind"], spec.get("detail", ""))
-    raise SessionError(f"bad rigidity assertion: {spec!r}")
+    kind, detail = spec, ""
+    if isinstance(spec, dict):
+        kind, detail = spec.get("kind"), spec.get("detail", "")
+    if kind not in RigidityAssertion.KINDS:
+        raise SessionError(f"field 'rigidity' names no catalogued class: {spec!r}")
+    return RigidityAssertion(kind, detail)

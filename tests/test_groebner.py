@@ -23,6 +23,7 @@ from reflextor.groebner import (
     radical_membership,
     verify_groebner,
 )
+from reflextor.hilbert import vector_degree
 from reflextor.orders import GREVLEX, LEX, elimination, mono_divides
 from reflextor.parse import parse_poly
 from reflextor.poly import Poly, RingSignature, SignatureMismatch
@@ -305,6 +306,34 @@ class TestSpan:
         ticks = caps._pairs_used
         assert not inc.add(member)
         assert caps._pairs_used == ticks
+
+    @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
+    def test_add_without_degree_settles_a_partly_drained_scan(self, fld):
+        # a scan step leaves the pairs above its degree pending; a plain add
+        # drains them and interreduces, so the span is the one-run basis
+        sig = RingSignature(fld, ("x", "y", "z"))
+        rng = random.Random(20261022)
+        coord_degrees = (0, 1)
+
+        def form(d):
+            monos = all_monomials(sig.nvars, d)
+            picks = rng.sample(monos, min(3, len(monos)))
+            return Poly.from_dict(sig, {m: fld.from_int(rng.randint(1, 5)) for m in picks})
+
+        def vector(d):
+            return FreeVector(sig, tuple(form(d - cd) for cd in coord_degrees))
+
+        vectors = [vector(d) for d in (1, 2, 2)]
+        inc = IncrementalSpan(sig, 2)
+        for v in vectors:
+            assert inc.add(v, vector_degree(v, coord_degrees))
+        assert inc._queue.heap
+        extra = vector(3)
+        inc.add(extra)
+        assert inc._queue is None
+        assert_verified(GroebnerBasis(sig, 2, [], True, inc._entries))
+        inputs = [_as_terms(v, 2, fld)[1] for v in vectors + [extra]]
+        assert inc._entries == _buchberger_terms(inputs, sig.order, fld, Caps(), 2)
 
 
 class TestSeededQueue:

@@ -1,4 +1,5 @@
-"""The scale probe's two 2 x 3 rows, run in process against pinned verdicts."""
+"""The scale probe's two 2 x 3 rows and its GF(32003) 3 x 4 row, run in
+process against pinned verdicts."""
 
 import importlib.util
 from pathlib import Path
@@ -16,3 +17,10 @@ def test_two_by_three_verdicts(field_name):
     verdicts, times = scale_probe.probe_row(field_name, 2, 3)
     assert verdicts == {"reflexive": False, "depth": 1, "tor1_degrees": (2, 1, 1)}
     assert set(times) == set(verdicts)
+
+
+def test_gf_three_by_four_verdicts():
+    # the Nakayama scan's measured GF(32003) target, about 1 s; the QQ
+    # 3 x 4 row (about 10 s) stays with the script
+    verdicts, _ = scale_probe.probe_row("GF(32003)", 3, 4)
+    assert verdicts == {"reflexive": False, "depth": 1, "tor1_degrees": (2,) * 11}

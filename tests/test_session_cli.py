@@ -331,7 +331,18 @@ class TestCli:
         (lambda doc: doc.update(tasks=[{"task": "pd"}]), "module"),
         (lambda doc: doc.update(tasks=[{"task": "tor", "left": "M", "right": "N",
                                         "i": "x"}]), "i"),
-    ], ids=["caps-pairs", "caps-resolution", "pd-no-module", "tor-i"])
+        (lambda doc: doc.update(tasks=[{"task": "localized-rank", "module": "M"}]),
+         "prime"),
+        (lambda doc: doc.update(tasks=[{"task": "localized-rank", "module": "M",
+                                        "prime": ["x+"]}]), "prime"),
+        (lambda doc: doc.update(tasks=[{"task": "verify", "pipeline": "thm3.1",
+                                        "left": "M", "right": "N",
+                                        "rigidity": "bogus"}]), "rigidity"),
+        (lambda doc: doc["modules"].update(F={"op": "free", "degrees": "ab"}),
+         "module F.degrees"),
+    ], ids=["caps-pairs", "caps-resolution", "pd-no-module", "tor-i",
+            "localized-rank-no-prime", "localized-rank-bad-prime", "thm3.1-rigidity",
+            "free-degrees"])
     def test_malformed_field_exits_two_naming_it(self, tmp_path, change, field):
         doc = _document()
         change(doc)
