@@ -19,6 +19,17 @@ drained only up to each offered degree, with no interreduction: a
 homogeneous vector of degree delta lies in the span exactly when it
 reduces to zero against a basis truncated at delta.
 
+Under position-over-term only entries whose leads share a position can
+pair, be chained or reduce one another (Becker & Weispfenning, Groebner
+Bases, ch. 10).  So every basis is kept with its position index
+(`_by_position`): each lead position mapped to its entries, in basis
+order, built once where the basis is stored (`_PairQueue`, which extends
+it on `push`, `GroebnerBasis`, `Span`, `IncrementalSpan`).  Pair
+formation, the chain criterion, minimalization and every reducer search
+walk one position's list, and the index is the only basis form
+`_reduce_full` takes.  Within a position the reducer of a term is still
+the first entry, in basis order, whose lead divides it.
+
 Field values cross two boundaries.  `_as_terms` is the way in: it turns
 a polynomial or vector v into (den, terms), a fresh dict of Python ints
 equal to den * v, den the lcm of the denominators over QQ and 1 over
@@ -189,20 +200,24 @@ def _entry(terms, keyfn, fld):
     return (lt, terms[lt], terms)
 
 
-def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
-    """Full normal form of an integer term dict against basis entries, up
-    to a scale; `work` is consumed.
+def _reduce_full(work, index, keyfn, fld, caps: Caps = None):
+    """Full normal form of an integer term dict against a basis, up to a
+    scale; `work` is consumed.
 
-    Returns (remainder, scale) with remainder = scale * NF(work), scale
-    starting at 1; `_unscale` divides once.  Every term of the
-    remainder is divisible by no basis lead in the same position.  The
-    largest term is popped from a heap on the descending key `keyfn`; a
-    term is pushed when it enters `work` and skipped if it has cancelled
-    since.  A step adds only smaller terms, so none re-enters once popped.
-    Each step takes its multipliers (a, b) from `fld.cofactors`: work is
-    scaled by a, which is 1 over GF(p), and b times the shifted entry is
-    subtracted.  Each step is counted on `caps`, where one is given, so
-    a cancel is seen inside a long reduction too.
+    The basis is given by its position index (`_by_position`), the one form
+    this routine takes: a term is checked only against the entries whose
+    leads share its position, and its reducer is the first of them, in
+    basis order, whose lead divides it.  Returns (remainder, scale) with
+    remainder = scale * NF(work), scale starting at 1; `_unscale` divides
+    once.  Every term of the remainder is divisible by no basis lead in
+    the same position.  The largest term is popped from a heap on the
+    descending key `keyfn`; a term is pushed when it enters `work` and
+    skipped if it has cancelled since.  A step adds only smaller terms, so
+    none re-enters once popped.  Each step takes its multipliers (a, b)
+    from `fld.cofactors`: work is scaled by a, which is 1 over GF(p), and
+    b times the shifted entry is subtracted.  Each step is counted on
+    `caps`, where one is given, so a cancel is seen inside a long
+    reduction too.
     """
     p = fld.characteristic
     scale = 1
@@ -214,11 +229,10 @@ def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
         c = work.pop(t, None)
         if c is None:
             continue
-        pos, mono = t
+        mono = t[1]
         hit = None
-        for entry in basis:
-            lt = entry[0]
-            if lt[0] == pos and all(map(le, lt[1], mono)):
+        for entry in index.get(t[0], ()):
+            if all(map(le, entry[0][1], mono)):
                 hit = entry
                 break
         if hit is None:
@@ -253,12 +267,24 @@ def _reduce_full(work, basis, keyfn, fld, caps: Caps = None):
     return remainder, scale
 
 
-def _reduce_value(v, rank, basis, keyfn, fld, caps: Caps = None):
-    """(remainder, scale) of a field-valued v: remainder = scale * NF(v),
-    the scale counting the denominators `_as_terms` cleared."""
+def _reduce_value(v, rank, index, keyfn, fld, caps: Caps = None):
+    """(remainder, scale) of a field-valued v against a position index:
+    remainder = scale * NF(v), the scale counting the denominators
+    `_as_terms` cleared."""
     den, work = _as_terms(v, rank, fld)
-    remainder, scale = _reduce_full(work, basis, keyfn, fld, caps)
+    remainder, scale = _reduce_full(work, index, keyfn, fld, caps)
     return remainder, scale * den
+
+
+def _by_position(entries):
+    """The position index of a basis: each lead position mapped to the
+    list of entries whose leads lie there, in basis order.  Only such
+    entries can pair, be chained or reduce one another's terms under
+    position-over-term."""
+    index = {}
+    for e in entries:
+        index.setdefault(e[0][0], []).append(e)
+    return index
 
 
 def _spair(e1, e2, fld):
@@ -277,38 +303,50 @@ def _spair(e1, e2, fld):
 
 
 class _PairQueue:
-    """The one pair queue: a basis list, its pending pairs and their heap.
+    """The one pair queue: a basis list, its position index, its pending
+    pairs and their heap.
 
     The `seeded` entries must already form a reduced basis (normalized as
     `_entry` leaves them, no term of one divisible by another's lead in
     its position), as `reduced` or `_ideal_block` gives; their pairs are
-    never queued and count as treated for the chain criterion.  The heap
-    holds (key, j, i, lcm), lcm computed once, and `pending` mirrors it.
-    A pair's key is deg lcm or, in a `graded` queue, its vector degree
-    deg lcm + delta_j - deg lead_j, where j, the newer entry, is never
-    seeded and was pushed with its vector degree delta_j.
+    never queued and count as treated for the chain criterion.  `index`
+    maps each lead position to its entries and `slots` to their places in
+    `basis`, both in basis order and both extended by `push`: pair
+    formation and the chain criterion walk only the new entry's position,
+    and every reduction takes `index`.  The heap holds (key, j, i, lcm),
+    lcm computed once, and `pending` mirrors it.  A pair's key is deg lcm
+    or, in a `graded` queue, its vector degree deg lcm + delta_j - deg
+    lead_j, where j, the newer entry, is never seeded and was pushed with
+    its vector degree delta_j.
     """
 
     def __init__(self, seeded, order, fld, caps: Caps, rank: int, graded=False):
         self.keyfn = _key_fn(order)
         self.fld, self.caps, self.rank, self.graded = fld, caps, rank, graded
-        self.basis = list(seeded)
+        self.basis, self.index, self.slots = [], {}, {}
+        for e in seeded:
+            self._append(e)
         self.n_seeded = len(self.basis)
         self.pending, self.heap = set(), []
+
+    def _append(self, entry):
+        pos = entry[0][0]
+        self.slots.setdefault(pos, []).append(len(self.basis))
+        self.index.setdefault(pos, []).append(entry)
+        self.basis.append(entry)
 
     def push(self, terms, delta=None):
         """Append the entry of a nonzero integer term dict, of vector degree
         `delta` in a graded queue, and queue its pairs."""
         basis, j = self.basis, len(self.basis)
-        basis.append(_entry(terms, self.keyfn, self.fld))
-        (pj, mj) = basis[j][0]
+        entry = _entry(terms, self.keyfn, self.fld)
+        (pj, mj) = entry[0]
         shift = delta - degree(mj) if self.graded else 0
-        for i in range(j):
-            (pi, mi) = basis[i][0]
-            if pi == pj:
-                lcm = mono_lcm(mi, mj)
-                self.pending.add((i, j))
-                heapq.heappush(self.heap, (degree(lcm) + shift, j, i, lcm))
+        for i in self.slots.get(pj, ()):
+            lcm = mono_lcm(basis[i][0][1], mj)
+            self.pending.add((i, j))
+            heapq.heappush(self.heap, (degree(lcm) + shift, j, i, lcm))
+        self._append(entry)
 
     def drain(self, bound=None):
         """Treat the pairs of key at most `bound` (all without one), smallest
@@ -320,24 +358,22 @@ class _PairQueue:
             pending.discard((i, j))
             self.caps.tick(degree(lcm))
             (pi, mi) = basis[i][0]
-            (pj, mj) = basis[j][0]
             # product criterion is only sound for rank-one (polynomial) input
-            if self.rank == 1 and lcm == mono_mul(mi, mj):
+            if self.rank == 1 and lcm == mono_mul(mi, basis[j][0][1]):
                 continue
             skip = False
-            for k in range(len(basis)):
+            for k in self.slots[pi]:
                 if k in (i, j):
                     continue
-                (pk, mk) = basis[k][0]
-                if pk == pi and mono_divides(mk, lcm):
+                if mono_divides(basis[k][0][1], lcm):
                     a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                     if a not in pending and b not in pending:
                         skip = True
                         break
             if skip:
                 continue
-            nf, _ = _reduce_full(_spair(basis[i], basis[j], fld), basis, self.keyfn,
-                                 fld, self.caps)
+            nf, _ = _reduce_full(_spair(basis[i], basis[j], fld), self.index,
+                                 self.keyfn, fld, self.caps)
             if nf:
                 self.push(nf, d)
 
@@ -345,30 +381,36 @@ class _PairQueue:
         """The reduced basis of the entries' span; the queue must be drained."""
         basis, keyfn, n_seeded = self.basis, self.keyfn, self.n_seeded
         # minimalize, smallest lead first: drop entries whose lead is divisible by
-        # another lead; stable under reverse=True, the sort keeps a seeded entry
-        # over a new one with the same lead
-        kept = []
+        # another lead in its position; stable under reverse=True, the sort keeps
+        # a seeded entry over a new one with the same lead.  `index` collects
+        # the kept entries in this order, which the tail reduction searches.
+        kept, index, fresh = [], {}, {}
         for k in sorted(range(len(basis)), key=lambda k: keyfn(basis[k][0]), reverse=True):
             (p, m) = basis[k][0]
-            if not any(
-                basis[x][0][0] == p and mono_divides(basis[x][0][1], m) for x in kept
-            ):
+            same = index.setdefault(p, [])
+            if not any(mono_divides(e[0][1], m) for e in same):
                 kept.append(k)
+                same.append(basis[k])
+                if k >= n_seeded:
+                    fresh.setdefault(p, []).append(m)
         # tail-reduce and normalize.  A kept seeded entry is already
         # reduced against the other seeded ones, so it needs work only when the
-        # lead of a kept new entry divides one of its terms.
-        fresh = [basis[k][0] for k in kept if k >= n_seeded]
+        # lead of a kept new entry divides one of its terms.  The lead of a
+        # kept entry divides none of its own smaller terms, nor any term the
+        # reduction makes, so its tail is reduced against every kept entry
+        # and the lead put back, scaled as the tail was.
         reduced = []
         for k in kept:
-            e = basis[k]
+            lt, lc, terms = e = basis[k]
             if k < n_seeded and not any(
-                fp == p and mono_divides(fm, m) for (p, m) in e[2] for (fp, fm) in fresh
+                mono_divides(fm, m) for (p, m) in terms for fm in fresh.get(p, ())
             ):
                 reduced.append(e)
                 continue
-            others = [basis[x] for x in kept if x != k]
-            nf, _ = _reduce_full(dict(e[2]), others, keyfn, self.fld, self.caps)
-            reduced.append(_entry(nf, keyfn, self.fld))
+            tail = dict(terms)
+            del tail[lt]
+            nf, scale = _reduce_full(tail, index, keyfn, self.fld, self.caps)
+            reduced.append(_entry({lt: lc * scale, **nf}, keyfn, self.fld))
         reduced.sort(key=lambda e: keyfn(e[0]), reverse=True)
         return reduced
 
@@ -390,13 +432,18 @@ def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
 
 @dataclass
 class GroebnerBasis:
-    """Reduced basis plus enough context to run normal forms against it."""
+    """Reduced basis plus enough context to run normal forms against it:
+    the entries and, built once beside them, their position index, which
+    `normal_form` and `verify_groebner` search."""
 
     sig: object
     rank: int
     generators: list  # Poly when rank == 1 came from polynomials, else FreeVector
     reduced: bool = True
-    _entries: list = None
+    _entries: list = ()
+
+    def __post_init__(self):
+        self._index = _by_position(self._entries)
 
     def __iter__(self):
         return iter(self.generators)
@@ -445,12 +492,12 @@ def normal_form(f, gb: GroebnerBasis):
     no term of f is divisible by a basis lead in its position."""
     if f.sig != gb.sig:
         raise SignatureMismatch("signature mismatch in normal form")
-    if not any(lp == pos and all(map(le, lm, mono))
-               for pos, p in enumerate(_coords(f, gb.rank)) for mono, _ in p.terms
-               for (lp, lm), _, _ in gb._entries):
+    if not any(all(map(le, lm, mono))
+               for pos, p in enumerate(_coords(f, gb.rank))
+               for (_, lm), _, _ in gb._index.get(pos, ()) for mono, _ in p.terms):
         return f
     keyfn, fld = _key_fn(gb.sig.order), gb.sig.field
-    nf = _unscale(*_reduce_value(f, gb.rank, gb._entries, keyfn, fld), fld)
+    nf = _unscale(*_reduce_value(f, gb.rank, gb._index, keyfn, fld), fld)
     if isinstance(f, Poly):
         return _terms_to_poly(nf, gb.sig)
     return _terms_to_vector(nf, gb.sig, gb.rank)
@@ -459,28 +506,29 @@ def normal_form(f, gb: GroebnerBasis):
 def verify_groebner(gb: GroebnerBasis) -> bool:
     """Post-hoc check of Buchberger's criterion, with its own pair walk.
 
-    Same-position pairs (i, j) are established in index order: skipped by
-    the product criterion (rank one only) or when some k has a lead dividing
-    lcm(i, j) with (i, k) and (j, k) established, since their
-    lcm-representations give one of (i, j); else reduced to zero.
+    Only entries in one position pair, so the walk runs position by
+    position over the basis's index.  Pairs (i, j) of a position are
+    established in index order: skipped by the product criterion (rank one
+    only) or when some k there has a lead dividing lcm(i, j) with (i, k)
+    and (j, k) established, since their lcm-representations give one of
+    (i, j); else reduced to zero.
     """
-    keyfn, fld, entries = _key_fn(gb.sig.order), gb.sig.field, gb._entries
-    leads = [lt for lt, _, _ in entries]
-    done = set()  # both orientations of every established pair
-    for j, (pos, mj) in enumerate(leads):
-        for i, (pi, mi) in enumerate(leads[:j]):
-            if pi != pos:
-                continue
-            lcm = mono_lcm(mi, mj)
-            chained = (gb.rank == 1 and lcm == mono_mul(mi, mj)) or any(
-                (i, k) in done and (j, k) in done and mono_divides(mk, lcm)
-                for k, (_, mk) in enumerate(leads)
-            )
-            if not chained and _reduce_full(
-                _spair(entries[i], entries[j], fld), entries, keyfn, fld
-            )[0]:
-                return False
-            done |= {(i, j), (j, i)}
+    keyfn, fld = _key_fn(gb.sig.order), gb.sig.field
+    for entries in gb._index.values():
+        leads = [lt[1] for lt, _, _ in entries]
+        done = set()  # both orientations of every established pair
+        for j, mj in enumerate(leads):
+            for i, mi in enumerate(leads[:j]):
+                lcm = mono_lcm(mi, mj)
+                chained = (gb.rank == 1 and lcm == mono_mul(mi, mj)) or any(
+                    (i, k) in done and (j, k) in done and mono_divides(mk, lcm)
+                    for k, mk in enumerate(leads)
+                )
+                if not chained and _reduce_full(
+                    _spair(entries[i], entries[j], fld), gb._index, keyfn, fld
+                )[0]:
+                    return False
+                done |= {(i, j), (j, i)}
     return True
 
 
@@ -508,7 +556,9 @@ class Span:
     the answers are lifts and syzygies over R = S/ideal relative to D's
     vectors.  One augmented Groebner run serves both queries: only
     `vectors` carry unit tails, which record how each basis element was
-    assembled from them; D's reduced basis seeds the run as it is.
+    assembled from them; D's reduced basis seeds the run as it is.  The
+    augmented basis `_aug` keeps its position index `_index` beside it,
+    which `lift` reduces against.
     """
 
     def __init__(self, sig, rank, vectors, caps: Caps = None, modulo=None):
@@ -528,6 +578,7 @@ class Span:
             inputs, sig.order, fld, caps, rank + self.count,
             seeded=modulo._entries if modulo is not None else (),
         )
+        self._index = _by_position(self._aug)
         # lead in the tail block forces every term into the tail
         self._syzygy_tails = [
             _unscale({(p - rank, m): c for (p, m), c in terms.items()}, lc, fld)
@@ -538,7 +589,7 @@ class Span:
     def lift(self, v):
         """Coefficients a with v = sum a_i * vectors_i modulo D, or None."""
         fld = self.sig.field
-        nf, scale = _reduce_value(v, self.rank, self._aug, self._keyfn, fld)
+        nf, scale = _reduce_value(v, self.rank, self._index, self._keyfn, fld)
         if any(t[0] < self.rank for t in nf):
             return None
         nf = _unscale(nf, scale, fld)
@@ -558,14 +609,17 @@ class IncrementalSpan:
     """Membership-only span of a growing vector list, plus ideal*S^rank.
 
     No tails are carried; `ideal`*S^rank is the seeded `_ideal_block`.
-    `add(v)` reduces v against the reduced basis `_entries` and hands a
+    The reduced basis `_basis` keeps its position index `_index` beside
+    it, rebuilt only when the basis is replaced; every reduction takes
+    the index.  `add(v)` reduces v against the reduced basis and hands a
     remainder to the pair queue seeded with it, so only pairs that involve
     the new element are formed.  `add(v, degree)`, the graded-Nakayama
     scan's step, keeps one graded `_PairQueue` across calls, drained only
-    to `degree` and never interreduced: mid-scan its entries are a basis
-    only up to the degrees offered.  Any other use (`contains`,
-    `normal_form`, `add` with no degree, `_entries` as a seed) first drains
-    that queue and interreduces.  The list a span started from is never
+    to `degree` and never interreduced, and reduces against the queue's
+    own index: mid-scan its entries are a basis only up to the degrees
+    offered.  Any other use (`contains`, `normal_form`, `add` with no
+    degree, `_entries` as a seed) first drains that queue and
+    interreduces.  The list and index a span started from are never
     mutated, so a shallow copy of a span with no queue grows alone.
     """
 
@@ -574,20 +628,29 @@ class IncrementalSpan:
         self.rank = rank
         self.caps = caps or DEFAULT_CAPS.fresh()
         self._keyfn = _key_fn(sig.order)
-        self._basis = _ideal_block(ideal, rank, self.caps)
         self._queue = None
+        basis = _ideal_block(ideal, rank, self.caps)
         if vectors:
-            self._basis = _buchberger_terms(
+            basis = _buchberger_terms(
                 [_as_terms(v, rank, sig.field)[1] for v in vectors], sig.order,
-                sig.field, self.caps, rank, seeded=self._basis,
+                sig.field, self.caps, rank, seeded=basis,
             )
+        self._store(basis)
+
+    def _store(self, basis):
+        self._basis, self._index = basis, _by_position(basis)
+
+    def _settle(self):
+        """Drain a scan's queue, if any, and store its reduced basis."""
+        if self._queue is not None:
+            self._queue.drain()
+            self._store(self._queue.reduced())
+            self._queue = None
 
     @property
     def _entries(self):
         """The reduced basis of the span, settling a scan's queue first."""
-        if self._queue is not None:
-            self._queue.drain()
-            self._basis, self._queue = self._queue.reduced(), None
+        self._settle()
         return self._basis
 
     def contains(self, v) -> bool:
@@ -599,7 +662,8 @@ class IncrementalSpan:
         return _terms_to_vector(nf, self.sig, self.rank)
 
     def _reduce(self, v):
-        return _reduce_value(v, self.rank, self._entries, self._keyfn,
+        self._settle()
+        return _reduce_value(v, self.rank, self._index, self._keyfn,
                              self.sig.field, self.caps)
 
     def add(self, v, degree=None) -> bool:
@@ -611,16 +675,16 @@ class IncrementalSpan:
         if degree is None:
             nf, _ = self._reduce(v)
             if nf:
-                self._basis = _buchberger_terms(
+                self._store(_buchberger_terms(
                     [nf], self.sig.order, self.sig.field, self.caps, self.rank,
                     seeded=self._basis,
-                )
+                ))
             return bool(nf)
         if self._queue is None:
             self._queue = _PairQueue(self._basis, self.sig.order, self.sig.field,
                                      self.caps, self.rank, graded=True)
         self._queue.drain(degree)
-        nf, _ = _reduce_value(v, self.rank, self._queue.basis, self._keyfn,
+        nf, _ = _reduce_value(v, self.rank, self._queue.index, self._keyfn,
                               self.sig.field, self.caps)
         if nf:
             self._queue.push(nf, degree)

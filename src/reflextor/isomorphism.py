@@ -92,6 +92,32 @@ _MAX_UNKNOWNS = 600
 _TRIES = 60
 
 
+def _candidates(solutions, nunk, fld):
+    """Candidate coefficient vectors, made one at a time as the search asks:
+    the distinct nonzero solutions cut to the `nunk` unknowns, then random
+    combinations of them from `random.Random(_SEED)` until _TRIES are
+    made or 10 * _TRIES draws are spent."""
+    seen, base = set(), []
+    for sol in solutions:
+        u = tuple(sol[:nunk])
+        if any(not fld.is_zero(c) for c in u) and u not in seen:
+            seen.add(u)
+            base.append(u)
+            yield u
+    rng = random.Random(_SEED)
+    attempts = 0
+    while len(seen) < _TRIES and base and attempts < 10 * _TRIES:
+        attempts += 1
+        combo = [fld.zero] * nunk
+        for vec in base:
+            k = fld.from_int(rng.randint(-2, 2))
+            combo = [fld.add(x, fld.mul(k, y)) for x, y in zip(combo, vec)]
+        u = tuple(combo)
+        if any(not fld.is_zero(c) for c in u) and u not in seen:
+            seen.add(u)
+            yield u
+
+
 def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
                             caps: Caps = None):
     """Explicit isomorphism a(shift) -> b, or None if none is found.
@@ -180,29 +206,8 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
             vec = [fld.zero] * nunk
             vec[u] = fld.one
             solutions.append(vec)
-    candidates = []
-    seen = set()
-    for sol in solutions:
-        u = tuple(sol[:nunk])
-        if any(not fld.is_zero(c) for c in u) and u not in seen:
-            seen.add(u)
-            candidates.append(u)
-    rng = random.Random(_SEED)
-    base = list(candidates)
-    attempts = 0
-    while len(candidates) < _TRIES and base and attempts < 10 * _TRIES:
-        attempts += 1
-        combo = [fld.zero] * nunk
-        for vec in base:
-            k = fld.from_int(rng.randint(-2, 2))
-            combo = [fld.add(x, fld.mul(k, y)) for x, y in zip(combo, vec)]
-        u = tuple(combo)
-        if any(not fld.is_zero(c) for c in u) and u not in seen:
-            seen.add(u)
-            candidates.append(u)
-
     units = [FreeVector.unit(ring.sig, gb, i) for i in range(gb)]
-    for u in candidates:
+    for u in _candidates(solutions, nunk, fld):
         entries = {}
         for coeff, (i, j, m) in zip(u, unknowns):
             if fld.is_zero(coeff):

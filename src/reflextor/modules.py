@@ -79,6 +79,7 @@ class PresentedModule:
         "_resolution",
         "_resolution_lock",
         "_hilbert",
+        "_fitting",
     )
 
     def __init__(self, ring: QuotientRing, gen_degrees, columns, _minimal=False):
@@ -104,6 +105,7 @@ class PresentedModule:
         self._resolution = None
         self._resolution_lock = threading.Lock()
         self._hilbert = None
+        self._fitting = {}  # i -> Fitt_i of the minimized presentation
 
     # -- basics ----------------------------------------------------------
     @property
@@ -695,7 +697,9 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
     M_p is free of rank r exactly when Fitt_r is not contained in p and
     Fitt_{r-1} dies locally, i.e. some c outside p multiplies Fitt_{r-1}
     into the defining ideal; c is searched in the annihilator-quotient
-    (I : Fitt_{r-1}).
+    (I : Fitt_{r-1}).  The Fitting ideals of the minimized presentation
+    are kept on m, so further primes reuse them; `minimize` still runs on
+    every call.
     """
     if p.prime_status not in ("verified", "asserted"):
         raise ValueError("localized rank needs a verified or asserted prime")
@@ -706,7 +710,9 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
     g = mm.num_generators
     r = below = None
     for i in range(g + 1):
-        fitt = fitting_ideal(mm, i, caps)
+        fitt = m._fitting.get(i)
+        if fitt is None:
+            fitt = m._fitting[i] = fitting_ideal(mm, i, caps)
         if not all(p.contains(f, caps) for f in fitt.generators):
             r = i
             break

@@ -32,6 +32,7 @@ from oracles import (
     all_monomials,
     all_pairs_groebner_check,
     homogeneous_membership_oracle,
+    kernel_piece_dimension,
     submodule_piece_dimension,
 )
 
@@ -334,6 +335,76 @@ class TestSpan:
         assert_verified(GroebnerBasis(sig, 2, [], True, inc._entries))
         inputs = [_as_terms(v, 2, fld)[1] for v in vectors + [extra]]
         assert inc._entries == _buchberger_terms(inputs, sig.order, fld, Caps(), 2)
+
+
+class TestManyPositionSpan:
+    """A tailed run whose leads lie in every one of its 11 positions: the
+    position index must file each entry where the reducers look for it."""
+
+    @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
+    def test_against_the_oracles(self, fld):
+        sig = RingSignature(fld, ("x", "y", "z"))
+        rng = random.Random(20261023)
+        coord_degrees = (0, 1, 1)
+        zero = Poly.zero(sig)
+
+        def form(d):
+            monos = all_monomials(sig.nvars, d)
+            picks = rng.sample(monos, min(2, len(monos)))
+            return Poly.from_dict(sig, {m: fld.from_int(rng.randint(1, 5)) for m in picks})
+
+        def vector(d):
+            return FreeVector(sig, tuple(form(d - cd) for cd in coord_degrees))
+
+        vectors = [vector(d) for d in (1, 1, 1, 2, 2, 2, 2, 2)]
+        q = parse_poly("x*y - z^2", sig)
+        d_vectors = [vector(2)]
+        modulo = IncrementalSpan(sig, 3, d_vectors, ideal=Ideal(sig, (q,)))
+        # D's generators for the oracles: its vector and q*e_i
+        d_gens = d_vectors + [
+            FreeVector(sig, tuple(q if j == i else zero for j in range(3)))
+            for i in range(3)
+        ]
+        span = Span(sig, 3, vectors, modulo=modulo)
+        rank = 3 + len(vectors)
+        # q*e_i is a syzygy modulo D of each vector alone, so every tail
+        # position holds a lead
+        assert {lt[0] for lt, _, _ in span._aug} == set(range(rank))
+        gb = GroebnerBasis(sig, rank, [], True, span._aug)
+        assert verify_groebner(gb) and all_pairs_groebner_check(gb)
+
+        def in_d(v, d):
+            return (submodule_piece_dimension(d_gens + [v], coord_degrees, d)
+                    == submodule_piece_dimension(d_gens, coord_degrees, d))
+
+        x, y, z = (Poly.variable(sig, n) for n in ("x", "y", "z"))
+        members = [
+            vectors[0].poly_mul(x * y) + vectors[4].poly_mul(z) - vectors[7].poly_mul(y)
+            + d_vectors[0].poly_mul(x),
+            vectors[1].poly_mul(z * z) + FreeVector(sig, (zero, q, zero)),
+            vectors[2].poly_mul(x * x) - vectors[3].poly_mul(y + z),
+        ]
+        for probe in members:
+            coeffs = span.lift(probe)
+            assert coeffs is not None
+            rebuilt = sum((v.poly_mul(a) for a, v in zip(coeffs, vectors)),
+                          FreeVector.zero(sig, 3))
+            assert in_d(probe - rebuilt, vector_degree(probe, coord_degrees))
+        verdicts = []
+        for probe in [vector(1) for _ in range(3)] + [vector(2) for _ in range(3)]:
+            d = vector_degree(probe, coord_degrees)
+            verdicts.append(span.lift(probe) is None)
+            assert verdicts[-1] == (
+                submodule_piece_dimension(vectors + d_gens + [probe], coord_degrees, d)
+                > submodule_piece_dimension(vectors + d_gens, coord_degrees, d))
+        assert any(verdicts)
+
+        degrees = [vector_degree(v, coord_degrees) for v in vectors]
+        syzygies = span.syzygies()
+        for d in range(1, 5):
+            want = (kernel_piece_dimension(vectors + d_gens, coord_degrees, d)
+                    - kernel_piece_dimension(d_gens, coord_degrees, d))
+            assert submodule_piece_dimension(syzygies, degrees, d) == want, d
 
 
 class TestSeededQueue:

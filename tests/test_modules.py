@@ -434,6 +434,27 @@ class TestLocalizedRank:
         m = RIdeal(ring_b, (pb("x"), pb("y")), prime_status="verified")
         assert localized_rank(n_b, m).kind == "not_free"
 
+    def test_fitting_chain_built_once_per_module(self, ring_a, pa, monkeypatch):
+        import reflextor.modules as modules_module
+
+        calls = []
+        inner = modules_module.fitting_ideal
+
+        def counted(m, i, caps=None):
+            calls.append(i)
+            return inner(m, i, caps)
+
+        monkeypatch.setattr(modules_module, "fitting_ideal", counted)
+        # Fitt_0 = (x): y needs Fitt_0 alone, x and (x, y) need Fitt_1 too
+        primes = [RIdeal(ring_a, tuple(pa(g) for g in gens), prime_status="verified")
+                  for gens in (["y"], ["x"], ["x", "y"])]
+        m = cyclic(ring_a, (pa("x"),))
+        verdicts = [localized_rank(m, p) for p in primes]
+        assert calls == [0, 1]
+        fresh = [localized_rank(cyclic(ring_a, (pa("x"),)), p) for p in primes]
+        assert verdicts == fresh
+        assert [v.kind for v in verdicts] == ["free", "free", "not_free"]
+
     def test_unverified_prime_rejected(self, ring_a, pa, n_a):
         bad = RIdeal(ring_a, (pa("x"),), prime_status="unknown")
         with pytest.raises(ValueError):
