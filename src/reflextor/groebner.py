@@ -1,7 +1,7 @@
 """Buchberger's algorithm for ideals and submodules of free modules.
 
-Internally an element of S^r is a dict mapping (position, exponent-tuple)
-to a coefficient.  The module order is position-over-term: terms in an
+Internally an element of S^r is a dict mapping packed terms to
+coefficients.  The module order is position-over-term: terms in an
 earlier position are larger than any term in a later position, with the
 ring's monomial order breaking ties inside a position.  That block shape
 is what makes the tail-augmentation trick below work: appending a unit
@@ -19,6 +19,14 @@ drained only up to each offered degree, with no interreduction: a
 homogeneous vector of degree delta lies in the span exactly when it
 reduces to zero against a basis truncated at delta.
 
+A term is one int (`orders.Packing`): the position in the top bits, below
+it the order's flat-key fields, 32 bits each with a guard bit on top.  The
+ints ascend as the terms descend, so the reduction heap holds bare ints; a
+term times t / lt is `k + (t - lt)` and "lt divides t" one guard-bit test.
+A new product term with a guard bit set, or an input term of degree above
+`orders.FIELD_MAX`, raises `CapExceeded`.  Leads keep exponent tuples too,
+for lcms, the chain criterion and `normal_form`'s early exit.
+
 Under position-over-term only entries whose leads share a position can
 pair, be chained or reduce one another (Becker & Weispfenning, Groebner
 Bases, ch. 10).  So every basis is kept with its position index
@@ -30,18 +38,21 @@ walk one position's list, and the index is the only basis form
 `_reduce_full` takes.  Within a position the reducer of a term is still
 the first entry, in basis order, whose lead divides it.
 
-Field values cross two boundaries.  `_as_terms` is the way in: it turns
-a polynomial or vector v into (den, terms), a fresh dict of Python ints
-equal to den * v, den the lcm of the denominators over QQ and 1 over
-GF(p); a tracked `Span` input's unit tail is den, so the tail records
-den * v too.  Inside, every coefficient is an int.  A basis entry (lead,
-lc, terms) stands for the monic element terms / lc: over QQ its terms
-are primitive integers with lc > 0, over GF(p) it is monic and lc = 1.
+Field values and exponent tuples cross two boundaries.  `_as_terms` is
+the way in: it turns a polynomial or vector v into (den, terms), a fresh
+dict of packed terms to Python ints equal to den * v, den the lcm of the
+denominators over QQ and 1 over GF(p); a tracked `Span` input's unit tail
+is den, so the tail records den * v too.  Inside, every coefficient is an
+int.  A basis entry (lt, lc, terms, lead, dk) stands for the monic
+element terms / lc: lt is its packed lead, lead the same as (position,
+exponent tuple) and dk its divisor key; over QQ its terms are primitive
+integers with lc > 0, over GF(p) it is monic and lc = 1.
 `_reduce_full` consumes the dict it reduces and scales it by the field's
 cofactors (over QQ, lc/g and c/g with g = gcd(c, lc); over GF(p) 1 and
 c/lc), each step plain integer arithmetic, old - b * c2, then one `% p`
-over GF(p); it returns scale * NF, the scale starting at 1.  `_unscale`
-is the way out and the one place `Fraction`s are made: generators and
+over GF(p); it returns scale * NF, the scale starting at 1.  The way out
+is `_unscale`, the one place `Fraction`s are made, then
+`_terms_to_vector` or `_terms_to_poly`, which unpack: generators and
 syzygy tails divide by their entry's lc, and the exact normal forms
 (`normal_form`, `Span.lift`, `IncrementalSpan.normal_form`) divide once
 by scale * den.  `normal_form` returns its input itself, converting
@@ -56,11 +67,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, le, sub
+from operator import itemgetter, le, mul
 
-from .caps import DEFAULT_CAPS, Caps
-from .orders import degree, mono_div, mono_divides, mono_lcm, mono_mul
+from .caps import DEFAULT_CAPS, CapExceeded, Caps
+from .orders import FIELD_MAX, degree, mono_divides, mono_lcm, mono_mul
 from .poly import Poly, SignatureMismatch
+
+_OVERFLOW = "exponent cap exceeded: a packed term field left its range"
 
 # ----------------------------------------------------------------------
 # vectors
@@ -131,13 +144,17 @@ class FreeVector:
 
 
 def _terms_to_vector(terms, sig, rank) -> FreeVector:
-    buckets = [dict() for _ in range(rank)]
-    for (i, m), c in terms.items():
-        buckets[i][m] = c
-    return FreeVector(sig, tuple(Poly.from_dict(sig, b) for b in buckets))
+    """The vector of S^rank of a term dict, unpacked in sorted order."""
+    pk = sig.packing
+    mono, shift = pk.mono, pk.pos_shift
+    buckets = [[] for _ in range(rank)]
+    for t in sorted(terms):
+        buckets[t >> shift].append((mono(t), terms[t]))
+    return FreeVector(sig, tuple(Poly(sig, tuple(b)) for b in buckets))
 
 def _terms_to_poly(terms, sig) -> Poly:
-    return Poly.from_dict(sig, {m: c for (_, m), c in terms.items()})
+    mono = sig.packing.mono
+    return Poly(sig, tuple([(mono(t), terms[t]) for t in sorted(terms)]))
 
 def _coords(v, rank):
     """The coordinates of a polynomial (rank one) or a vector of S^rank."""
@@ -151,9 +168,15 @@ def _coords(v, rank):
 
 def _as_terms(v, rank, fld):
     """(den, terms): a fresh term dict of Python ints equal to den * v, the
-    one entry point for field values.  Over QQ den is the lcm of the
-    denominators, over GF(p) it is 1."""
-    items = [((i, m), c) for i, p in enumerate(_coords(v, rank)) for m, c in p.terms]
+    one entry point for field values and exponent tuples.  Over QQ den is
+    the lcm of the denominators, over GF(p) it is 1."""
+    pk = v.sig.packing
+    base, shift, w = pk.base, pk.pos_shift, pk.weights
+    coords = _coords(v, rank)
+    if any(sum(m) > FIELD_MAX for p in coords for m, _ in p.terms):
+        raise CapExceeded(_OVERFLOW)
+    items = [(base + (i << shift) + sum(map(mul, m, w)), c)
+             for i, p in enumerate(coords) for m, c in p.terms]
     if fld.characteristic:
         return 1, dict(items)
     # two-argument folds: math.gcd and math.lcm leak memory on CPython 3.11
@@ -166,16 +189,6 @@ def _as_terms(v, rank, fld):
 # term-level engine
 
 
-def _key_fn(order):
-    """Descending term key: key(a) < key(b) iff term a > term b."""
-    flat = order.flat_key
-
-    def key(term):
-        return (term[0],) + flat(term[1])
-
-    return key
-
-
 def _unscale(terms, scale, fld):
     """The field-valued terms / scale: the one place `Fraction`s are made,
     the exit matching `_as_terms`.  Over GF(p) every scale is 1 and the
@@ -185,11 +198,12 @@ def _unscale(terms, scale, fld):
     return {t: Fraction(c, scale) for t, c in terms.items()}
 
 
-def _entry(terms, keyfn, fld):
-    """Basis entry (lead, lc, terms) of a nonzero integer term dict,
-    standing for the monic terms / lc: primitive integers with lc > 0 over
-    QQ, monic over GF(p)."""
-    lt = min(terms, key=keyfn)
+def _entry(terms, pk, fld):
+    """Basis entry (lt, lc, terms, lead, dk) of a nonzero integer term
+    dict, standing for the monic terms / lc: primitive integers with lc > 0
+    over QQ, monic over GF(p).  lt is the packed lead, the smallest int,
+    lead its (position, exponent tuple) and dk its divisor key."""
+    lt = min(terms)
     if fld.characteristic:
         inv = fld.inv(terms[lt])
         terms = {t: fld.mul(inv, c) for t, c in terms.items()}
@@ -197,42 +211,45 @@ def _entry(terms, keyfn, fld):
         g = reduce(math.gcd, terms.values(), 0)
         g = -g if terms[lt] < 0 else g
         terms = {t: c // g for t, c in terms.items()}
-    return (lt, terms[lt], terms)
+    return (lt, terms[lt], terms, (lt >> pk.pos_shift, pk.mono(lt)), pk.sign * lt)
 
 
-def _reduce_full(work, index, keyfn, fld, caps: Caps = None):
+def _reduce_full(work, index, pk, fld, caps: Caps = None):
     """Full normal form of an integer term dict against a basis, up to a
     scale; `work` is consumed.
 
     The basis is given by its position index (`_by_position`), the one form
     this routine takes: a term is checked only against the entries whose
     leads share its position, and its reducer is the first of them, in
-    basis order, whose lead divides it.  Returns (remainder, scale) with
+    basis order, whose lead divides it (`pk`'s guard-bit test on the
+    entry's divisor key).  Returns (remainder, scale) with
     remainder = scale * NF(work), scale starting at 1; `_unscale` divides
     once.  Every term of the remainder is divisible by no basis lead in
-    the same position.  The largest term is popped from a heap on the
-    descending key `keyfn`; a term is pushed when it enters `work` and
-    skipped if it has cancelled since.  A step adds only smaller terms, so
-    none re-enters once popped.  Each step takes its multipliers (a, b)
-    from `fld.cofactors`: work is scaled by a, which is 1 over GF(p), and
-    b times the shifted entry is subtracted.  Each step is counted on
-    `caps`, where one is given, so a cancel is seen inside a long
-    reduction too.
+    the same position.  The largest term, the smallest int, is popped from
+    a heap; a term is pushed when it enters `work` and skipped if it has
+    cancelled since.  A step adds only smaller terms, so none re-enters
+    once popped.  Each step takes its multipliers (a, b) from
+    `fld.cofactors`: work is scaled by a, which is 1 over GF(p), and b
+    times the entry shifted by t - lt is subtracted, a new term out of
+    range raising `CapExceeded`.  Each step is counted on `caps`, where one
+    is given, so a cancel is seen inside a long reduction too.
     """
     p = fld.characteristic
+    sign, half, guards, overflow, pos_shift = (
+        pk.sign, pk.half, pk.guards, pk.overflow, pk.pos_shift)
     scale = 1
-    heap = [(keyfn(t), t) for t in work]
+    heap = list(work)
     heapq.heapify(heap)
     remainder = {}
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = heapq.heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        mono = t[1]
+        tk = sign * t + half
         hit = None
-        for entry in index.get(t[0], ()):
-            if all(map(le, entry[0][1], mono)):
+        for entry in index.get(t >> pos_shift, ()):
+            if not (tk - entry[4]) & guards:
                 hit = entry
                 break
         if hit is None:
@@ -240,7 +257,7 @@ def _reduce_full(work, index, keyfn, fld, caps: Caps = None):
             continue
         if caps is not None:
             caps.step()
-        lt, lc, terms = hit
+        lt, lc, terms, _, _ = hit
         a, b = fld.cofactors(c, lc)
         if a != 1:  # QQ only: integers, so plain products
             scale *= a
@@ -248,14 +265,16 @@ def _reduce_full(work, index, keyfn, fld, caps: Caps = None):
                 work[k] *= a
             for k in remainder:
                 remainder[k] *= a
-        shift = tuple(map(sub, mono, lt[1]))
-        for (p2, m2), c2 in terms.items():
-            if (p2, m2) == lt:
+        shift = t - lt
+        for k2, c2 in terms.items():
+            if k2 == lt:
                 continue
-            key2 = (p2, tuple(map(add, m2, shift)))
+            key2 = k2 + shift
             old = work.get(key2)
             if old is None:
-                heapq.heappush(heap, (keyfn(key2), key2))
+                if key2 & overflow:
+                    raise CapExceeded(_OVERFLOW)
+                heapq.heappush(heap, key2)
                 old = 0
             s = old - b * c2
             if p:
@@ -267,12 +286,12 @@ def _reduce_full(work, index, keyfn, fld, caps: Caps = None):
     return remainder, scale
 
 
-def _reduce_value(v, rank, index, keyfn, fld, caps: Caps = None):
+def _reduce_value(v, rank, index, fld, caps: Caps = None):
     """(remainder, scale) of a field-valued v against a position index:
     remainder = scale * NF(v), the scale counting the denominators
     `_as_terms` cleared."""
     den, work = _as_terms(v, rank, fld)
-    remainder, scale = _reduce_full(work, index, keyfn, fld, caps)
+    remainder, scale = _reduce_full(work, index, v.sig.packing, fld, caps)
     return remainder, scale * den
 
 
@@ -283,22 +302,25 @@ def _by_position(entries):
     position-over-term."""
     index = {}
     for e in entries:
-        index.setdefault(e[0][0], []).append(e)
+        index.setdefault(e[3][0], []).append(e)
     return index
 
 
-def _spair(e1, e2, fld):
+def _spair(e1, e2, pk, fld):
     """S-vector b*x^s1*f1 - a*x^s2*f2 of two basis entries with leads in the
-    same position, (a, b) = fld.cofactors(c2, c1) so the leads cancel."""
-    (pos, m1), c1, t1 = e1
-    (_, m2), c2, t2 = e2
-    lcm = mono_lcm(m1, m2)
-    s1, s2 = mono_div(lcm, m1), mono_div(lcm, m2)
+    same position, (a, b) = fld.cofactors(c2, c1) so the leads cancel; a
+    term whose field left its range raises `CapExceeded`."""
+    lt1, c1, t1, (pos, m1), _ = e1
+    lt2, c2, t2, (_, m2), _ = e2
+    lcm = pk.pack(pos, mono_lcm(m1, m2))
+    s1, s2 = lcm - lt1, lcm - lt2
     a, b = fld.cofactors(c2, c1)
-    acc = {(p, mono_mul(m, s1)): b * c for (p, m), c in t1.items()}
-    for (p, m), c in t2.items():
-        key = (p, mono_mul(m, s2))
+    acc = {k + s1: b * c for k, c in t1.items()}
+    for k, c in t2.items():
+        key = k + s2
         acc[key] = acc.get(key, 0) - a * c
+    if any(map(pk.overflow.__and__, acc)):
+        raise CapExceeded(_OVERFLOW)
     return fld.normalized(acc)
 
 
@@ -320,9 +342,9 @@ class _PairQueue:
     its vector degree delta_j.
     """
 
-    def __init__(self, seeded, order, fld, caps: Caps, rank: int, graded=False):
-        self.keyfn = _key_fn(order)
-        self.fld, self.caps, self.rank, self.graded = fld, caps, rank, graded
+    def __init__(self, seeded, sig, caps: Caps, rank: int, graded=False):
+        self.pk = sig.packing
+        self.fld, self.caps, self.rank, self.graded = sig.field, caps, rank, graded
         self.basis, self.index, self.slots = [], {}, {}
         for e in seeded:
             self._append(e)
@@ -330,7 +352,7 @@ class _PairQueue:
         self.pending, self.heap = set(), []
 
     def _append(self, entry):
-        pos = entry[0][0]
+        pos = entry[3][0]
         self.slots.setdefault(pos, []).append(len(self.basis))
         self.index.setdefault(pos, []).append(entry)
         self.basis.append(entry)
@@ -339,11 +361,11 @@ class _PairQueue:
         """Append the entry of a nonzero integer term dict, of vector degree
         `delta` in a graded queue, and queue its pairs."""
         basis, j = self.basis, len(self.basis)
-        entry = _entry(terms, self.keyfn, self.fld)
-        (pj, mj) = entry[0]
+        entry = _entry(terms, self.pk, self.fld)
+        (pj, mj) = entry[3]
         shift = delta - degree(mj) if self.graded else 0
         for i in self.slots.get(pj, ()):
-            lcm = mono_lcm(basis[i][0][1], mj)
+            lcm = mono_lcm(basis[i][3][1], mj)
             self.pending.add((i, j))
             heapq.heappush(self.heap, (degree(lcm) + shift, j, i, lcm))
         self._append(entry)
@@ -357,42 +379,42 @@ class _PairQueue:
             d, j, i, lcm = heapq.heappop(heap)
             pending.discard((i, j))
             self.caps.tick(degree(lcm))
-            (pi, mi) = basis[i][0]
+            (pi, mi) = basis[i][3]
             # product criterion is only sound for rank-one (polynomial) input
-            if self.rank == 1 and lcm == mono_mul(mi, basis[j][0][1]):
+            if self.rank == 1 and lcm == mono_mul(mi, basis[j][3][1]):
                 continue
             skip = False
             for k in self.slots[pi]:
                 if k in (i, j):
                     continue
-                if mono_divides(basis[k][0][1], lcm):
+                if mono_divides(basis[k][3][1], lcm):
                     a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                     if a not in pending and b not in pending:
                         skip = True
                         break
             if skip:
                 continue
-            nf, _ = _reduce_full(_spair(basis[i], basis[j], fld), self.index,
-                                 self.keyfn, fld, self.caps)
+            nf, _ = _reduce_full(_spair(basis[i], basis[j], self.pk, fld),
+                                 self.index, self.pk, fld, self.caps)
             if nf:
                 self.push(nf, d)
 
     def reduced(self):
         """The reduced basis of the entries' span; the queue must be drained."""
-        basis, keyfn, n_seeded = self.basis, self.keyfn, self.n_seeded
+        basis, pk, n_seeded = self.basis, self.pk, self.n_seeded
         # minimalize, smallest lead first: drop entries whose lead is divisible by
         # another lead in its position; stable under reverse=True, the sort keeps
         # a seeded entry over a new one with the same lead.  `index` collects
         # the kept entries in this order, which the tail reduction searches.
         kept, index, fresh = [], {}, {}
-        for k in sorted(range(len(basis)), key=lambda k: keyfn(basis[k][0]), reverse=True):
-            (p, m) = basis[k][0]
+        for k in sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True):
+            (p, m) = basis[k][3]
             same = index.setdefault(p, [])
-            if not any(mono_divides(e[0][1], m) for e in same):
+            if not any(mono_divides(e[3][1], m) for e in same):
                 kept.append(k)
                 same.append(basis[k])
                 if k >= n_seeded:
-                    fresh.setdefault(p, []).append(m)
+                    fresh.setdefault(p, []).append(basis[k][4])
         # tail-reduce and normalize.  A kept seeded entry is already
         # reduced against the other seeded ones, so it needs work only when the
         # lead of a kept new entry divides one of its terms.  The lead of a
@@ -401,24 +423,24 @@ class _PairQueue:
         # and the lead put back, scaled as the tail was.
         reduced = []
         for k in kept:
-            lt, lc, terms = e = basis[k]
+            lt, lc, terms, _, _ = basis[k]
             if k < n_seeded and not any(
-                mono_divides(fm, m) for (p, m) in terms for fm in fresh.get(p, ())
+                pk.divides(dk, t) for t in terms for dk in fresh.get(t >> pk.pos_shift, ())
             ):
-                reduced.append(e)
+                reduced.append(basis[k])
                 continue
             tail = dict(terms)
             del tail[lt]
-            nf, scale = _reduce_full(tail, index, keyfn, self.fld, self.caps)
-            reduced.append(_entry({lt: lc * scale, **nf}, keyfn, self.fld))
-        reduced.sort(key=lambda e: keyfn(e[0]), reverse=True)
+            nf, scale = _reduce_full(tail, index, pk, self.fld, self.caps)
+            reduced.append(_entry({lt: lc * scale, **nf}, pk, self.fld))
+        reduced.sort(key=itemgetter(0), reverse=True)
         return reduced
 
 
-def _buchberger_terms(inputs, order, fld, caps: Caps, rank: int, seeded=()):
-    """One full run of the pair queue: the reduced basis, as entry triples,
-    of the span of the `seeded` entries and the term dicts `inputs`."""
-    queue = _PairQueue(seeded, order, fld, caps, rank)
+def _buchberger_terms(inputs, sig, caps: Caps, rank: int, seeded=()):
+    """One full run of the pair queue: the reduced basis, as entries, of
+    the span of the `seeded` entries and the term dicts `inputs`."""
+    queue = _PairQueue(seeded, sig, caps, rank)
     for terms in inputs:
         if terms:
             queue.push(terms)
@@ -453,7 +475,7 @@ class GroebnerBasis:
 
     def contains_unit(self) -> bool:
         one = (0,) * self.sig.nvars
-        return any(lt[1] == one for (lt, _, _) in self._entries)
+        return any(e[3][1] == one for e in self._entries)
 
 
 def _as_term_inputs(gens):
@@ -478,8 +500,8 @@ def buchberger(gens, caps: Caps = None):
     """Reduced Groebner basis of the ideal or submodule generated by gens."""
     caps = caps or DEFAULT_CAPS.fresh()
     inputs, sig, rank, is_poly = _as_term_inputs(gens)
-    entries = _buchberger_terms(inputs, sig.order, sig.field, caps, rank)
-    monic = [_unscale(terms, lc, sig.field) for _, lc, terms in entries]
+    entries = _buchberger_terms(inputs, sig, caps, rank)
+    monic = [_unscale(terms, lc, sig.field) for _, lc, terms, _, _ in entries]
     if is_poly:
         out = [_terms_to_poly(t, sig) for t in monic]
     else:
@@ -492,12 +514,12 @@ def normal_form(f, gb: GroebnerBasis):
     no term of f is divisible by a basis lead in its position."""
     if f.sig != gb.sig:
         raise SignatureMismatch("signature mismatch in normal form")
-    if not any(all(map(le, lm, mono))
+    if not any(all(map(le, e[3][1], mono))
                for pos, p in enumerate(_coords(f, gb.rank))
-               for (_, lm), _, _ in gb._index.get(pos, ()) for mono, _ in p.terms):
+               for e in gb._index.get(pos, ()) for mono, _ in p.terms):
         return f
-    keyfn, fld = _key_fn(gb.sig.order), gb.sig.field
-    nf = _unscale(*_reduce_value(f, gb.rank, gb._index, keyfn, fld), fld)
+    fld = gb.sig.field
+    nf = _unscale(*_reduce_value(f, gb.rank, gb._index, fld), fld)
     if isinstance(f, Poly):
         return _terms_to_poly(nf, gb.sig)
     return _terms_to_vector(nf, gb.sig, gb.rank)
@@ -513,9 +535,9 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
     and (j, k) established, since their lcm-representations give one of
     (i, j); else reduced to zero.
     """
-    keyfn, fld = _key_fn(gb.sig.order), gb.sig.field
+    pk, fld = gb.sig.packing, gb.sig.field
     for entries in gb._index.values():
-        leads = [lt[1] for lt, _, _ in entries]
+        leads = [e[3][1] for e in entries]
         done = set()  # both orientations of every established pair
         for j, mj in enumerate(leads):
             for i, mi in enumerate(leads[:j]):
@@ -525,7 +547,7 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
                     for k, mk in enumerate(leads)
                 )
                 if not chained and _reduce_full(
-                    _spair(entries[i], entries[j], fld), gb._index, keyfn, fld
+                    _spair(entries[i], entries[j], pk, fld), gb._index, pk, fld
                 )[0]:
                     return False
                 done |= {(i, j), (j, i)}
@@ -540,12 +562,14 @@ def _ideal_block(ideal, rank, caps: Caps = None):
     """
     if ideal is None:
         return []
-    entries = ideal.gb(caps)._entries
-    return [
-        ((i, lt[1]), lc, {(i, m): c for (_, m), c in terms.items()})
-        for i in range(rank)
-        for lt, lc, terms in entries
-    ]
+    pk = ideal.sig.packing
+    block = []
+    for i in range(rank):
+        off = i << pk.pos_shift
+        for lt, lc, terms, (_, m), _ in ideal.gb(caps)._entries:
+            block.append((lt + off, lc, {t + off: c for t, c in terms.items()},
+                          (i, m), pk.sign * (lt + off)))
+    return block
 
 
 class Span:
@@ -567,36 +591,34 @@ class Span:
         self.rank = rank
         self.count = len(vectors)
         fld = sig.field
+        self._tail = rank << sig.packing.pos_shift  # the tail block's first term
         inputs = []
         for i, v in enumerate(vectors):
             # the unit tail is den, so the input is den * (v, e_i)
             den, terms = _as_terms(v, rank, fld)
-            terms[(rank + i, (0,) * sig.nvars)] = den
+            terms[sig.packing.pack(rank + i, (0,) * sig.nvars)] = den
             inputs.append(terms)
-        self._keyfn = _key_fn(sig.order)
         self._aug = _buchberger_terms(
-            inputs, sig.order, fld, caps, rank + self.count,
+            inputs, sig, caps, rank + self.count,
             seeded=modulo._entries if modulo is not None else (),
         )
         self._index = _by_position(self._aug)
         # lead in the tail block forces every term into the tail
         self._syzygy_tails = [
-            _unscale({(p - rank, m): c for (p, m), c in terms.items()}, lc, fld)
-            for lt, lc, terms in self._aug
-            if lt[0] >= rank
+            _unscale({t - self._tail: c for t, c in terms.items()}, lc, fld)
+            for lt, lc, terms, _, _ in self._aug
+            if lt >= self._tail
         ]
 
     def lift(self, v):
         """Coefficients a with v = sum a_i * vectors_i modulo D, or None."""
-        fld = self.sig.field
-        nf, scale = _reduce_value(v, self.rank, self._index, self._keyfn, fld)
-        if any(t[0] < self.rank for t in nf):
+        fld, tail = self.sig.field, self._tail
+        nf, scale = _reduce_value(v, self.rank, self._index, fld)
+        if any(t < tail for t in nf):
             return None
         nf = _unscale(nf, scale, fld)
-        coeffs = [dict() for _ in range(self.count)]
-        for (p, m), c in nf.items():
-            coeffs[p - self.rank][m] = fld.neg(c)
-        return [Poly.from_dict(self.sig, d) for d in coeffs]
+        coeffs = {t - tail: fld.neg(c) for t, c in nf.items()}
+        return list(_terms_to_vector(coeffs, self.sig, self.count).coords)
 
     def syzygies(self):
         """Generators of {a in S^count : sum a_i * vectors_i in D}."""
@@ -627,13 +649,12 @@ class IncrementalSpan:
         self.sig = sig
         self.rank = rank
         self.caps = caps or DEFAULT_CAPS.fresh()
-        self._keyfn = _key_fn(sig.order)
         self._queue = None
         basis = _ideal_block(ideal, rank, self.caps)
         if vectors:
             basis = _buchberger_terms(
-                [_as_terms(v, rank, sig.field)[1] for v in vectors], sig.order,
-                sig.field, self.caps, rank, seeded=basis,
+                [_as_terms(v, rank, sig.field)[1] for v in vectors], sig,
+                self.caps, rank, seeded=basis,
             )
         self._store(basis)
 
@@ -663,8 +684,7 @@ class IncrementalSpan:
 
     def _reduce(self, v):
         self._settle()
-        return _reduce_value(v, self.rank, self._index, self._keyfn,
-                             self.sig.field, self.caps)
+        return _reduce_value(v, self.rank, self._index, self.sig.field, self.caps)
 
     def add(self, v, degree=None) -> bool:
         """Absorb a vector; True exactly when it was not already in the span.
@@ -676,16 +696,15 @@ class IncrementalSpan:
             nf, _ = self._reduce(v)
             if nf:
                 self._store(_buchberger_terms(
-                    [nf], self.sig.order, self.sig.field, self.caps, self.rank,
-                    seeded=self._basis,
+                    [nf], self.sig, self.caps, self.rank, seeded=self._basis,
                 ))
             return bool(nf)
         if self._queue is None:
-            self._queue = _PairQueue(self._basis, self.sig.order, self.sig.field,
-                                     self.caps, self.rank, graded=True)
+            self._queue = _PairQueue(self._basis, self.sig, self.caps, self.rank,
+                                     graded=True)
         self._queue.drain(degree)
-        nf, _ = _reduce_value(v, self.rank, self._queue.index, self._keyfn,
-                              self.sig.field, self.caps)
+        nf, _ = _reduce_value(v, self.rank, self._queue.index, self.sig.field,
+                              self.caps)
         if nf:
             self._queue.push(nf, degree)
         return bool(nf)
@@ -754,8 +773,8 @@ def lead_covers(ideal: Ideal, caps: Caps = None):
     """Variable index sets meeting the support of every lead term of the
     ideal's basis, in bitmask order; every set for the zero ideal."""
     n = ideal.sig.nvars
-    supports = [frozenset(i for i, e in enumerate(lt[1]) if e)
-                for lt, _, _ in ideal.gb(caps)._entries]
+    supports = [frozenset(i for i, e in enumerate(entry[3][1]) if e)
+                for entry in ideal.gb(caps)._entries]
     subsets = (frozenset(i for i in range(n) if (mask >> i) & 1)
                for mask in range(1 << n))
     return [c for c in subsets if all(s & c for s in supports)]

@@ -1,15 +1,21 @@
-"""Monomial orders on exponent tuples.
+"""Monomial orders on exponent tuples, and the packed terms they define.
 
 Monomials are plain tuples of nonnegative ints, one slot per ambient
 variable.  Every order here is a total, multiplicative well-order, encoded
 once as its `flat_key`: a flat int tuple, ascending as the monomials descend.
+Its fields are linear in the exponents, so it also defines `Packing`, the
+one-int terms of S^r that ascend as the position-over-term order descends.
 """
 
+import struct
 from dataclasses import dataclass, field
 from functools import partial
-from operator import add, le, sub
+from operator import add, itemgetter, le, mul
 
 LT, EQ, GT = -1, 0, 1
+
+FIELD_BITS = 32
+FIELD_MAX = (1 << FIELD_BITS - 1) - 1  # a field's values lie below its guard bit
 
 
 def _grevlex_flat(m):
@@ -63,11 +69,6 @@ def mono_divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
-def mono_div(a, b):
-    """a / b; caller must ensure divisibility."""
-    return tuple(map(sub, a, b))
-
-
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
@@ -87,3 +88,53 @@ def compare(order: MonomialOrder, m1, m2) -> int:
     if k1 > k2:
         return GT
     return EQ
+
+
+class Packing:
+    """Terms of S^r under `order` over `nvars` variables, one int each: the
+    position in the top bits, below it the flat-key fields, FIELD_BITS wide
+    with a guard bit on top and FIELD_MAX added where never positive, all in
+    [0, FIELD_MAX] for a term of degree at most FIELD_MAX.  pack is linear:
+    a term times t / lt is `term + (t - lt)`, and a field out of range sets
+    its guard bit (`overflow`).  Each variable owns a field holding
+    sign * m_i; lt divides t, a term in its position, exactly when
+    (sign * t + half) - sign * lt sets no owned guard bit (`guards`)."""
+
+    def __init__(self, order, nvars):
+        rows = list(zip(*(order.flat_key(tuple(int(i == j) for j in range(nvars)))
+                          for i in range(nvars))))  # rows[j]: field j's coefficients
+        shifts = [FIELD_BITS * j for j in reversed(range(len(rows)))]
+        guard = [1 << s + FIELD_BITS - 1 for s in shifts]
+        self.sign = sign = 1 if any(a > 0 for row in rows for a in row) else -1
+        own = {}  # variable -> the field holding sign * its exponent
+        for j, row in enumerate(rows):
+            if row.count(0) == nvars - 1 and sign in row:
+                own.setdefault(row.index(sign), j)
+        self.pos_shift = FIELD_BITS * len(rows)
+        self.base = sum(FIELD_MAX << s for row, s in zip(rows, shifts) if min(row) < 0)
+        self.weights = tuple(sum(row[i] << s for row, s in zip(rows, shifts))
+                             for i in range(nvars))
+        self.overflow = sum(guard)
+        self.guards = sum(guard[j] for j in own.values())
+        self.half = self.overflow - self.guards  # no borrow out of the sum fields
+        # mono(t): the owned fields read as little-endian 32-bit slots
+        read = struct.Struct("<" + "".join("I" if j in own.values() else "4x"
+                                           for j in reversed(range(len(rows))))).unpack
+        low, size = (1 << self.pos_shift) - 1, self.pos_shift // 8
+        slots = sorted(own.values(), reverse=True)
+        perm = [slots.index(own[i]) for i in range(nvars)]
+        pick = itemgetter(*perm) if perm != sorted(perm) else None
+
+        def mono(t):
+            m = read((t & low).to_bytes(size, "little"))
+            m = m if pick is None else pick(m)
+            return m if sign > 0 else tuple(map(FIELD_MAX.__xor__, m))
+
+        self.mono = mono
+
+    def pack(self, pos, m):
+        return self.base + (pos << self.pos_shift) + sum(map(mul, m, self.weights))
+
+    def divides(self, dk, t):
+        """The lead of divisor key dk = sign * lead divides t, in its position."""
+        return not (self.sign * t + self.half - dk) & self.guards

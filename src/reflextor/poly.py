@@ -9,7 +9,7 @@ coefficients.  All arithmetic is exact.
 import math
 from dataclasses import dataclass
 
-from .orders import GREVLEX, MonomialOrder, degree, mono_mul
+from .orders import GREVLEX, MonomialOrder, Packing, degree, mono_mul
 
 MINUS_INFINITY = -math.inf
 
@@ -29,6 +29,8 @@ class RingSignature:
             raise ValueError("duplicate variable names")
         if not all(v.isidentifier() for v in self.variables):
             raise ValueError("variable names must be identifiers")
+        # the Groebner engine's one-int terms over this signature
+        object.__setattr__(self, "packing", Packing(self.order, len(self.variables)))
 
     @property
     def nvars(self):

@@ -1,9 +1,10 @@
 """Independent oracles: plain linear algebra over graded pieces.
 
-Nothing here touches the Groebner engine; membership and kernel
+Nothing here runs the Groebner engine; membership and kernel
 dimensions come from row reduction of coefficient matrices, the
 monomial-order oracle is the definition unrolled term by term, the
-basis check reduces every S-pair with its own division loop, the
+basis check reads the basis entries through the engine's exit boundary
+and reduces every S-pair with its own division loop, the
 minors are Leibniz sums over plain term dicts, and two presentations are
 matched entry by entry over every row and column permutation.  The one
 exception is `ext_depth`, depth by its definition, the first nonzero
@@ -12,6 +13,7 @@ Ext^i(k, M): it resolves k over R where `depth` resolves M over S.
 
 from itertools import combinations, permutations
 
+from reflextor.groebner import _terms_to_vector
 from reflextor.linalg import rank
 from reflextor.orders import degree, sort_key
 from reflextor.poly import Poly
@@ -162,9 +164,11 @@ def lex_oracle(m1, m2):
 
 def all_pairs_groebner_check(gb):
     """Buchberger's criterion with no shortcut: every same-position S-pair
-    of the basis entries top-reduces to zero.  Works on the entries' term
-    dicts {(position, exponents): coefficient} alone, with position over
-    term order and its own leads, S-vectors and division."""
+    of the basis entries top-reduces to zero.  Works on term dicts
+    {(position, exponents): coefficient} alone, read off each entry's
+    vector as the engine's exit boundary (`_terms_to_vector`) hands it
+    out, with position over term order and its own leads, S-vectors and
+    division."""
     order, fld = gb.sig.order, gb.sig.field
 
     def lead(terms):
@@ -179,7 +183,11 @@ def all_pairs_groebner_check(gb):
             else:
                 acc[t] = v
 
-    vecs = [terms for _, _, terms in gb._entries]
+    vecs = [
+        {(i, m): c for i, p in enumerate(_terms_to_vector(e[2], gb.sig, gb.rank).coords)
+         for m, c in p.terms}
+        for e in gb._entries
+    ]
     leads = [lead(v) for v in vecs]
     for j in range(len(vecs)):
         for i in range(j):

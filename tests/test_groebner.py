@@ -295,7 +295,7 @@ class TestSpan:
             assert inc.contains(probe) == normal_form(probe, batch).is_zero
         assert inc.contains(member)
 
-        leads = [lt for (lt, _, _) in inc._entries]
+        leads = [lead for (_, _, _, lead, _) in inc._entries]
         for d in range(6):
             lead_dim = sum(
                 any(p == i and mono_divides(lm, m) for (p, lm) in leads)
@@ -334,7 +334,7 @@ class TestSpan:
         assert inc._queue is None
         assert_verified(GroebnerBasis(sig, 2, [], True, inc._entries))
         inputs = [_as_terms(v, 2, fld)[1] for v in vectors + [extra]]
-        assert inc._entries == _buchberger_terms(inputs, sig.order, fld, Caps(), 2)
+        assert inc._entries == _buchberger_terms(inputs, sig, Caps(), 2)
 
 
 class TestManyPositionSpan:
@@ -369,7 +369,7 @@ class TestManyPositionSpan:
         rank = 3 + len(vectors)
         # q*e_i is a syzygy modulo D of each vector alone, so every tail
         # position holds a lead
-        assert {lt[0] for lt, _, _ in span._aug} == set(range(rank))
+        assert {lead[0] for _, _, _, lead, _ in span._aug} == set(range(rank))
         gb = GroebnerBasis(sig, rank, [], True, span._aug)
         assert verify_groebner(gb) and all_pairs_groebner_check(gb)
 
@@ -427,7 +427,7 @@ class TestSeededQueue:
             )[1]
 
         def run(inputs, seeded=()):
-            return _buchberger_terms(inputs, sig.order, fld, Caps(), 2, seeded=seeded)
+            return _buchberger_terms(inputs, sig, Caps(), 2, seeded=seeded)
 
         a = [vector(d) for d in (2, 2, 3)]
         b = [vector(d) for d in (2, 3, 3)]
@@ -473,7 +473,7 @@ class TestIdealOnlySpan:
     def test_agrees_with_the_pair_queue(self, fld):
         sig, ideal = self._setting(fld)
         rank = 2
-        old = _buchberger_terms([], sig.order, fld, Caps(), rank,
+        old = _buchberger_terms([], sig, Caps(), rank,
                                 seeded=_ideal_block(ideal, rank))
         span = IncrementalSpan(sig, rank, (), ideal=ideal)
         assert len(span._entries) == len(old)
