@@ -633,16 +633,14 @@ class IncrementalSpan:
     No tails are carried; `ideal`*S^rank is the seeded `_ideal_block`.
     The reduced basis `_basis` keeps its position index `_index` beside
     it, rebuilt only when the basis is replaced; every reduction takes
-    the index.  `add(v)` reduces v against the reduced basis and hands a
-    remainder to the pair queue seeded with it, so only pairs that involve
-    the new element are formed.  `add(v, degree)`, the graded-Nakayama
-    scan's step, keeps one graded `_PairQueue` across calls, drained only
-    to `degree` and never interreduced, and reduces against the queue's
-    own index: mid-scan its entries are a basis only up to the degrees
-    offered.  Any other use (`contains`, `normal_form`, `add` with no
-    degree, `_entries` as a seed) first drains that queue and
-    interreduces.  The list and index a span started from are never
-    mutated, so a shallow copy of a span with no queue grows alone.
+    the index.  `add(v, degree)`, the graded-Nakayama scan's step, keeps
+    one graded `_PairQueue` across calls, drained only to `degree` and
+    never interreduced, and reduces against the queue's own index:
+    mid-scan its entries are a basis only up to the degrees offered.  Any
+    other use (`contains`, `normal_form`, `_entries` as a seed) first
+    drains that queue and interreduces.  The list and index a span started
+    from are never mutated, so a shallow copy of a span with no queue
+    grows alone.
     """
 
     def __init__(self, sig, rank, vectors=(), caps: Caps = None, ideal=None):
@@ -686,19 +684,11 @@ class IncrementalSpan:
         self._settle()
         return _reduce_value(v, self.rank, self._index, self.sig.field, self.caps)
 
-    def add(self, v, degree=None) -> bool:
-        """Absorb a vector; True exactly when it was not already in the span.
-
-        With `degree`, v is homogeneous of that vector degree and the span
-        is being scanned: the queue's pairs up to `degree` are treated, v
-        is reduced against its entries and a remainder joins the queue."""
-        if degree is None:
-            nf, _ = self._reduce(v)
-            if nf:
-                self._store(_buchberger_terms(
-                    [nf], self.sig, self.caps, self.rank, seeded=self._basis,
-                ))
-            return bool(nf)
+    def add(self, v, degree) -> bool:
+        """Absorb v, homogeneous of vector degree `degree`, as a scan step;
+        True exactly when it was not already in the span.  The queue's
+        pairs up to `degree` are treated, v is reduced against its entries
+        and a remainder joins the queue."""
         if self._queue is None:
             self._queue = _PairQueue(self._basis, self.sig, self.caps, self.rank,
                                      graded=True)

@@ -5,9 +5,8 @@ Nakayama minimalization), cached append-only on the module, and extended
 under a lock so concurrent requests serialize.  Every capped walk obeys
 one rule (`FreeResolution.extend_to`), so an answer depends on the
 module, the length asked for and the cap, never on what the cache holds.
-Homology of a three-term segment is kernel-mod-image: one syzygy run for
-the kernel preimage, then `modules.subquotient` of it modulo the image
-and the relations.
+Homology of a three-term segment is one `modules.subquotient`: the kernel
+of the map out, modulo the image of the map in and the middle's relations.
 
 Tor and Ext share one segment builder over plain column blocks; no module
 or map object is built for a segment's terms.  F_i (x) N is N^{b_i}, with
@@ -26,7 +25,6 @@ from copy import copy
 from dataclasses import dataclass
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .groebner import FreeVector
 from .hilbert import ambient_resolution, vector_degree
 from .modules import (
     PresentedModule,
@@ -37,7 +35,6 @@ from .modules import (
     minimal_generator_indices,
     minimize,
     module_is_zero,
-    ring_membership_span,
     subquotient,
     syzygies_over_ring,
 )
@@ -246,37 +243,6 @@ class HomologyReport:
     relation_vectors: tuple = ()
 
 
-def _zero_report(ring, kind, index, want_module):
-    return HomologyReport(kind, index, True,
-                          PresentedModule(ring, (), (), _minimal=True)
-                          if want_module else None)
-
-
-def _segment_homology(ring, degrees, relations, outgoing, incoming,
-                      kind, index, want_module, caps):
-    """Homology at the middle of  incoming -> middle -> outgoing.
-
-    The middle is R^len(degrees) modulo `relations`; `outgoing` is
-    (columns, target rank, target relation columns), or None at the end
-    of the complex; `incoming` holds the columns of the map in.
-    """
-    rank = len(degrees)
-    if rank == 0:
-        return _zero_report(ring, kind, index, want_module)
-    if outgoing is None:
-        kernel_gens = [FreeVector.unit(ring.sig, rank, i) for i in range(rank)]
-    else:
-        cols, target_rank, target_relations = outgoing
-        target = ring_membership_span(ring, target_rank, target_relations, caps)
-        kernel_gens = syzygies_over_ring(ring, target_rank, cols, caps,
-                                         modulo=target)
-    relations = list(incoming) + list(relations)
-    module, gens = subquotient(ring, degrees, kernel_gens, relations, caps,
-                               want_module)
-    return HomologyReport(kind, index, not gens, module,
-                          tuple(kernel_gens), tuple(relations))
-
-
 def _resolution_homology(kind, m, n, i, caps, want_module):
     """Homology at F_i (x) N (Tor) or Hom(F_i, N) (Ext), F resolving M.
 
@@ -293,7 +259,8 @@ def _resolution_homology(kind, m, n, i, caps, want_module):
     res = resolution(m, caps)
     res.extend_to(i + 1, caps)
     if i > res.length_computed():  # the walk ended before F_i
-        return _zero_report(m.ring, kind, i, want_module)
+        return HomologyReport(kind, i, True, PresentedModule(
+            m.ring, (), (), _minimal=True) if want_module else None)
 
     def coords(k):
         return [c.coords for c in res.differential(k)]
@@ -310,12 +277,13 @@ def _resolution_homology(kind, m, n, i, caps, want_module):
         target_degs, target_relations = _free_power(n, res.shift(k_out), sign)
         outgoing = (_tensor_id(a_out, n, degrees, target_degs),
                     len(target_degs), target_relations)
-    incoming = []
-    if a_in:
+    if a_in:  # the image of the map in comes first among the relations
         source_degs, _ = _free_power(n, res.shift(k_in), sign)
-        incoming = _tensor_id(a_in, n, source_degs, degrees)
-    return _segment_homology(m.ring, degrees, relations, outgoing, incoming,
-                             kind, i, want_module, caps)
+        relations = _tensor_id(a_in, n, source_degs, degrees) + relations
+    module, gens, kernel_gens = subquotient(m.ring, degrees, relations,
+                                            outgoing, caps, want_module)
+    return HomologyReport(kind, i, not gens, module, tuple(kernel_gens),
+                          tuple(relations))
 
 
 def tor(m: PresentedModule, n: PresentedModule, i: int,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .caps import Caps, DEFAULT_CAPS
 from .groebner import FreeVector
 from .linalg import nullspace
-from .modules import ModuleMap, PresentedModule, minimize, ring_membership_span
+from .modules import ModuleMap, PresentedModule, minimize, subquotient
 from .orders import mono_divides
 from .poly import Poly
 
@@ -206,7 +206,6 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
             vec = [fld.zero] * nunk
             vec[u] = fld.one
             solutions.append(vec)
-    units = [FreeVector.unit(ring.sig, gb, i) for i in range(gb)]
     for u in _candidates(solutions, nunk, fld):
         entries = {}
         for coeff, (i, j, m) in zip(u, unknowns):
@@ -223,7 +222,7 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
             candidate = ModuleMap(shifted, b, cols, caps=caps)
         except Exception:
             continue
-        span = ring_membership_span(ring, gb, list(b.columns) + cols, caps)
-        if all(span.contains(e) for e in units):
+        if not subquotient(ring, b.gen_degrees, list(b.columns) + cols, None,
+                           caps, want_module=False)[1]:
             return IsoResult(candidate, s, shifted, b)
     return None

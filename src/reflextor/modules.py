@@ -9,10 +9,12 @@ ambient polynomial ring.  A relation set D over R is one membership span
 (`ring_membership_span`: the defining ideal times the free module as a
 seeded block, plus D's vectors), reduced to a basis once; it seeds the
 Nakayama scan (on a copy) and the tailed syzygy run.  Every kernel modulo
-an image (kernels of maps, the zero test, Tor and Ext) is one
-`subquotient` over such a span.  Only the resolution of M over the
-ambient ring, behind the Hilbert series and depth, takes the ring
-relations g*e_i as real columns (`hilbert.ambient_resolution`).
+an image (kernels of maps, the zero test, Tor and Ext, exactness, the
+surjectivity of an isomorphism candidate) is one `subquotient` call: it
+takes the map out and the relations, and builds both spans itself.  Only
+the resolution of M over the ambient ring, behind the Hilbert series and
+depth, takes the ring relations g*e_i as real columns
+(`hilbert.ambient_resolution`).
 
 Sign and twist conventions: M = coker(P) with P acting from the column
 side, entry (i, j) homogeneous of degree coldeg(j) - gendeg(i); dualizing
@@ -197,33 +199,46 @@ def minimal_generator_indices(ring, rank, vectors, degrees, modulo=None, caps=No
     return minimal_vector_subset(span, vectors, degrees)
 
 
-def subquotient(ring, coord_degrees, numerators, relations, caps=None,
+def subquotient(ring, coord_degrees, relations, outgoing=None, caps=None,
                 want_module=True):
-    """(span(numerators) + D)/D inside R^rank, D the R-span of `relations`
-    and rank = len(coord_degrees): the one kernel-mod-image routine.
+    """H = ker(R^rank -> R^t/E) modulo D, the R-span of `relations`, with
+    rank = len(coord_degrees): the one kernel-mod-image routine.
 
-    D is one membership span, and each numerator is reduced modulo its
-    basis once; the quotient is zero exactly when no normal form survives.
-    Returns the module (None when not wanted) and the chosen generators,
-    reduced representatives of their classes inside R^rank: empty for the
-    zero quotient, and without the module only the first survivor, where
-    the scan stops.  With the module, the survivors seed the Nakayama scan
-    (on a copy of D) and the relation syzygies.
+    `outgoing` is the map out, (columns, t, columns of E); None is the zero
+    map, whose kernel the unit vectors span.  The kernel is one syzygy run
+    modulo E's membership span; each kernel generator is reduced once
+    modulo D's, and H is zero exactly when no normal form survives.
+    Returns H (None when not wanted), the chosen generators and the kernel
+    generators.  The chosen generators are reduced representatives of
+    their classes in R^rank: none when H = 0, and without the module only
+    the first survivor, where the scan stops.  With the module, the
+    survivors seed the Nakayama scan (on a copy of D) and the relation
+    syzygies.
     """
     rank = len(coord_degrees)
+    if rank == 0:
+        zero = PresentedModule(ring, (), (), _minimal=True) if want_module else None
+        return zero, [], []
+    if outgoing is None:
+        kernel_gens = [FreeVector.unit(ring.sig, rank, i) for i in range(rank)]
+    else:
+        cols, target_rank, target_relations = outgoing
+        target = ring_membership_span(ring, target_rank, target_relations, caps)
+        kernel_gens = syzygies_over_ring(ring, target_rank, cols, caps,
+                                         modulo=target)
     den_span = ring_membership_span(ring, rank, relations, caps)
     # a normal form against a span seeded with ideal*S^rank is reduced in R
     reduced = []
-    for v in numerators:
+    for v in kernel_gens:
         nf = den_span.normal_form(v)
         if not nf.is_zero:
             reduced.append(nf)
             if not want_module:
                 break
     if not want_module:
-        return None, reduced
+        return None, reduced, kernel_gens
     if not reduced:
-        return PresentedModule(ring, (), (), _minimal=True), []
+        return PresentedModule(ring, (), (), _minimal=True), [], kernel_gens
     degs = [vector_degree(v, coord_degrees) for v in reduced]
     kept = minimal_generator_indices(
         ring, rank, reduced, degs, modulo=den_span, caps=caps
@@ -231,14 +246,12 @@ def subquotient(ring, coord_degrees, numerators, relations, caps=None,
     gens = [reduced[i] for i in kept]
     rel_cols = syzygies_over_ring(ring, rank, gens, caps, modulo=den_span)
     module = PresentedModule(ring, [degs[i] for i in kept], rel_cols)
-    return minimize(module, caps), gens
+    return minimize(module, caps), gens, kernel_gens
 
 
 def module_is_zero(m: PresentedModule, caps: Caps = None) -> bool:
     """Membership-certified: every generator lies in the relation span."""
-    g = m.num_generators
-    units = [FreeVector.unit(m.ring.sig, g, i) for i in range(g)]
-    return not subquotient(m.ring, m.gen_degrees, units, m.columns, caps,
+    return not subquotient(m.ring, m.gen_degrees, m.columns, None, caps,
                            want_module=False)[1]
 
 
@@ -342,19 +355,10 @@ class ModuleMap:
 
 def kernel(phi: ModuleMap, caps: Caps = None):
     """Kernel of a map, as a presented module plus its inclusion map."""
-    ring = phi.source.ring
-    g_s = phi.source.num_generators
-    g_t = phi.target.num_generators
-    if g_s == 0:
-        zero = PresentedModule(ring, (), (), _minimal=True)
-        return zero, ModuleMap(zero, phi.source, (), check=False)
-    # preimage of the target relations inside the source free cover
-    target = ring_membership_span(ring, g_t, phi.target.columns, caps)
-    preimage = syzygies_over_ring(ring, g_t, phi.columns, caps, modulo=target)
-    module, gens = subquotient(ring, phi.source.gen_degrees, preimage,
-                               phi.source.columns, caps)
-    incl = ModuleMap(module, phi.source, gens, check=False)
-    return module, incl
+    outgoing = (phi.columns, phi.target.num_generators, phi.target.columns)
+    module, gens, _ = subquotient(phi.source.ring, phi.source.gen_degrees,
+                                  phi.source.columns, outgoing, caps)
+    return module, ModuleMap(module, phi.source, gens, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -579,8 +583,9 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
     from .homology import ext
 
     ring = n.ring
+    ring_module = free_module(ring, (0,))
     tr = transpose(n, caps)
-    ext1 = ext(tr, free_module(ring, (0,)), 1, caps)
+    ext1 = ext(tr, ring_module, 1, caps)
     if not ext1.is_zero:
         raise NotTorsionless(
             "module is not torsionless: Ext^1(transpose, R) is nonzero",
@@ -599,12 +604,13 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
     cols = _transposed(ring.sig, minimal_functionals, n.num_generators)
     emb = ModuleMap(n, target, cols, caps=caps)
     n1 = minimize(emb.cokernel(), caps)
-    recheck = ext(transpose(n1, caps), free_module(ring, (0,)), 1, caps)
+    tr_n1 = transpose(n1, caps)
+    recheck = ext(tr_n1, ring_module, 1, caps)
     if not recheck.is_zero:
         raise RuntimeError("pushforward postcondition failed: Ext^1(N1, R) != 0")
     omega_tr = syzygy(tr, 1, caps)
-    diff = omega_tr.hilbert_series(caps) - transpose(n1, caps).hilbert_series(caps)
-    ring_numer = free_module(ring, (0,)).hilbert_series(caps).as_dict()
+    diff = omega_tr.hilbert_series(caps) - tr_n1.hilbert_series(caps)
+    ring_numer = ring_module.hilbert_series(caps).as_dict()
     witness = diff.is_free_combination_of(ring_numer)
     return PushforwardResult(n1, emb, target, recheck, witness)
 

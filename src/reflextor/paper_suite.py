@@ -265,10 +265,9 @@ def _complex_exact(ring, a1, a2, a3, caps):
     exact = []
     for degrees, into, out, target_rank in (((3, 3, 3), a1, a2, 3),
                                             ((1, 1, 1), a2, a3, 4)):
-        c = caps.fresh()
-        cycles = modules.syzygies_over_ring(ring, target_rank, out, c)
-        exact.append(not modules.subquotient(ring, degrees, cycles, into, c,
-                                             want_module=False)[1])
+        exact.append(not modules.subquotient(
+            ring, degrees, into, (out, target_rank, ()), caps.fresh(),
+            want_module=False)[1])
     return all(exact)
 
 

@@ -258,17 +258,15 @@ class TestSpan:
     def test_incremental_matches_batch(self, sig4, p4):
         vectors = [p4("x^2 - y"), p4("x*z - w"), p4("y*w - z^2")]
         batch = buchberger(vectors)
-        inc = IncrementalSpan(sig4, 1, vectors[:1])
-        for v in vectors[1:]:
-            inc.add(v)
+        inc = IncrementalSpan(sig4, 1, vectors)
         probes = [p4("x^3 - x*y"), p4("z"), p4("x^2*z - y*z"), p4("w^2")]
         for f in probes:
             assert inc.contains(f) == normal_form(f, batch).is_zero
 
     @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
     def test_incremental_vectors_match_batch_and_oracle(self, fld):
-        # homogeneous vectors of S^2 with coordinate degrees (0, 1), added
-        # one at a time to the seeded pair queue
+        # homogeneous vectors of S^2 with coordinate degrees (0, 1), scanned
+        # one at a time by ascending degree into the graded pair queue
         sig = RingSignature(fld, ("x", "y", "z"))
         rng = random.Random(20261018)
         coord_degrees = (0, 1)
@@ -285,7 +283,7 @@ class TestSpan:
         caps = Caps()
         inc = IncrementalSpan(sig, 2, caps=caps)
         for v in vectors:
-            inc.add(v)
+            inc.add(v, vector_degree(v, coord_degrees))
         assert_verified(GroebnerBasis(sig, 2, [], True, inc._entries))
 
         x, y = (Poly.variable(sig, n) for n in ("x", "y"))
@@ -305,13 +303,14 @@ class TestSpan:
             assert lead_dim == submodule_piece_dimension(vectors, coord_degrees, d)
 
         ticks = caps._pairs_used
-        assert not inc.add(member)
+        assert not inc.add(member, vector_degree(member, coord_degrees))
         assert caps._pairs_used == ticks
 
     @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
-    def test_add_without_degree_settles_a_partly_drained_scan(self, fld):
-        # a scan step leaves the pairs above its degree pending; a plain add
-        # drains them and interreduces, so the span is the one-run basis
+    def test_entries_settle_a_partly_drained_scan(self, fld):
+        # a scan step leaves the pairs above its degree pending; reading the
+        # entries drains them and interreduces, so the span is the one-run
+        # basis
         sig = RingSignature(fld, ("x", "y", "z"))
         rng = random.Random(20261022)
         coord_degrees = (0, 1)
@@ -330,11 +329,12 @@ class TestSpan:
             assert inc.add(v, vector_degree(v, coord_degrees))
         assert inc._queue.heap
         extra = vector(3)
-        inc.add(extra)
+        inc.add(extra, vector_degree(extra, coord_degrees))
+        entries = inc._entries
         assert inc._queue is None
-        assert_verified(GroebnerBasis(sig, 2, [], True, inc._entries))
+        assert_verified(GroebnerBasis(sig, 2, [], True, entries))
         inputs = [_as_terms(v, 2, fld)[1] for v in vectors + [extra]]
-        assert inc._entries == _buchberger_terms(inputs, sig, Caps(), 2)
+        assert entries == _buchberger_terms(inputs, sig, Caps(), 2)
 
 
 class TestManyPositionSpan:

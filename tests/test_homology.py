@@ -190,6 +190,23 @@ class TestTorExt:
         assert ext(k, n_a, 2, want_module=False).is_zero
         assert not ext(k, n_a, 3, want_module=False).is_zero
 
+    def test_zero_answers_agree_with_and_without_the_module(self, ring_b,
+                                                           m_b, n_b):
+        # the zero module makes rank-0 middles; both modes of the one
+        # kernel-mod-image routine must give the same verdict and certificate
+        mods = [m_b, n_b, ring_b.residue_field_module(), free_module(ring_b, ())]
+        for left in mods:
+            for right in mods:
+                for i in range(4):
+                    for homology in (tor, ext):
+                        bare = homology(left, right, i, want_module=False)
+                        full = homology(left, right, i)
+                        assert bare.module is None
+                        assert bare.is_zero == full.is_zero
+                        assert bare.kernel_generators == full.kernel_generators
+                        assert bare.relation_vectors == full.relation_vectors
+                        assert full.is_zero == (full.module.num_generators == 0)
+
 
 class TestDepth:
     def test_fixture_depths(self, ring_a, m_a, n_a, tensor_a):

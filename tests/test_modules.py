@@ -545,7 +545,7 @@ class TestRelationSpanIsShared:
         assert not d_span.contains(outside)
 
         numerators = [outside, vec("0", "1"), vec("x", "z"), vec("y", "0")]
-        module, gens = subquotient(ring_a, (0, 0), numerators, relations, d_caps)
+        module, gens, _ = subquotient(ring_a, (0, 0), relations, None, d_caps)
         assert gens == [outside, vec("0", "1")]
         assert module.num_generators == 2
         d_pairs = d_caps._pairs_used
