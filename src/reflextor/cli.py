@@ -4,7 +4,8 @@ Subcommands: run, paper-suite, resolve, tor, ext, check, hh-graph,
 verify, rigidity-search.  Exit codes: 0 all verdicts consistent, 1 a
 verification failed, 2 input error, 3 a computation cap was exceeded.
 Default caps may be set through REFLEXTOR_CAP_PAIRS,
-REFLEXTOR_CAP_RESOLUTION and REFLEXTOR_TOR_WINDOW.
+REFLEXTOR_CAP_RESOLUTION and REFLEXTOR_TOR_WINDOW, read where the flag is
+unset; a value that is not an integer is an input error.
 """
 
 import argparse
@@ -21,39 +22,20 @@ from .reports import (
     report_json,
     run_session,
     )
-from .session import SessionError, load_session_file
+from .session import SessionError, load_session_file, parse_caps
 from .verify import PIPELINES
-
-
-def _env_default(name, fallback=None):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
 
 
 def _common_flags(suppress: bool):
     """Shared flags; subcommand copies must not clobber earlier values."""
     p = argparse.ArgumentParser(add_help=False)
     d = argparse.SUPPRESS if suppress else None
-    p.add_argument(
-        "--cap-pairs", type=int,
-        default=d if suppress else _env_default("REFLEXTOR_CAP_PAIRS"),
-        help="maximum S-pair reductions per basis computation",
-    )
-    p.add_argument(
-        "--cap-resolution", type=int,
-        default=d if suppress else _env_default("REFLEXTOR_CAP_RESOLUTION"),
-        help="maximum free resolution length",
-    )
-    p.add_argument(
-        "--tor-window", type=int,
-        default=d if suppress else _env_default("REFLEXTOR_TOR_WINDOW"),
-        help="default Tor vanishing window",
-    )
+    p.add_argument("--cap-pairs", type=int, default=d,
+                   help="maximum S-pair reductions per basis computation")
+    p.add_argument("--cap-resolution", type=int, default=d,
+                   help="maximum free resolution length")
+    p.add_argument("--tor-window", type=int, default=d,
+                   help="default Tor vanishing window")
     if suppress:
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                        help="machine-readable output")
@@ -126,12 +108,26 @@ def build_parser():
     return parser
 
 
+# (session caps key, flag attribute, environment variable)
+_CAP_FLAGS = (("pairs", "cap_pairs", "REFLEXTOR_CAP_PAIRS"),
+              ("resolution", "cap_resolution", "REFLEXTOR_CAP_RESOLUTION"),
+              ("tor_window", "tor_window", "REFLEXTOR_TOR_WINDOW"))
+
+
 def _caps_overrides(args):
-    return {
-        "pairs": args.cap_pairs,
-        "resolution": args.cap_resolution,
-        "tor_window": args.tor_window,
-    }
+    """The cap flags, each unset one read from its environment variable; a
+    variable that is not an integer is an input error naming it."""
+    out = {}
+    for key, attr, env in _CAP_FLAGS:
+        value = getattr(args, attr)
+        if value is None and env in os.environ:
+            try:
+                value = int(os.environ[env])
+            except ValueError:
+                raise SessionError(f"environment variable {env} must be an "
+                                   f"integer: {os.environ[env]!r}") from None
+        out[key] = value
+    return out
 
 
 def _emit(args, report, text_renderer):
@@ -157,7 +153,7 @@ def main(argv=None) -> int:
             _emit(args, report, render_text)
             return report["exit_code"]
         if args.command == "paper-suite":
-            report = paper_suite()
+            report = paper_suite(parse_caps(None, _caps_overrides(args)))
             if args.json:
                 sys.stdout.write(report_json(report))
             else:

@@ -748,15 +748,17 @@ class Ideal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def ideal_quotient(ideal: Ideal, f: Poly, caps: Caps = None) -> Ideal:
-    """(I : f) = {g : g*f in I}: the syzygies of f modulo I."""
-    if f.is_zero:
+def ideal_quotient(ideal: Ideal, j: Ideal, caps: Caps = None) -> Ideal:
+    """(I : J) = {c : c*J in I}: the syzygies of the one vector
+    (g_1, ..., g_k) of J's generators modulo I*S^k, as Singular's
+    `quotient` (Greuel & Pfister, A Singular Introduction to Commutative
+    Algebra, 1.8).  For one generator f this is the syzygies of f modulo I."""
+    if not j.generators:
         raise ValueError("ideal quotient by zero")
-    if not ideal.generators:
-        return Ideal(ideal.sig, ())
-    span = Span(ideal.sig, 1, [f], caps, IncrementalSpan(ideal.sig, 1, (), caps, ideal))
-    firsts = [s.coords[0] for s in span.syzygies()]
-    return Ideal(ideal.sig, tuple(g for g in firsts if not g.is_zero))
+    k = len(j.generators)
+    span = Span(ideal.sig, k, [FreeVector(ideal.sig, j.generators)], caps,
+                IncrementalSpan(ideal.sig, k, (), caps, ideal))
+    return Ideal(ideal.sig, tuple(s.coords[0] for s in span.syzygies()))
 
 
 def lead_covers(ideal: Ideal, caps: Caps = None):
@@ -778,13 +780,6 @@ def krull_dimension(ideal: Ideal, caps: Caps = None) -> int:
     return ideal.sig.nvars - min(map(len, lead_covers(ideal, caps)))
 
 
-def _fresh_var(sig, base="t"):
-    name = base
-    while name in sig.variables:
-        name += "_"
-    return name
-
-
 def radical_membership(f: Poly, ideal: Ideal, caps: Caps = None) -> bool:
     """f in rad(I), decided by 1 in I + (1 - t*f) over an extended ring."""
     from .poly import RingSignature
@@ -792,7 +787,9 @@ def radical_membership(f: Poly, ideal: Ideal, caps: Caps = None) -> bool:
     if f.is_zero:
         return True
     sig = ideal.sig
-    tname = _fresh_var(sig)
+    tname = "t"
+    while tname in sig.variables:
+        tname += "_"
     ext = RingSignature(sig.field, sig.variables + (tname,), sig.order)
     lift = lambda p: p.map_exponents(lambda m: m + (0,), ext)
     t = Poly.variable(ext, tname)
@@ -803,25 +800,14 @@ def radical_membership(f: Poly, ideal: Ideal, caps: Caps = None) -> bool:
 
 
 def intersect_ideals(a: Ideal, b: Ideal, caps: Caps = None) -> Ideal:
-    """I intersect J via the elimination order on t*I + (1-t)*J."""
-    from .orders import elimination
-    from .poly import RingSignature
-
-    if not a.generators or not b.generators:
-        return Ideal(a.sig, ())
+    """I intersect J: the syzygies of (1, 1) modulo I*e_1 + J*e_2, as
+    Singular's `intersect` (Greuel & Pfister, 1.8)."""
     sig = a.sig
     if sig != b.sig:
         raise SignatureMismatch("ideal intersection across signatures")
-    tname = _fresh_var(sig)
-    ext = RingSignature(sig.field, (tname,) + sig.variables, elimination(1))
-    lift = lambda p: p.map_exponents(lambda m: (0,) + m, ext)
-    t = Poly.variable(ext, tname)
-    one_minus_t = Poly.one(ext) - t
-    gens = [t * lift(g) for g in a.generators]
-    gens += [one_minus_t * lift(g) for g in b.generators]
-    gb = buchberger(gens, caps)
-    kept = []
-    for g in gb.generators:
-        if all(m[0] == 0 for m, _ in g.terms):
-            kept.append(g.map_exponents(lambda m: m[1:], sig))
-    return Ideal(sig, tuple(kept))
+    zero, one = Poly.zero(sig), Poly.one(sig)
+    modulo = IncrementalSpan(
+        sig, 2, [FreeVector(sig, (g, zero)) for g in a.generators]
+        + [FreeVector(sig, (zero, h)) for h in b.generators], caps)
+    span = Span(sig, 2, [FreeVector(sig, (one, one))], caps, modulo)
+    return Ideal(sig, tuple(s.coords[0] for s in span.syzygies()))

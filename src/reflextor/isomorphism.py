@@ -1,11 +1,15 @@
 """Explicit graded isomorphisms between presented modules.
 
-The search solves, degree by degree, the linear conditions for a matrix
-of the right entry degrees to descend to a map of cokernels, then hunts
-that solution space for a surjection.  Between graded modules with equal
-(shifted) Hilbert series a surjection is automatically bijective, since
-the graded pieces have equal finite dimension, so a found surjection is a
-certified isomorphism.
+A matrix of the right entry degrees, with unknown coefficients u_t on the
+standard monomials m of each entry (i, j), descends to a map of cokernels
+exactly when every source relation maps into the target's relation span.
+A normal form modulo that span is linear, so the condition is one matrix:
+column t holds the coefficients of NF(col_k[j] * m * e_i) for each
+relation k, and the maps are its null space.  The search then hunts that
+space for a surjection.  Between graded modules with equal (shifted)
+Hilbert series a surjection is automatically bijective, since the graded
+pieces have equal finite dimension, so a found surjection is a certified
+isomorphism.
 """
 
 import random
@@ -14,7 +18,14 @@ from dataclasses import dataclass
 from .caps import Caps, DEFAULT_CAPS
 from .groebner import FreeVector
 from .linalg import nullspace
-from .modules import ModuleMap, PresentedModule, minimize, subquotient
+from .modules import (
+    ModuleMap,
+    NotWellDefined,
+    PresentedModule,
+    minimize,
+    ring_membership_span,
+    subquotient,
+)
 from .orders import mono_divides
 from .poly import Poly
 
@@ -48,25 +59,6 @@ def standard_monomials(ring, d: int):
     ]
 
 
-def _piece_basis(ring, coord_degrees, total_degree):
-    basis = []
-    for i, cd in enumerate(coord_degrees):
-        for m in standard_monomials(ring, total_degree - cd):
-            basis.append((i, m))
-    return basis
-
-
-def _vector_piece_coords(ring, v: FreeVector, basis_index, fld):
-    coords = [fld.zero] * len(basis_index)
-    for i, p in enumerate(v.coords):
-        for m, c in ring.reduce(p).terms:
-            key = (i, m)
-            if key not in basis_index:
-                raise RuntimeError("reduced vector leaves the standard basis")
-            coords[basis_index[key]] = fld.add(coords[basis_index[key]], c)
-    return coords
-
-
 @dataclass
 class IsoResult:
     map: ModuleMap
@@ -92,14 +84,14 @@ _MAX_UNKNOWNS = 600
 _TRIES = 60
 
 
-def _candidates(solutions, nunk, fld):
+def _candidates(solutions, fld):
     """Candidate coefficient vectors, made one at a time as the search asks:
-    the distinct nonzero solutions cut to the `nunk` unknowns, then random
-    combinations of them from `random.Random(_SEED)` until _TRIES are
-    made or 10 * _TRIES draws are spent."""
+    the distinct nonzero solutions, then random combinations of them from
+    `random.Random(_SEED)` until _TRIES are made or 10 * _TRIES draws are
+    spent."""
     seen, base = set(), []
     for sol in solutions:
-        u = tuple(sol[:nunk])
+        u = tuple(sol)
         if any(not fld.is_zero(c) for c in u) and u not in seen:
             seen.add(u)
             base.append(u)
@@ -108,7 +100,7 @@ def _candidates(solutions, nunk, fld):
     attempts = 0
     while len(seen) < _TRIES and base and attempts < 10 * _TRIES:
         attempts += 1
-        combo = [fld.zero] * nunk
+        combo = [fld.zero] * len(base[0])
         for vec in base:
             k = fld.from_int(rng.randint(-2, 2))
             combo = [fld.add(x, fld.mul(k, y)) for x, y in zip(combo, vec)]
@@ -156,57 +148,28 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
     if not unknowns or len(unknowns) > _MAX_UNKNOWNS:
         return None
 
-    rows = []
-    slack_total = 0
-    col_blocks = []
-    for col, cdeg in zip(shifted.columns, shifted.col_degrees):
-        basis = _piece_basis(ring, b.gen_degrees, cdeg)
-        index = {key: k for k, key in enumerate(basis)}
-        span_vectors = []
-        for w, wdeg in zip(b.columns, b.col_degrees):
-            for m in monomials_of_degree(ring.sig.nvars, cdeg - wdeg):
-                mono = Poly.monomial(ring.sig, m)
-                span_vectors.append(
-                    _vector_piece_coords(ring, ring.reduce_vector(
-                        w.poly_mul(mono)), index, fld)
-                )
-        unk_cols = []
-        for (i, j, m) in unknowns:
-            cj = col.coords[j]
-            if cj.is_zero:
-                unk_cols.append([fld.zero] * len(basis))
-                continue
-            image = ring.reduce(cj * Poly.monomial(ring.sig, m))
-            vec = [fld.zero] * len(basis)
-            for mono2, c in image.terms:
-                vec[index[(i, mono2)]] = c
-            unk_cols.append(vec)
-        col_blocks.append((unk_cols, span_vectors, len(basis)))
-        slack_total += len(span_vectors)
-
+    # the image of each relation, sum_t u_t * col_k[j] * m * e_i, must lie
+    # in b's relation span; normal forms are linear, so its normal form is
+    # sum_t u_t * NF(col_k[j] * m * e_i), keyed by (k, position, monomial)
+    span = ring_membership_span(ring, gb, b.columns, caps)
     nunk = len(unknowns)
-    matrix = []
-    slack_offset = 0
-    for unk_cols, span_vectors, nbasis in col_blocks:
-        for r in range(nbasis):
-            row = [fld.zero] * (nunk + slack_total)
-            for u in range(nunk):
-                row[u] = unk_cols[u][r]
-            for w in range(len(span_vectors)):
-                row[nunk + slack_offset + w] = fld.neg(span_vectors[w][r])
-            matrix.append(row)
-        slack_offset += len(span_vectors)
-
-    if matrix:
-        solutions = nullspace(matrix, fld)
-    else:
-        # no relations in the source: any degree-zero matrix is a map
-        solutions = []
-        for u in range(nunk):
-            vec = [fld.zero] * nunk
-            vec[u] = fld.one
-            solutions.append(vec)
-    for u in _candidates(solutions, nunk, fld):
+    index, rows = {}, []
+    for t, (i, j, m) in enumerate(unknowns):
+        unit = FreeVector.unit(ring.sig, gb, i).poly_mul(Poly.monomial(ring.sig, m))
+        for k, col in enumerate(shifted.columns):
+            if col.coords[j].is_zero:
+                continue
+            nf = span.normal_form(unit.poly_mul(col.coords[j]))
+            for pos, p in enumerate(nf.coords):
+                for mono, c in p.terms:
+                    key = (k, pos, mono)
+                    if key not in index:
+                        index[key] = len(rows)
+                        rows.append([fld.zero] * nunk)
+                    rows[index[key]][t] = c
+    # one zero row: no condition survives, every matrix is a map
+    solutions = nullspace(rows or [[fld.zero] * nunk], fld)
+    for u in _candidates(solutions, fld):
         entries = {}
         for coeff, (i, j, m) in zip(u, unknowns):
             if fld.is_zero(coeff):
@@ -220,7 +183,7 @@ def find_graded_isomorphism(a: PresentedModule, b: PresentedModule,
             cols.append(FreeVector(ring.sig, coords))
         try:
             candidate = ModuleMap(shifted, b, cols, caps=caps)
-        except Exception:
+        except NotWellDefined:
             continue
         if not subquotient(ring, b.gen_degrees, list(b.columns) + cols, None,
                            caps, want_module=False)[1]:

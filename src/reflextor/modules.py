@@ -38,7 +38,6 @@ from .groebner import (
     Span,
     _unscale,
     ideal_quotient,
-    intersect_ideals,
 )
 from .hilbert import (
     hilbert_series_of_presentation,
@@ -703,7 +702,8 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
     M_p is free of rank r exactly when Fitt_r is not contained in p and
     Fitt_{r-1} dies locally, i.e. some c outside p multiplies Fitt_{r-1}
     into the defining ideal; c is searched in the annihilator-quotient
-    (I : Fitt_{r-1}).  The Fitting ideals of the minimized presentation
+    (I : Fitt_{r-1}), one `ideal_quotient` call: the syzygies of the
+    vector of Fitt_{r-1}'s generators modulo I.  The Fitting ideals of the minimized presentation
     are kept on m, so further primes reuse them; `minimize` still runs on
     every call.
     """
@@ -731,11 +731,7 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
         return LocalizedRank(
             "free", r, witness=f"Fitt_{r - 1} vanishes in the ring"
         )
-    quot = None
-    for f in below.generators:
-        q = ideal_quotient(ring.ideal, f, caps)
-        quot = q if quot is None else intersect_ideals(quot, q, caps)
-    for c in quot.generators:
+    for c in ideal_quotient(ring.ideal, below, caps).generators:
         if not p.contains(c, caps):
             return LocalizedRank(
                 "free",

@@ -195,10 +195,9 @@ def paper_suite(caps: Caps = None) -> dict:
         iso_b is not None and iso_b.shift == 0,
     ))
 
-    tor1 = tor(m_b, n_b, 1, caps)
-    torsion_flags = [
-        is_torsion(tor(m_b, n_b, i, caps).module, caps) for i in range(1, 5)
-    ]
+    tors = [tor(m_b, n_b, i, caps) for i in range(1, 5)]
+    tor1 = tors[0]
+    torsion_flags = [is_torsion(report.module, caps) for report in tors]
     claims.append(Claim(
         "small-tor-one-nonzero-but-torsion",
         "Tor_1(M, N) is nonzero yet every Tor_i is torsion, i = 1..4",

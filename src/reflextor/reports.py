@@ -307,23 +307,20 @@ def _dispatch(session: Session, task: dict, caps):
 
 
 def run_session(session: Session) -> dict:
-    """Execute every task in order and assemble the deterministic report."""
+    """Execute every task in order and assemble the deterministic report;
+    the first input error ends the run with the error report."""
     ring = session.ring
-    tasks = list(session.tasks)
-    results = [None] * len(tasks)
-    input_error = None
-    for i, task in enumerate(tasks):
+    results = []
+    for i, task in enumerate(session.tasks):
         try:
-            results[i] = run_task(session, task, i)
+            results.append(run_task(session, task, i))
         except SessionError as e:
-            input_error = input_error or str(e)
-    if input_error is not None:
-        return {
-            "schema": 1,
-            "tool": {"name": "reflextor", "version": __version__},
-            "error": input_error,
-            "exit_code": EXIT_INPUT,
-        }
+            return {
+                "schema": 1,
+                "tool": {"name": "reflextor", "version": __version__},
+                "error": str(e),
+                "exit_code": EXIT_INPUT,
+            }
     statuses = [r["status"] for r in results]
     if any(s == "cap_exceeded" for s in statuses):
         exit_code = EXIT_CAP

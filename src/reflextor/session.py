@@ -51,7 +51,6 @@ class Session:
     tasks: list
     caps: Caps
     height_one_primes: list = field(default_factory=list)
-    source: dict = None
 
 
 def int_field(value, name):
@@ -95,7 +94,9 @@ _CAP_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
                "resolution": "resolution_length", "tor_window": "tor_window"}
 
 
-def _parse_caps(spec, overrides=None) -> Caps:
+def parse_caps(spec, overrides=None) -> Caps:
+    """The caps of a session's "caps" object, with the non-None entries of
+    `overrides` (command-line values) on top."""
     if not isinstance(spec, (dict, type(None))):
         raise SessionError(f"caps must be an object, got {spec!r}")
     spec = dict(spec or {})
@@ -126,7 +127,7 @@ def load_session(document, caps_overrides=None) -> Session:
         sig = RingSignature(fld, tuple(variables))
     except ValueError as e:
         raise SessionError(f"bad variable list: {e}") from None
-    caps = _parse_caps(document.get("caps"), caps_overrides)
+    caps = parse_caps(document.get("caps"), caps_overrides)
 
     poly = partial(poly_field, sig)
     ideal_gens = [poly(t, "ring.ideal") for t in ringspec.get("ideal", [])]
@@ -166,7 +167,7 @@ def load_session(document, caps_overrides=None) -> Session:
     for t in tasks:
         if not isinstance(t, dict) or t.get("task") not in TASK_KINDS:
             raise SessionError(f"unrecognized task: {t!r}")
-    return Session(ring, modules, tasks, caps, height_one, document)
+    return Session(ring, modules, tasks, caps, height_one)
 
 
 def load_session_file(path, caps_overrides=None) -> Session:

@@ -137,8 +137,8 @@ def _rigidity_entry(m: PresentedModule, assertion, caps) -> LedgerEntry:
     return LedgerEntry("tor-rigidity", ASSERTED, assertion.detail or "caller assertion")
 
 
-def _tor_vanishing_entry(name, m, n, window, caps) -> LedgerEntry:
-    v = tor_vanishing(m, n, window, caps)
+def _tor_vanishing_entry(name, v) -> LedgerEntry:
+    """The ledger entry of a `tor_vanishing` result."""
     if not v.all_zero:
         return LedgerEntry(
             name, FAILED, f"Tor_{v.first_nonzero} is nonzero (window {v.window})"
@@ -248,7 +248,8 @@ def verify_second_rigidity(m, n, caps: Caps = None, window: int = None):
     rep.conclusions.append(
         _reflexivity_entry("partner-reflexive", n, "second factor", caps)
     )
-    rep.conclusions.append(_tor_vanishing_entry("tor-vanishing", m, n, window, caps))
+    rep.conclusions.append(
+        _tor_vanishing_entry("tor-vanishing", tor_vanishing(m, n, window, caps)))
     return rep.seal()
 
 
@@ -322,8 +323,8 @@ def verify_rigidity_vanishing(m, n, level: int, rigidity: RigidityAssertion = No
         if not is_torsion(report.module, caps):
             torsion_fails = i
             break
+    v = tor_vanishing(m, n, window, caps)
     if torsion_fails is None:
-        v = tor_vanishing(m, n, window, caps)
         status = VERIFIED if v.certified_all or v.certificate == "finite_pd" else ASSERTED
         rep.hypotheses.append(LedgerEntry(
             "tor-eventually-torsion", status,
@@ -336,7 +337,7 @@ def verify_rigidity_vanishing(m, n, level: int, rigidity: RigidityAssertion = No
             "tor-eventually-torsion", FAILED,
             f"Tor_{torsion_fails} is not torsion",
         ))
-    rep.conclusions.append(_tor_vanishing_entry("tor-vanishing", m, n, window, caps))
+    rep.conclusions.append(_tor_vanishing_entry("tor-vanishing", v))
     ntf_n = n_torsion_free(n, level, caps)
     rep.conclusions.append(LedgerEntry(
         "partner-n-torsion-free",

@@ -32,6 +32,7 @@ from oracles import (
     all_monomials,
     all_pairs_groebner_check,
     homogeneous_membership_oracle,
+    ideal_piece_dimension,
     kernel_piece_dimension,
     submodule_piece_dimension,
 )
@@ -502,14 +503,14 @@ class TestIdealOnlySpan:
 class TestIdealOperations:
     def test_quotient_by_element(self, sig4, p4):
         ideal = Ideal(sig4, (p4("x*y"),))
-        q = ideal_quotient(ideal, p4("x"))
+        q = ideal_quotient(ideal, Ideal(sig4, (p4("x"),)))
         gb = buchberger(list(q.generators))
         assert normal_form(p4("y"), gb).is_zero
         assert not normal_form(p4("x"), gb).is_zero
 
     def test_quotient_by_unit_is_identity(self, sig4, p4):
         ideal = Ideal(sig4, (p4("x^2 - y"), p4("z*w")))
-        q = ideal_quotient(ideal, p4("1"))
+        q = ideal_quotient(ideal, Ideal(sig4, (p4("1"),)))
         gb_q = buchberger(list(q.generators))
         gb_i = ideal.gb()
         for g in ideal.generators:
@@ -518,14 +519,14 @@ class TestIdealOperations:
             assert normal_form(g, gb_i).is_zero
 
     def test_quotient_square_by_element(self, sig4, p4):
-        q = ideal_quotient(Ideal(sig4, (p4("x^2"),)), p4("x"))
+        q = ideal_quotient(Ideal(sig4, (p4("x^2"),)), Ideal(sig4, (p4("x"),)))
         gb = buchberger(list(q.generators))
         assert normal_form(p4("x"), gb).is_zero
         assert not normal_form(p4("1"), gb).is_zero
 
     def test_quotient_by_zero_rejected(self, sig4, p4):
         with pytest.raises(ValueError):
-            ideal_quotient(Ideal(sig4, (p4("x"),)), Poly.zero(sig4))
+            ideal_quotient(Ideal(sig4, (p4("x"),)), Ideal(sig4, (Poly.zero(sig4),)))
 
     def test_dimension_hypersurface(self, sig4, p4):
         assert krull_dimension(Ideal(sig4, (p4("x*y"),))) == 3
@@ -574,6 +575,58 @@ class TestIdealOperations:
         gb = buchberger(list(inter.generators))
         assert normal_form(p4("x*y"), gb).is_zero
         assert not normal_form(p4("x"), gb).is_zero
+
+
+class TestIntersectionAndQuotientOracle:
+    """Piece dimensions of I cap J and (I : J), d <= 5, on seeded homogeneous
+    ideals over GF(32003)[x,y,z,w], against degree-truncated linear algebra:
+    dim (A cap B)_d = dim A_d + dim B_d - dim (A + B)_d."""
+
+    @pytest.fixture(scope="class")
+    def sig(self):
+        return RingSignature(GF(32003), ("x", "y", "z", "w"))
+
+    @staticmethod
+    def forms(sig, rng, degrees):
+        fld = sig.field
+        out = []
+        for d in degrees:
+            monos = all_monomials(sig.nvars, d)
+            picks = rng.sample(monos, min(3, len(monos)))
+            out.append(Poly.from_dict(
+                sig, {m: fld.from_int(rng.randint(1, 32002)) for m in picks}))
+        return out
+
+    @staticmethod
+    def dims(gens):
+        gens = list(gens)
+        return [ideal_piece_dimension(gens, d) if gens else 0 for d in range(6)]
+
+    def meet_dims(self, a, b):
+        return [x + y - z for x, y, z in
+                zip(self.dims(a), self.dims(b), self.dims(list(a) + list(b)))]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_intersection(self, sig, seed):
+        rng = random.Random(seed)
+        common = self.forms(sig, rng, (1,))[0]
+        a = [common * f for f in self.forms(sig, rng, (1, 2))]
+        b = self.forms(sig, rng, (2,)) + [common * f for f in self.forms(sig, rng, (2,))]
+        inter = intersect_ideals(Ideal(sig, tuple(a)), Ideal(sig, tuple(b)))
+        assert all(g.is_homogeneous() for g in inter.generators)
+        assert self.dims(inter.generators) == self.meet_dims(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_quotient_by_two_generators(self, sig, seed):
+        rng = random.Random(seed)
+        j = self.forms(sig, rng, (1, 1))
+        k = self.forms(sig, rng, (2,))[0]
+        ideal = Ideal(sig, (j[0] * k, j[1] * k) + tuple(self.forms(sig, rng, (3,))))
+        quot = ideal_quotient(ideal, Ideal(sig, tuple(j)))
+        singles = [ideal_quotient(ideal, Ideal(sig, (g,))).generators for g in j]
+        assert all(g.is_homogeneous() for g in quot.generators)
+        assert self.dims(quot.generators) == self.meet_dims(*singles)
+        assert self.dims(quot.generators) != self.dims(ideal.generators)
 
 
 class TestCaps:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reflextor.caps import ComputationCancelled
 from reflextor.isomorphism import (
     find_graded_isomorphism,
     monomials_of_degree,
@@ -67,6 +68,23 @@ class TestIsoSearch:
         lifted = shift_module(n_a, 3)
         iso = find_graded_isomorphism(n_a, lifted)
         assert iso is not None and iso.shift == 3
+
+
+    def test_free_modules_need_no_condition(self, ring_a):
+        # no source relations: every matrix of the right degrees is a map
+        iso = find_graded_isomorphism(free_module(ring_a, (0, 1)),
+                                      free_module(ring_a, (0, 1)))
+        assert iso is not None and iso.shift == 0
+
+    def test_cancellation_in_the_map_check_propagates(self, m_a, monkeypatch):
+        import reflextor.isomorphism as iso_module
+
+        def cancelled(*args, **kwargs):
+            raise ComputationCancelled("computation cancelled by caller")
+
+        monkeypatch.setattr(iso_module, "ModuleMap", cancelled)
+        with pytest.raises(ComputationCancelled):
+            find_graded_isomorphism(m_a, m_a)
 
 
 class TestPermutationEquivalence:

@@ -8,7 +8,7 @@ import pytest
 
 from reflextor import GF, QQ, make_ring
 from reflextor.caps import Caps, ComputationCancelled
-from reflextor.groebner import FreeVector, Span, buchberger, ideal_quotient, normal_form
+from reflextor.groebner import FreeVector, Ideal, Span, buchberger, ideal_quotient, normal_form
 from reflextor.modules import (
     DegreeError,
     ModuleMap,
@@ -434,6 +434,25 @@ class TestLocalizedRank:
         m = RIdeal(ring_b, (pb("x"), pb("y")), prime_status="verified")
         assert localized_rank(n_b, m).kind == "not_free"
 
+    def test_redundant_relation_at_minimal_prime(self, ring_a, pa):
+        m = module_from_rows(ring_a, [[pa("y"), pa("y*z")]], (0,))
+        py = RIdeal(ring_a, (pa("y"),), prime_status="verified")
+        result = localized_rank(m, py)
+        assert (result.kind, result.rank) == ("free", 1)
+        assert result.witness == "x kills Fitt_0 outside the prime"
+
+    def test_several_generators_below_the_rank(self, ring_a, pa):
+        # Fitt_1 = (y, y*z): (xy : Fitt_1) = (x), outside (y) but inside (x, y)
+        zero = pa("0")
+        m = module_from_rows(ring_a, [[pa("y"), zero], [zero, pa("y*z")]], (0, 0))
+        assert len(fitting_ideal(minimize(m), 1).generators) == 2
+        py = RIdeal(ring_a, (pa("y"),), prime_status="verified")
+        pxy = RIdeal(ring_a, (pa("x"), pa("y")), prime_status="verified")
+        result = localized_rank(m, py)
+        assert (result.kind, result.rank) == ("free", 2)
+        assert result.witness == "x kills Fitt_1 outside the prime"
+        assert localized_rank(m, pxy).kind == "not_free"
+
     def test_fitting_chain_built_once_per_module(self, ring_a, pa, monkeypatch):
         import reflextor.modules as modules_module
 
@@ -527,7 +546,7 @@ class TestUntailedRelations:
         for f in (form(1), form(2), Poly.variable(sig, sig.variables[0])):
             old = Span(sig, 1, [f] + list(ring.ideal.generators))
             firsts = tuple(s.coords[0] for s in old.syzygies() if not s.coords[0].is_zero)
-            assert ideal_quotient(ring.ideal, f).generators == firsts
+            assert ideal_quotient(ring.ideal, Ideal(sig, (f,))).generators == firsts
 
 
 class TestRelationSpanIsShared:

@@ -241,6 +241,29 @@ class TestRunSession:
         report = run_session(load_session(doc))
         assert report["exit_code"] == EXIT_INPUT
 
+    def test_first_input_error_ends_the_run(self, monkeypatch):
+        import reflextor.reports as reports_module
+        from reflextor import __version__
+
+        calls = []
+        inner = reports_module.run_task
+
+        def counted(session, task, index):
+            calls.append(index)
+            return inner(session, task, index)
+
+        monkeypatch.setattr(reports_module, "run_task", counted)
+        doc = _document()
+        doc["tasks"] = [{"task": "reflexive", "module": "NOPE"}] + doc["tasks"]
+        report = run_session(load_session(doc))
+        assert calls == [0]
+        assert report == {
+            "schema": 1,
+            "tool": {"name": "reflextor", "version": __version__},
+            "error": "task field 'module' names no module: 'NOPE'",
+            "exit_code": EXIT_INPUT,
+        }
+
     def test_deterministic_json(self):
         a = report_json(run_session(load_session(_document())))
         b = report_json(run_session(load_session(_document())))
@@ -365,6 +388,37 @@ class TestCli:
         path.write_text(json.dumps(doc))
         proc = run_cli("run", str(path), "--cap-resolution", "1")
         assert proc.returncode == 3, proc.stderr
+
+    def test_paper_suite_cap_flag_exits_three(self):
+        proc = run_cli("paper-suite", "--cap-pairs", "1")
+        assert proc.returncode == 3, proc.stderr
+        assert "cap exceeded" in proc.stderr
+
+    def test_environment_cap_reaches_paper_suite(self, monkeypatch, capsys):
+        monkeypatch.setenv("REFLEXTOR_CAP_PAIRS", "1")
+        assert cli_main(["paper-suite"]) == EXIT_CAP
+        assert "cap exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable", ["REFLEXTOR_CAP_PAIRS",
+                                          "REFLEXTOR_CAP_RESOLUTION",
+                                          "REFLEXTOR_TOR_WINDOW"])
+    def test_malformed_environment_cap_exits_two_naming_it(
+            self, tmp_path, monkeypatch, capsys, variable):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(_document()))
+        monkeypatch.setenv(variable, "abc")
+        assert cli_main(["run", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "input error" in err and variable in err
+
+    def test_cap_flag_wins_over_environment(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "session.json"
+        doc = _document()
+        doc["tasks"] = [{"task": "reflexive", "module": "N"}]
+        path.write_text(json.dumps(doc))
+        monkeypatch.setenv("REFLEXTOR_CAP_PAIRS", "abc")
+        assert cli_main(["run", str(path), "--cap-pairs", "1000"]) == EXIT_OK
+        capsys.readouterr()
 
     def test_paper_suite_json_deterministic(self):
         a = run_cli("paper-suite", "--json")
