@@ -13,30 +13,6 @@ from .modules import PresentedModule, localized_rank
 from .rings import QuotientRing
 
 
-class UnionFind:
-    def __init__(self, num):
-        self.parents = list(range(num))
-        self.rank = [0] * num
-
-    def find(self, x):
-        root = x
-        while self.parents[root] != root:
-            root = self.parents[root]
-        while self.parents[x] != root:
-            self.parents[x], x = root, self.parents[x]
-        return root
-
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.rank[x] < self.rank[y]:
-            x, y = y, x
-        self.parents[y] = x
-        if self.rank[x] == self.rank[y]:
-            self.rank[x] += 1
-
-
 @dataclass
 class HHGraph:
     ring: QuotientRing
@@ -46,13 +22,16 @@ class HHGraph:
     witnesses: dict = field(default_factory=dict)   # (i, j) -> height<=1 prime over the sum
 
     def is_connected(self) -> bool:
+        """Grow the vertices reached from vertex 0 along the edges until
+        the set stops growing; connected when it holds every vertex."""
         if len(self.vertices) <= 1:
             return True
-        uf = UnionFind(len(self.vertices))
-        for i, j in self.edges:
-            uf.union(i, j)
-        root = uf.find(0)
-        return all(uf.find(k) == root for k in range(len(self.vertices)))
+        reached, size = {0}, 0
+        while size < len(reached):
+            size = len(reached)
+            reached |= {k for i, j in self.edges
+                        if i in reached or j in reached for k in (i, j)}
+        return len(reached) == len(self.vertices)
 
     def describe(self):
         return {

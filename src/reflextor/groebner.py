@@ -781,22 +781,20 @@ def krull_dimension(ideal: Ideal, caps: Caps = None) -> int:
 
 
 def radical_membership(f: Poly, ideal: Ideal, caps: Caps = None) -> bool:
-    """f in rad(I), decided by 1 in I + (1 - t*f) over an extended ring."""
-    from .poly import RingSignature
-
+    """f in rad(I), decided by the saturation (I : f^oo) being the unit
+    ideal (Greuel & Pfister, 1.8): J = I, then J = (J : f) until 1 is in
+    J (True) or the chain stops, every generator of (J : f) already in J
+    (False)."""
     if f.is_zero:
         return True
-    sig = ideal.sig
-    tname = "t"
-    while tname in sig.variables:
-        tname += "_"
-    ext = RingSignature(sig.field, sig.variables + (tname,), sig.order)
-    lift = lambda p: p.map_exponents(lambda m: m + (0,), ext)
-    t = Poly.variable(ext, tname)
-    gens = [lift(g) for g in ideal.generators]
-    gens.append(Poly.one(ext) - t * lift(f))
-    gb = buchberger(gens, caps)
-    return normal_form(Poly.one(ext), gb).is_zero
+    by_f = Ideal(ideal.sig, (f,))
+    j = ideal
+    while j.is_proper(caps):
+        quotient = ideal_quotient(j, by_f, caps)
+        if all(j.contains(g, caps) for g in quotient.generators):
+            return False
+        j = quotient
+    return True
 
 
 def intersect_ideals(a: Ideal, b: Ideal, caps: Caps = None) -> Ideal:

@@ -159,14 +159,18 @@ def minimal_vector_subset(span, vectors, degrees):
     D is the membership span `span`, which this grows in place.  This is
     the one graded-Nakayama scan: vectors are taken by ascending degree,
     and one is kept exactly when it does not already lie in D plus the
-    span of the ones kept before it.  Each is offered with its degree, so
-    the span's pair queue is drained only to that degree and never past
-    the largest one; the span keeps the pairs above it until it is next
-    queried or dropped.
+    span of the ones kept before it.  Within a degree the sparsest come
+    first, keeping sparse generators for the arithmetic downstream, ties
+    broken by the nonzero coordinates' term tuples.  Each is offered with
+    its degree, so the span's pair queue is drained only to that degree
+    and never past the largest one; the span keeps the pairs above it
+    until it is next queried or dropped.
     """
-    order = sorted(
-        range(len(vectors)), key=lambda i: (degrees[i], str(vectors[i]))
-    )
+    def key(i):
+        terms = [(pos, p.terms) for pos, p in enumerate(vectors[i].coords) if p.terms]
+        return degrees[i], sum(len(t) for _, t in terms), terms
+
+    order = sorted(range(len(vectors)), key=key)
     return sorted(i for i in order if span.add(vectors[i], degrees[i]))
 
 

@@ -194,19 +194,6 @@ class Poly:
             return self
         return self.scale(self.sig.field.inv(self.leading_coefficient()))
 
-    def map_exponents(self, fn, new_sig) -> "Poly":
-        """Rebuild the polynomial with exponent tuples sent through fn."""
-        acc = {}
-        fld = new_sig.field
-        for m, c in self.terms:
-            mm = fn(m)
-            s = fld.add(acc.get(mm, fld.zero), c)
-            if fld.is_zero(s):
-                acc.pop(mm, None)
-            else:
-                acc[mm] = s
-        return Poly.from_dict(new_sig, acc)
-
     # ------------------------------------------------------------------
     def __eq__(self, other):
         return (

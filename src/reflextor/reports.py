@@ -76,10 +76,11 @@ def _get_module(session, task, key):
     return session.modules[name]
 
 
-def _int_task_field(task, key, default):
-    """The integer task field `key`, `default` when absent (None stays None)."""
+def _int_task_field(task, key, default, least=None):
+    """The integer task field `key`, `default` when absent (None stays None);
+    a value below `least` is an input error."""
     value = task.get(key, default)
-    return value if value is None else int_field(value, key)
+    return value if value is None else int_field(value, key, least)
 
 
 def run_task(session: Session, task: dict, index: int) -> dict:
@@ -123,7 +124,7 @@ def _dispatch(session: Session, task: dict, caps):
         return result, _expect_check(task, "expect", verdict)
     if kind == "ntf":
         m = _get_module(session, task, "module")
-        rep = n_torsion_free(m, _int_task_field(task, "n", 1), caps)
+        rep = n_torsion_free(m, _int_task_field(task, "n", 1, 1), caps)
         result = {
             "module": task["module"],
             "verdicts": list(rep.verdicts),
@@ -137,9 +138,10 @@ def _dispatch(session: Session, task: dict, caps):
             bounds = task["range"]
             if not isinstance(bounds, list) or len(bounds) != 2:
                 raise SessionError(f"task field 'range' must be [lo, hi]: {bounds!r}")
-            lo, hi = (int_field(b, "range") for b in bounds)
+            lo = int_field(bounds[0], "range", 0)
+            hi = int_field(bounds[1], "range", lo)
         else:
-            lo = hi = _int_task_field(task, "i", 1)
+            lo = hi = _int_task_field(task, "i", 1, 0)
         fn = tor if kind == "tor" else ext
         entries = []
         all_zero = True
@@ -162,7 +164,7 @@ def _dispatch(session: Session, task: dict, caps):
         return result, _expect_check(task, "expect_zero", all_zero)
     if kind == "resolve":
         m = _get_module(session, task, "module")
-        length = _int_task_field(task, "length", caps.resolution_length)
+        length = _int_task_field(task, "length", caps.resolution_length, 0)
         res = free_resolution(m, length, caps)
         result = {
             "module": task["module"],
@@ -199,7 +201,7 @@ def _dispatch(session: Session, task: dict, caps):
     if kind == "depth-formula":
         left = _get_module(session, task, "left")
         right = _get_module(session, task, "right")
-        window = _int_task_field(task, "window", None)
+        window = _int_task_field(task, "window", None, 1)
         rep = depth_formula_check(left, right, window, caps)
         result = {
             "left": task["left"],
@@ -255,6 +257,8 @@ def _dispatch(session: Session, task: dict, caps):
             tuple(poly_field(ring.sig, t, "task field 'prime'") for t in texts),
             prime_status="asserted",
         )
+        if not prime.is_proper(caps):
+            raise SessionError(f"task field 'prime' is the unit ideal: {texts!r}")
         r = localized_rank(m, prime, caps)
         result = {
             "module": task["module"],
@@ -271,12 +275,12 @@ def _dispatch(session: Session, task: dict, caps):
         name, fn = PIPELINES[key]
         left = _get_module(session, task, "left")
         right = _get_module(session, task, "right")
-        kwargs = {"caps": caps, "window": _int_task_field(task, "window", None)}
+        kwargs = {"caps": caps, "window": _int_task_field(task, "window", None, 1)}
         if key == "thm3.1":
-            rep = fn(left, right, _int_task_field(task, "n", 1),
+            rep = fn(left, right, _int_task_field(task, "n", 1, 1),
                      rigidity_assertion_from(task.get("rigidity")), **kwargs)
         elif key == "cor4.6":
-            rep = fn(left, right, _int_task_field(task, "n", 1),
+            rep = fn(left, right, _int_task_field(task, "n", 1, 1),
                      rigidity_assertion_from(task.get("rigidity")),
                      height_one_primes=session.height_one_primes, **kwargs)
         elif key == "thm1.2":
@@ -290,7 +294,7 @@ def _dispatch(session: Session, task: dict, caps):
     if kind == "rigidity-search":
         names = task.get("catalog") or sorted(session.modules)
         catalog = [_get_module(session, {"catalog": n}, "catalog") for n in names]
-        window = _int_task_field(task, "window", 3)
+        window = _int_task_field(task, "window", 3, 2)
         violations = rigidity_search(ring, catalog, window, caps)
         result = {
             "catalog": list(names),

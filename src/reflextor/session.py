@@ -13,6 +13,7 @@ from functools import partial
 from .caps import Caps
 from .fields import GF, QQ
 from .modules import (
+    NotTorsionless,
     cyclic,
     dual,
     free_module,
@@ -53,13 +54,16 @@ class Session:
     height_one_primes: list = field(default_factory=list)
 
 
-def int_field(value, name):
+def int_field(value, name, least=None):
     """The integer value of the session field `name`; a value that is not
-    an integer is an input error naming the field."""
+    an integer, or is below `least`, is an input error naming the field."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
         raise SessionError(f"field {name!r} must be an integer: {value!r}") from None
+    if least is not None and number < least:
+        raise SessionError(f"field {name!r} must be at least {least}: {value!r}")
+    return number
 
 
 def int_list_field(value, name):
@@ -90,8 +94,10 @@ def _parse_field(spec):
     raise SessionError(f"unrecognized field spec: {spec!r}")
 
 
-_CAP_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
-               "resolution": "resolution_length", "tor_window": "tor_window"}
+# session caps key -> (Caps attribute, least value)
+_CAP_FIELDS = {"pairs": ("max_pairs", 0), "degree": ("max_degree", 0),
+               "resolution": ("resolution_length", 0),
+               "tor_window": ("tor_window", 1)}
 
 
 def parse_caps(spec, overrides=None) -> Caps:
@@ -102,9 +108,9 @@ def parse_caps(spec, overrides=None) -> Caps:
     spec = dict(spec or {})
     spec.update({k: v for k, v in (overrides or {}).items() if v is not None})
     caps = Caps()
-    for key, attr in _CAP_FIELDS.items():
+    for key, (attr, least) in _CAP_FIELDS.items():
         if key in spec:
-            setattr(caps, attr, int_field(spec[key], f"caps.{key}"))
+            setattr(caps, attr, int_field(spec[key], f"caps.{key}", least))
     return caps
 
 
@@ -238,9 +244,13 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
     if op == "minimize":
         return minimize(base, caps)
     if op == "pushforward":
-        return pushforward(base, caps).module
+        try:
+            return pushforward(base, caps).module
+        except NotTorsionless as e:
+            raise SessionError(f"module {name!r}: pushforward of {expr.get('of')!r}"
+                               f" refused: {e}") from None
     if op == "syzygy":
-        return syzygy(base, int_field(expr.get("n", 1), f"module {name}.n"), caps)
+        return syzygy(base, int_field(expr.get("n", 1), f"module {name}.n", 0), caps)
     raise SessionError(f"module {name!r}: unhandled op {op!r}")
 
 

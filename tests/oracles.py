@@ -6,9 +6,12 @@ monomial-order oracle is the definition unrolled term by term, the
 basis check reads the basis entries through the engine's exit boundary
 and reduces every S-pair with its own division loop, the
 minors are Leibniz sums over plain term dicts, and two presentations are
-matched entry by entry over every row and column permutation.  The one
-exception is `ext_depth`, depth by its definition, the first nonzero
-Ext^i(k, M): it resolves k over R where `depth` resolves M over S.
+matched entry by entry over every row and column permutation.  The two
+exceptions run the engine by another route: `ext_depth`, depth by its
+definition, the first nonzero Ext^i(k, M), resolves k over R where
+`depth` resolves M over S; `radical_oracle` decides radical membership
+by the Rabinowitsch trick over an extended ring, where the engine
+saturates by repeated ideal quotients.
 """
 
 from itertools import combinations, permutations
@@ -301,3 +304,25 @@ def ext_depth(m, caps=None):
         if not ext(k, m, i, caps, want_module=False).is_zero:
             return i
     raise AssertionError("no Ext^i(k, M) nonzero up to dim R")
+
+
+def radical_oracle(f, ideal, caps=None):
+    """f in rad(I), decided by 1 in I + (1 - t*f) over S[t]."""
+    from reflextor.groebner import buchberger, normal_form
+    from reflextor.poly import RingSignature
+
+    if f.is_zero:
+        return True
+    sig = ideal.sig
+    tname = "t"
+    while tname in sig.variables:
+        tname += "_"
+    ext = RingSignature(sig.field, sig.variables + (tname,), sig.order)
+
+    def lift(p):
+        return Poly.from_dict(ext, {m + (0,): c for m, c in p.terms})
+
+    t = Poly.variable(ext, tname)
+    gens = [lift(g) for g in ideal.generators]
+    gens.append(Poly.one(ext) - t * lift(f))
+    return normal_form(Poly.one(ext), buchberger(gens, caps)).is_zero

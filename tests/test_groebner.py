@@ -27,6 +27,7 @@ from reflextor.hilbert import vector_degree
 from reflextor.orders import GREVLEX, LEX, elimination, mono_divides
 from reflextor.parse import parse_poly
 from reflextor.poly import Poly, RingSignature, SignatureMismatch
+from reflextor.rings import make_ring
 
 from oracles import (
     all_monomials,
@@ -34,6 +35,7 @@ from oracles import (
     homogeneous_membership_oracle,
     ideal_piece_dimension,
     kernel_piece_dimension,
+    radical_oracle,
     submodule_piece_dimension,
 )
 
@@ -556,7 +558,9 @@ class TestIdealOperations:
             rng.shuffle(perm)
             permuted_sig = sig4
             gens = tuple(
-                g.map_exponents(lambda m: tuple(m[perm[i]] for i in range(4)), sig4)
+                Poly.from_dict(
+                    sig4, {tuple(m[perm[i]] for i in range(4)): c for m, c in g.terms}
+                )
                 for g in base.generators
             )
             assert krull_dimension(Ideal(permuted_sig, gens)) == d
@@ -627,6 +631,74 @@ class TestIntersectionAndQuotientOracle:
         assert all(g.is_homogeneous() for g in quot.generators)
         assert self.dims(quot.generators) == self.meet_dims(*singles)
         assert self.dims(quot.generators) != self.dims(ideal.generators)
+
+
+class TestRadicalSaturationOracle:
+    """Radical membership by saturation, (I : f^oo) = (1), against the
+    Rabinowitsch route 1 in I + (1 - t*f) over an extended ring, over QQ
+    and GF(32003)."""
+
+    # the fixtures' rings (variables, ideal); their minimal-prime
+    # intersections are checked both ways
+    FIXTURES = {
+        "hypersurface": ("x y z w", ["x*y"]),
+        "plane-node": ("x y", ["x*y"]),
+        "two-planes": ("x y u v", ["x*u", "x*v", "y*u", "y*v"]),
+    }
+    # (variables, ideal, f, f in the radical)
+    CASES = [
+        ("x y z w", ["x^2"], "x", True),
+        ("x y u v", ["x^2*u^3"], "x*u", True),
+        ("x y z", ["x^3", "y^3", "z^3"], "x + y + z", True),
+        ("x y z", ["x^2 - y^2", "x*z - y*z"], "x - y", False),
+        ("x y", ["x^2"], "y", False),
+        ("x y", ["x^2*y", "x*y^2"], "x*y", True),
+        ("x y z w", ["x*y"], "z", False),
+        ("x y", ["x*y"], "x + y", False),
+        ("x y z", ["x^2 - y*z", "y^2", "z^2"], "x", True),
+        # inhomogeneous
+        ("x y", ["x^3 - 3*x^2 + 3*x - 1"], "x - 1", True),
+        ("x y", ["x^2 - 1"], "x", False),
+        ("x y", ["x^2*y^2 - 2*x*y + 1"], "x*y - 1", True),
+        ("x y", ["x^3 - x"], "x + 1", False),
+        ("x y", ["x", "x - 1"], "y", True),
+    ]
+
+    @staticmethod
+    def ideal(fld, variables, gens):
+        sig = RingSignature(fld, tuple(variables.split()))
+        return Ideal(sig, tuple(parse_poly(g, sig) for g in gens))
+
+    @pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture_intersections(self, fld, name):
+        variables, gens = self.FIXTURES[name]
+        ring = make_ring(fld, variables.split(), gens)
+        primes = ring.minimal_primes()
+        inter = Ideal(ring.sig, primes[0].generators)
+        for p in primes[1:]:
+            inter = intersect_ideals(inter, Ideal(ring.sig, p.generators))
+        for f, ideal in ([(g, ring.ideal) for g in inter.generators]
+                         + [(g, inter) for g in ring.ideal.generators]):
+            assert radical_membership(f, ideal) == radical_oracle(f, ideal) is True
+
+    @pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("variables, gens, f, expected", CASES)
+    def test_cases(self, fld, variables, gens, f, expected):
+        ideal = self.ideal(fld, variables, gens)
+        f = parse_poly(f, ideal.sig)
+        assert radical_membership(f, ideal) == radical_oracle(f, ideal) is expected
+
+    @pytest.mark.parametrize("gens, f, expected", [
+        ([], "x", False),
+        (["x*y"], "0", True),
+        (["1"], "x", True),
+    ], ids=["zero-ideal", "zero-element", "unit-ideal"])
+    def test_edges(self, gens, f, expected):
+        ideal = self.ideal(QQ, "x y", gens)
+        f = parse_poly(f, ideal.sig)
+        assert radical_membership(f, ideal) is expected
+        assert radical_oracle(f, ideal) is expected
 
 
 class TestCaps:

@@ -57,8 +57,13 @@ def _oracle_kept(ring, modulo, vectors, degrees):
         FreeVector.unit(sig, rank, i).poly_mul(g)
         for g in ring.ideal.generators for i in range(rank)
     ]
+
+    def scan_key(i):
+        terms = [(pos, p.terms) for pos, p in enumerate(vectors[i].coords) if p.terms]
+        return degrees[i], sum(len(t) for _, t in terms), terms
+
     kept = []
-    for i in sorted(range(len(vectors)), key=lambda i: (degrees[i], str(vectors[i]))):
+    for i in sorted(range(len(vectors)), key=scan_key):
         known = base + [vectors[k] for k in kept]
         d = degrees[i]
         if (submodule_piece_dimension(known + [vectors[i]], COORD_DEGREES, d)
@@ -124,3 +129,17 @@ class TestKeptHeap:
             minimal_generator_indices(ring, rank, vectors, degrees, modulo=d_span,
                                       caps=Caps(cancel=cancel))
         assert polls
+
+
+def test_huge_coefficient_tie_break():
+    """Two degree-1 vectors over Q[x,y]/(xy), one with a coefficient of
+    5000 digits: the equal-degree tie-break converts no coefficient to a
+    string, which Python refuses above 4300 digits."""
+    from fractions import Fraction
+
+    ring = make_ring(QQ, ["x", "y"], ["x*y"])
+    sig = ring.sig
+    x, y = (Poly.variable(sig, n) for n in ("x", "y"))
+    huge = Fraction(10 ** 5000 + 1, 3)
+    vectors = [FreeVector(sig, (x.scale(huge), y)), FreeVector(sig, (y, x))]
+    assert minimal_generator_indices(ring, 2, vectors, [1, 1]) == [0, 1]

@@ -136,7 +136,9 @@ class TestKrullPermutation:
             perm = list(range(4))
             rng.shuffle(perm)
             permuted = tuple(
-                g.map_exponents(lambda m: tuple(m[perm[i]] for i in range(4)), sig)
+                Poly.from_dict(
+                    sig, {tuple(m[perm[i]] for i in range(4)): c for m, c in g.terms}
+                )
                 for g in ideal.generators
             )
             assert krull_dimension(Ideal(sig, permuted)) == d

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reflextor.graphs import UnionFind, graph_rank, hh_graph
+from reflextor.graphs import HHGraph, graph_rank, hh_graph
 from reflextor.modules import free_module
 from reflextor.serre import is_reflexive, n_torsion_free
 
@@ -52,14 +52,21 @@ class TestReflexivity:
         assert rep.biduality_cokernel_generators > 0
 
 
-class TestUnionFind:
-    def test_basic(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        uf.union(3, 4)
-        assert uf.find(0) == uf.find(2)
-        assert uf.find(1) != uf.find(3)
+class TestConnectivity:
+    """`is_connected` on graphs built by hand: it reads only the vertex
+    count and the edges."""
+
+    @pytest.mark.parametrize("vertices, edges, connected", [
+        (3, ((0, 1), (1, 2)), True),
+        (3, ((1, 2), (0, 1)), True),
+        (3, ((0, 1),), False),
+        (4, ((0, 1), (2, 3)), False),
+        (1, (), True),
+    ], ids=["path", "path-reversed", "isolated-vertex", "two-components",
+            "single-vertex"])
+    def test_is_connected(self, vertices, edges, connected):
+        graph = HHGraph(None, tuple(f"p{k}" for k in range(vertices)), edges)
+        assert graph.is_connected() is connected
 
 
 class TestGraph:

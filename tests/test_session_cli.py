@@ -469,3 +469,99 @@ class TestCli:
         payload = json.loads(proc.stdout)
         violations = payload["tasks"][0]["result"]["violations"]
         assert violations and violations[0]["kind"] == "1-rigidity"
+
+
+class TestOutOfRange:
+    """Integer fields below their least value, a unit prime and a refused
+    pushforward are input errors naming the field (exit 2), whether they
+    come from a session file, a cap flag, an environment variable or a
+    subcommand flag.  The CLI runs in process, so a traceback fails the
+    test as an uncaught exception."""
+
+    @pytest.mark.parametrize("change,field", [
+        (lambda doc: doc.update(tasks=[{"task": "rigidity-search", "window": 1}]),
+         "window"),
+        (lambda doc: doc.update(tasks=[{"task": "tor", "left": "M", "right": "N",
+                                        "i": -1}]), "i"),
+        (lambda doc: doc.update(tasks=[{"task": "ext", "left": "M", "right": "N",
+                                        "range": [-2, -1]}]), "range"),
+        (lambda doc: doc.update(tasks=[{"task": "tor", "left": "M", "right": "N",
+                                        "range": [3, 1], "expect_zero": True}]),
+         "range"),
+        (lambda doc: doc.update(tasks=[{"task": "ntf", "module": "M", "n": 0}]), "n"),
+        (lambda doc: doc.update(tasks=[{"task": "verify", "pipeline": "thm3.1",
+                                        "left": "M", "right": "N", "n": 0}]), "n"),
+        (lambda doc: doc.update(tasks=[{"task": "verify", "pipeline": "thm1.1",
+                                        "left": "M", "right": "N", "window": 0}]),
+         "window"),
+        (lambda doc: doc.update(tasks=[{"task": "depth-formula", "left": "M",
+                                        "right": "N", "window": 0}]), "window"),
+        (lambda doc: doc.update(tasks=[{"task": "depth-formula", "left": "M",
+                                        "right": "N", "window": -1}]), "window"),
+        (lambda doc: doc.update(tasks=[{"task": "localized-rank", "module": "M",
+                                        "prime": ["1"]}]), "prime"),
+        (lambda doc: doc.update(tasks=[{"task": "resolve", "module": "M",
+                                        "length": -1}]), "length"),
+        (lambda doc: doc["modules"].update(S={"op": "syzygy", "of": "M", "n": -1}),
+         "module S.n"),
+        (lambda doc: doc["modules"].update(Q={"op": "cyclic", "ideal": ["x", "z"]},
+                                           S={"op": "pushforward", "of": "Q"}), "S"),
+        (lambda doc: doc.update(caps={"tor_window": 0}), "caps.tor_window"),
+        (lambda doc: doc.update(caps={"pairs": -1}), "caps.pairs"),
+        (lambda doc: doc.update(caps={"degree": -1}), "caps.degree"),
+        (lambda doc: doc.update(caps={"resolution": -1}), "caps.resolution"),
+    ], ids=["rigidity-search-window", "tor-i", "ext-range", "tor-empty-range",
+            "ntf-n", "thm3.1-n", "verify-window", "depth-formula-window-0", "depth-formula-window-neg",
+            "localized-rank-unit-prime", "resolve-length", "syzygy-n",
+            "pushforward-not-torsionless", "caps-tor-window", "caps-pairs",
+            "caps-degree", "caps-resolution"])
+    def test_session_field_exits_two_naming_it(self, tmp_path, capsys, change, field):
+        doc = _document()
+        change(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert "input error" in out.out + out.err
+        assert repr(field) in out.out + out.err
+
+    @pytest.mark.parametrize("argv,field", [
+        (("run", "{path}", "--tor-window", "0"), "caps.tor_window"),
+        (("run", "{path}", "--tor-window", "-3"), "caps.tor_window"),
+        (("run", "{path}", "--cap-resolution", "-1"), "caps.resolution"),
+        (("run", "{path}", "--cap-pairs", "-1"), "caps.pairs"),
+        (("paper-suite", "--cap-pairs", "-1"), "caps.pairs"),
+        (("tor", "--session", "{path}", "M", "N", "--from", "-1"), "range"),
+        (("ext", "--session", "{path}", "M", "N", "--from", "3", "--to", "1"), "range"),
+        (("check", "ntf", "--session", "{path}", "M", "-n", "0"), "n"),
+        (("verify", "thm3.1", "--session", "{path}", "M", "N", "-n", "0"), "n"),
+        (("rigidity-search", "--session", "{path}", "--window", "1"), "window"),
+        (("resolve", "--session", "{path}", "M", "--length", "-1"), "length"),
+    ], ids=["tor-window-0", "tor-window-neg", "cap-resolution", "cap-pairs",
+            "paper-suite-cap-pairs", "from", "to-below-from", "ntf-n", "thm3.1-n",
+            "window", "length"])
+    def test_flag_exits_two_naming_it(self, tmp_path, capsys, argv, field):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(_document()))
+        argv = [a.format(path=path) for a in argv]
+        assert cli_main(argv) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert "input error" in out.out + out.err
+        assert repr(field) in out.out + out.err
+
+    def test_environment_tor_window_exits_two(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(_document()))
+        monkeypatch.setenv("REFLEXTOR_TOR_WINDOW", "0")
+        assert cli_main(["run", str(path)]) == EXIT_INPUT
+        assert "'caps.tor_window'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--cap-pairs", "--cap-resolution"])
+    def test_least_cap_values_still_run(self, tmp_path, capsys, flag):
+        # a cap of 1 is in range; the run then hits it
+        path = tmp_path / "session.json"
+        doc = _document()
+        doc["tasks"] = [{"task": "depth", "module": "M"}]
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path), flag, "1"]) == EXIT_CAP
+        capsys.readouterr()
