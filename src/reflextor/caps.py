@@ -7,6 +7,15 @@ step, which polls every POLL_STEPS steps of the run.  Blowing a cap
 raises `CapExceeded`, a distinct outcome that is never a silently wrong
 answer; a caller-supplied cancel callback raises `ComputationCancelled`
 the same way.
+
+A memoized answer (`QuotientRing.memo`) is charged on every hit as a
+recomputation would be: a hit ticks once per pair its first run charged.
+An answer that a run computes once and then keeps, an ideal basis or a
+step of a module's resolution, is charged once per run instead
+(`pay_once`), so what a run pays never depends on what earlier runs
+left in a cache.  A `Caps` shared across threads can count one thread's
+pairs in another's memo entry, which mis-charges a later hit but never
+gives a wrong answer.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +31,13 @@ class ComputationCancelled(RuntimeError):
     """The caller's cancel token fired between reduction steps."""
 
 
+class Token:
+    """Names one kept answer for `Caps.pay_once`: equal only to itself,
+    and weakly referable, so a test can see what still holds it."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass
 class Caps:
     max_pairs: int = 200_000
@@ -31,6 +47,7 @@ class Caps:
     cancel: object = None  # optional zero-arg callable returning True to stop
     _pairs_used: int = field(default=0, repr=False)
     _steps: int = field(default=0, repr=False)
+    _paid: set = field(default_factory=set, repr=False)  # see pay_once
 
     def poll(self):
         """The cancel check alone; it uses none of the pair budget."""
@@ -50,6 +67,16 @@ class Caps:
             raise CapExceeded(f"pair cap exceeded ({self.max_pairs})")
         if degree > self.max_degree:
             raise CapExceeded(f"degree cap exceeded ({self.max_degree})")
+
+    def pay_once(self, key, pairs: int):
+        """Tick `pairs` times for the kept answer `key`, unless this run has
+        paid for it already; pass 0 right after computing it, as its ticks
+        are made.  Keys are built on `Token`s, which `_paid` keeps alive,
+        so no two answers share one."""
+        if key not in self._paid:
+            for _ in range(pairs):
+                self.tick()
+            self._paid.add(key)
 
     def fresh(self) -> "Caps":
         """Copy with the pair counter reset (one budget per top-level run)."""

@@ -3,8 +3,10 @@
 Resolutions are computed step by step (iterated syzygies with graded
 Nakayama minimalization), cached append-only on the module, and extended
 under a lock so concurrent requests serialize.  Every capped walk obeys
-one rule (`FreeResolution.extend_to`), so an answer depends on the
-module, the length asked for and the cap, never on what the cache holds.
+one rule (`FreeResolution.extend_to`), and a walk is charged once per
+run for each cached step it reuses, the pairs that step first cost
+(`Caps.pay_once`), so an answer depends on the module, the length asked
+for and the caps, never on what the cache holds.
 Homology of a three-term segment is one `modules.subquotient`: the kernel
 of the map out, modulo the image of the map in and the middle's relations.
 
@@ -24,7 +26,7 @@ import threading
 from copy import copy
 from dataclasses import dataclass
 
-from .caps import Caps, CapExceeded, DEFAULT_CAPS
+from .caps import Caps, CapExceeded, DEFAULT_CAPS, Token
 from .hilbert import ambient_resolution, vector_degree
 from .modules import (
     PresentedModule,
@@ -46,9 +48,15 @@ class FreeResolution:
     """Lazy minimal graded free resolution of a presented module."""
 
     def __init__(self, module: PresentedModule, caps: Caps = None):
+        caps = caps or DEFAULT_CAPS.fresh()
         self.module = module
+        start = caps._pairs_used
         base = minimize(module, caps)
         self.base = base
+        # pairs each step cost: the base's minimize, then each walk step
+        self._pairs = [caps._pairs_used - start]
+        self._token = Token()  # step k is paid for as (token, k)
+        caps.pay_once((self._token, 0), 0)
         self._shifts = [tuple(base.gen_degrees)]
         self._diffs = []  # _diffs[k] holds d_{k+1} columns inside R^{rank F_k}
         self._complete = False
@@ -108,22 +116,27 @@ class FreeResolution:
         """`extend_to` without the resolution-length cap, for callers that
         bound the length themselves."""
         with self._lock:
+            # a walk to `length` runs steps 1 .. length - 1, or to the end
+            for k in range(1, min(length, len(self._pairs))):
+                caps.pay_once((self._token, k), self._pairs[k])
             while not self._complete and self.length_computed() < length:
+                start = caps._pairs_used
                 last_rank = len(self._shifts[-1])
                 last_cols = self._diffs[-1]
                 # nonzero syzygies, in R^{#columns} = R^{rank F_last}
                 syz = syzygies_over_ring(self.ring, len(self._shifts[-2]),
                                          list(last_cols), caps)
-                if not syz:
+                if syz:
+                    degs = [vector_degree(s, self._shifts[-1]) for s in syz]
+                    kept = minimal_generator_indices(
+                        self.ring, last_rank, syz, degs, caps=caps
+                    )
+                    self._diffs.append(tuple(syz[i] for i in kept))
+                    self._shifts.append(tuple(degs[i] for i in kept))
+                else:
                     self._complete = True
-                    return
-                degs = [vector_degree(s, self._shifts[-1]) for s in syz]
-                kept = minimal_generator_indices(
-                    self.ring, last_rank, syz, degs, caps=caps
-                )
-                cols = tuple(syz[i] for i in kept)
-                self._diffs.append(cols)
-                self._shifts.append(tuple(degs[i] for i in kept))
+                self._pairs.append(caps._pairs_used - start)
+                caps.pay_once((self._token, len(self._pairs) - 1), 0)
 
     def truncated(self, length: int) -> "FreeResolution":
         """The resolution as a walk of `length` steps reports it: no step
@@ -189,10 +202,14 @@ class FreeResolution:
 
 def resolution(m: PresentedModule, caps: Caps = None) -> FreeResolution:
     """The cached resolution attached to a module (append-only); `caps`
-    pays for minimizing its base when it is first built."""
+    pays for minimizing its base, once per run."""
+    caps = caps or DEFAULT_CAPS.fresh()
     with m._resolution_lock:
         if m._resolution is None:
             m._resolution = FreeResolution(m, caps)
+        else:
+            res = m._resolution
+            caps.pay_once((res._token, 0), res._pairs[0])
         return m._resolution
 
 

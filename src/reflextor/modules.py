@@ -30,7 +30,7 @@ from itertools import combinations
 from math import lcm, prod
 from operator import mul
 
-from .caps import Caps
+from .caps import Caps, DEFAULT_CAPS
 from .groebner import (
     FreeVector,
     Ideal,
@@ -80,7 +80,6 @@ class PresentedModule:
         "_resolution",
         "_resolution_lock",
         "_hilbert",
-        "_fitting",
     )
 
     def __init__(self, ring: QuotientRing, gen_degrees, columns, _minimal=False):
@@ -106,7 +105,6 @@ class PresentedModule:
         self._resolution = None
         self._resolution_lock = threading.Lock()
         self._hilbert = None
-        self._fitting = {}  # i -> Fitt_i of the minimized presentation
 
     # -- basics ----------------------------------------------------------
     @property
@@ -703,12 +701,14 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
     Fitt_{r-1} dies locally, i.e. some c outside p multiplies Fitt_{r-1}
     into the defining ideal; c is searched in the annihilator-quotient
     (I : Fitt_{r-1}), one `ideal_quotient` call: the syzygies of the
-    vector of Fitt_{r-1}'s generators modulo I.  The Fitting ideals of the minimized presentation
-    are kept on m, so further primes reuse them; `minimize` still runs on
-    every call.
+    vector of Fitt_{r-1}'s generators modulo I.  The Fitting ideals of the
+    minimized presentation are kept in the ring's memo, keyed by that
+    presentation, so further primes and equal modules reuse them;
+    `minimize` still runs on every call.
     """
     if p.prime_status not in ("verified", "asserted"):
         raise ValueError("localized rank needs a verified or asserted prime")
+    caps = caps or DEFAULT_CAPS.fresh()
     if not p.is_proper(caps):
         raise ValueError("localized rank at the unit ideal")
     ring = m.ring
@@ -716,9 +716,8 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
     g = mm.num_generators
     r = below = None
     for i in range(g + 1):
-        fitt = m._fitting.get(i)
-        if fitt is None:
-            fitt = m._fitting[i] = fitting_ideal(mm, i, caps)
+        fitt = ring.memo(("fitting", mm.gen_degrees, mm.columns, i), caps,
+                         lambda: fitting_ideal(mm, i, caps))
         if not all(p.contains(f, caps) for f in fitt.generators):
             r = i
             break

@@ -9,7 +9,7 @@ from user-supplied candidates.
 
 from dataclasses import dataclass
 
-from .caps import Caps
+from .caps import Caps, DEFAULT_CAPS, Token
 from .groebner import (
     FreeVector,
     Ideal,
@@ -31,7 +31,12 @@ class UnsupportedIdealClass(ValueError):
 
 
 class QuotientRing:
-    """Standard-graded quotient of a polynomial ring by a homogeneous ideal."""
+    """Standard-graded quotient of a polynomial ring by a homogeneous ideal.
+
+    `memo` keeps answers that depend only on the ring and a presentation
+    or an ideal, charging each hit as a recomputation would be charged; an
+    equal ring that is a different object starts empty.
+    """
 
     def __init__(self, sig: RingSignature, ideal_gens, caps: Caps = None):
         self.sig = sig
@@ -66,6 +71,48 @@ class QuotientRing:
         fld = self.sig.field
         vars_ = ",".join(self.sig.variables)
         return f"{fld!r}[{vars_}]/{self.ideal}"
+
+    def memo(self, key, caps: Caps, compute, once=False):
+        """`compute()` once per key, resolution cap and degree cap, with
+        charged replay.
+
+        The key gets `caps.resolution_length` and `caps.max_degree`
+        appended, since a smaller cap can turn the answer into
+        `CapExceeded`.  A miss stores the value with the number of pairs
+        `compute()` charged to `caps`, only if it returns normally.  A hit
+        ticks `caps` that many times, so the pair cap and the cancel poll
+        act as in a recomputation; the first run saw no degree above
+        `caps.max_degree`, so neither would this one.  With `once` (ideal
+        bases) a hit charges only if this run has not paid for the key
+        yet (`Caps.pay_once`), as a run on a fresh ring computes the basis
+        once and then reuses it.  So which task exits 3 never depends on
+        what earlier tasks computed.  No memoized answer's computation
+        uses an answer charged once per run that outlives it (a basis, a
+        resolution kept on a module); one that did would carry that
+        charge in its own pairs, and a run could pay it twice or not at
+        all.  `caps` must not be None (callers pass `caps or
+        DEFAULT_CAPS.fresh()`).  There is no lock: threads sharing a ring
+        may compute an entry twice, and threads sharing a `Caps` may count
+        each other's pairs; that mis-charges, but never gives a wrong
+        answer.
+        """
+        key = key + (caps.resolution_length, caps.max_degree)
+        entry = self._caches.get(key)
+        if entry is None:
+            start = caps._pairs_used
+            value = compute()
+            token = Token()
+            self._caches[key] = (value, caps._pairs_used - start, token)
+            if once:
+                caps.pay_once(token, 0)
+            return value
+        value, pairs, token = entry
+        if once:
+            caps.pay_once(token, pairs)
+        else:
+            for _ in range(pairs):
+                caps.tick()
+        return value
 
     # -- element arithmetic ---------------------------------------------
     def reduce(self, p: Poly) -> Poly:
@@ -277,14 +324,13 @@ class RIdeal:
         return Ideal(self.ring.sig, self.ring.ideal.generators + self.generators)
 
     def lift_gb(self, caps: Caps = None):
-        """Basis of the preimage ideal, cached in `ring._caches` without a
-        lock: callers sharing one ring across their own threads may compute
-        it twice, which is duplicate work, never a wrong answer."""
-        key = ("rideal_gb", self.generators)
-        cache = self.ring._caches
-        if key not in cache:
-            cache[key] = self.lift().gb(caps)
-        return cache[key]
+        """Basis of the preimage ideal, kept in the ring's memo and charged
+        once per run, however often the run uses it."""
+        caps = caps or DEFAULT_CAPS.fresh()
+        return self.ring.memo(
+            ("rideal_gb", self.generators), caps, lambda: self.lift().gb(caps),
+            once=True,
+        )
 
     def contains(self, p: Poly, caps: Caps = None) -> bool:
         return normal_form(p, self.lift_gb(caps)).is_zero

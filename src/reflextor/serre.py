@@ -5,6 +5,13 @@ for n = 1 and 2 this matches, unconditionally, the kernel and cokernel of
 the natural biduality map, which gives a free internal cross-check.  The
 Serre-condition reading of the vector is attached only when the side
 conditions are certifiable, which here means a hypersurface ring.
+
+Both verdicts are kept in the ring's memo (`QuotientRing.memo`), keyed by
+the presentation as given, not a minimized one (minimizing would itself
+tick), so equal modules built by different tasks share one computation.
+A hit charges the caller's caps as a recomputation would (a `Caps`
+shared across threads can be mis-charged, never given a wrong answer).
+The reports are frozen, since every hit shares one value.
 """
 
 from dataclasses import dataclass
@@ -18,7 +25,7 @@ class VerdictDisagreement(RuntimeError):
     """Biduality and the Ext criterion disagreed; an engine bug trap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NTorsionFreeReport:
     verdicts: tuple              # Ext^i(Tr M, R) = 0 for i = 1..n
     interpretation: str          # "serre-condition" | "ext-criterion-only"
@@ -33,6 +40,11 @@ def n_torsion_free(m: PresentedModule, n: int, caps: Caps = None):
     if n < 1:
         raise ValueError("torsion-freeness level must be at least 1")
     caps = caps or DEFAULT_CAPS.fresh()
+    return m.ring.memo(("ntf", m.gen_degrees, m.columns, n), caps,
+                       lambda: _n_torsion_free(m, n, caps))
+
+
+def _n_torsion_free(m, n, caps):
     tr = transpose(m, caps)
     rfree = free_module(m.ring, (0,))
     verdicts = tuple(
@@ -42,7 +54,7 @@ def n_torsion_free(m: PresentedModule, n: int, caps: Caps = None):
     return NTorsionFreeReport(verdicts, interp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReflexivityReport:
     reflexive: bool
     torsionless: bool
@@ -54,6 +66,11 @@ class ReflexivityReport:
 def is_reflexive(m: PresentedModule, caps: Caps = None) -> ReflexivityReport:
     """Biduality test and the Ext criterion, required to agree."""
     caps = caps or DEFAULT_CAPS.fresh()
+    return m.ring.memo(("reflexive", m.gen_degrees, m.columns), caps,
+                       lambda: _is_reflexive(m, caps))
+
+
+def _is_reflexive(m, caps):
     bid = biduality(m, caps)
     ntf = n_torsion_free(m, 2, caps)
     if bid.torsionless != ntf.verdicts[0] or bid.reflexive != ntf.all_vanish:

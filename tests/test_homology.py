@@ -106,6 +106,27 @@ class TestResolutions:
         tor(m, m, 1, caps)
         assert caps._pairs_used == len(ticks) > 0
 
+    def test_cached_steps_are_charged_once_per_run(self, ring_a, pa):
+        m = module_from_rows(ring_a, [
+            [pa("x"), pa("y"), pa("z"), pa("x*z"), pa("y*z")],
+            [pa("z"), pa("w"), pa("0"), pa("z^2"), pa("w*z")],
+        ], (0, 0))
+        first, again = Caps(), Caps()
+        free_resolution(m, 3, first)
+        assert first._pairs_used > 0
+        # a later run pays what the walk first cost, and only once
+        free_resolution(m, 3, again)
+        free_resolution(m, 2, again)
+        assert again._pairs_used == first._pairs_used
+        # a walk to 4 pays for step 3, which the first walk did not take
+        free_resolution(m, 4, first)
+        longer = Caps()
+        free_resolution(m, 4, longer)
+        assert longer._pairs_used == first._pairs_used
+        with pytest.raises(CapExceeded) as error:
+            free_resolution(m, 4, Caps(max_pairs=first._pairs_used - 1))
+        assert str(error.value) == f"pair cap exceeded ({first._pairs_used - 1})"
+
     def test_d_squared_on_residue_field(self, ring_a):
         k = ring_a.residue_field_module()
         res = free_resolution(k, 4)

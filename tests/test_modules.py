@@ -453,7 +453,7 @@ class TestLocalizedRank:
         assert result.witness == "x kills Fitt_1 outside the prime"
         assert localized_rank(m, pxy).kind == "not_free"
 
-    def test_fitting_chain_built_once_per_module(self, ring_a, pa, monkeypatch):
+    def test_fitting_chain_built_once_per_module(self, monkeypatch):
         import reflextor.modules as modules_module
 
         calls = []
@@ -464,13 +464,18 @@ class TestLocalizedRank:
             return inner(m, i, caps)
 
         monkeypatch.setattr(modules_module, "fitting_ideal", counted)
+        # a fresh ring, so the ring's memo starts empty
+        ring = make_ring(QQ, ["x", "y", "z", "w"], ["x*y"])
+        pa = lambda s: parse_poly(s, ring.sig)
         # Fitt_0 = (x): y needs Fitt_0 alone, x and (x, y) need Fitt_1 too
-        primes = [RIdeal(ring_a, tuple(pa(g) for g in gens), prime_status="verified")
+        primes = [RIdeal(ring, tuple(pa(g) for g in gens), prime_status="verified")
                   for gens in (["y"], ["x"], ["x", "y"])]
-        m = cyclic(ring_a, (pa("x"),))
+        m = cyclic(ring, (pa("x"),))
         verdicts = [localized_rank(m, p) for p in primes]
         assert calls == [0, 1]
-        fresh = [localized_rank(cyclic(ring_a, (pa("x"),)), p) for p in primes]
+        # an equal presentation on another object reuses the memo
+        fresh = [localized_rank(cyclic(ring, (pa("x"),)), p) for p in primes]
+        assert calls == [0, 1]
         assert verdicts == fresh
         assert [v.kind for v in verdicts] == ["free", "free", "not_free"]
 
