@@ -1,12 +1,12 @@
 """Minimal graded free resolutions, Tor, Ext, depth and torsion.
 
 Resolutions are computed step by step (iterated syzygies with graded
-Nakayama minimalization), cached append-only on the module, and extended
-under a lock so concurrent requests serialize.  Every capped walk obeys
-one rule (`FreeResolution.extend_to`), and a walk is charged once per
-run for each cached step it reuses, the pairs that step first cost
-(`Caps.pay_once`), so an answer depends on the module, the length asked
-for and the caps, never on what the cache holds.
+Nakayama minimalization), cached append-only on the module, one per
+degree cap, and extended under a lock so concurrent requests serialize.
+Every capped walk obeys one rule (`FreeResolution.extend_to`), and a
+walk is charged once per run for each cached step it reuses, the pairs
+that step first cost (`Caps.pay_once`), so an answer depends on the
+module, the length asked for and the caps, never on what the cache holds.
 Homology of a three-term segment is one `modules.subquotient`: the kernel
 of the map out, modulo the image of the map in and the middle's relations.
 
@@ -201,16 +201,17 @@ class FreeResolution:
 
 
 def resolution(m: PresentedModule, caps: Caps = None) -> FreeResolution:
-    """The cached resolution attached to a module (append-only); `caps`
-    pays for minimizing its base, once per run."""
+    """The cached resolution attached to a module (append-only), one per
+    degree cap, since a step computed under a larger cap may hold a degree
+    past a smaller one; `caps` pays for minimizing its base, once per run."""
     caps = caps or DEFAULT_CAPS.fresh()
     with m._resolution_lock:
-        if m._resolution is None:
-            m._resolution = FreeResolution(m, caps)
+        res = m._resolution.get(caps.max_degree)
+        if res is None:
+            res = m._resolution[caps.max_degree] = FreeResolution(m, caps)
         else:
-            res = m._resolution
             caps.pay_once((res._token, 0), res._pairs[0])
-        return m._resolution
+        return res
 
 
 def free_resolution(m: PresentedModule, max_length: int, caps: Caps = None):

@@ -4,8 +4,8 @@ A module is a cokernel: generators with integer degrees and homogeneous
 relation columns, everything reduced to normal form modulo the defining
 ideal.  The operations here (kernel, tensor, dual, transpose,
 pushforward, syzygy, minimize, biduality, Fitting ideals, local rank)
-all reduce to span membership, lifts and syzygy computations over the
-ambient polynomial ring.  A relation set D over R is one membership span
+all reduce to span membership and syzygy computations over the ambient
+polynomial ring.  A relation set D over R is one membership span
 (`ring_membership_span`: the defining ideal times the free module as a
 seeded block, plus D's vectors), reduced to a basis once; it seeds the
 Nakayama scan (on a copy) and the tailed syzygy run.  Every kernel modulo
@@ -79,7 +79,6 @@ class PresentedModule:
         "_minimal",
         "_resolution",
         "_resolution_lock",
-        "_hilbert",
     )
 
     def __init__(self, ring: QuotientRing, gen_degrees, columns, _minimal=False):
@@ -102,9 +101,8 @@ class PresentedModule:
             degs.append(vector_degree(col, self.gen_degrees))
         self.col_degrees = tuple(degs)
         self._minimal = _minimal
-        self._resolution = None
+        self._resolution = {}  # max_degree -> FreeResolution, see homology.resolution
         self._resolution_lock = threading.Lock()
-        self._hilbert = None
 
     # -- basics ----------------------------------------------------------
     @property
@@ -146,11 +144,9 @@ class PresentedModule:
 
     def hilbert_series(self, caps: Caps = None):
         """Series of M as a module over the ambient polynomial ring."""
-        if self._hilbert is None:
-            self._hilbert = hilbert_series_of_presentation(
-                self.ring, self.gen_degrees, self.columns, caps
-            )
-        return self._hilbert
+        return hilbert_series_of_presentation(
+            self.ring, self.gen_degrees, self.columns, caps
+        )
 
 
 def apply_columns(ring: QuotientRing, columns, rank: int, vec: FreeVector):
@@ -517,6 +513,10 @@ def transpose(m: PresentedModule, caps: Caps = None) -> PresentedModule:
 
 @dataclass
 class BidualityReport:
+    """The natural map M -> M**, as the evaluation map M -> R^s at the
+    minimal generators of M* (`map`), with its kernel and its cokernel
+    M** / M presented minimally."""
+
     map: ModuleMap
     kernel: PresentedModule
     cokernel: PresentedModule
@@ -530,40 +530,37 @@ class BidualityReport:
         return self.torsionless and self.cokernel.num_generators == 0
 
 
+def _evaluation(m: PresentedModule, caps: Caps = None):
+    """M* and the evaluation map M -> R^s, e_j -> (phi_k(e_j))_k, where
+    phi_1..phi_s are the minimal generators of M* that `_dual_pair` chose
+    and R^s has coordinate degrees -deg(phi_k).  The map is checked well
+    defined, which certifies that every phi_k kills M's relations."""
+    mstar, incl = _dual_pair(m, caps)
+    target = free_module(m.ring, tuple(-d for d in mstar.gen_degrees))
+    cols = _transposed(m.ring.sig, incl.columns, m.num_generators)
+    return mstar, ModuleMap(m, target, cols, caps=caps)
+
+
 def biduality(m: PresentedModule, caps: Caps = None) -> BidualityReport:
-    """The natural map M -> M**, with its kernel and cokernel presented."""
-    ring = m.ring
-    mstar, incl_star = _dual_pair(m, caps)
-    star_vectors = incl_star.columns  # functionals on M, inside R^{g_M}
-    mstarstar, incl_star2 = _dual_pair(mstar, caps)
-    bidual_vectors = incl_star2.columns  # functionals on M*, inside R^{g_M*}
-    g = m.num_generators
-    gss = mstarstar.num_generators
-    if g == 0:
-        zero = PresentedModule(ring, (), (), _minimal=True)
-        return BidualityReport(ModuleMap(zero, mstarstar, (), check=False), zero, zero)
-    lift_span = Span(ring.sig, mstar.num_generators, bidual_vectors, caps,
-                     ring_membership_span(ring, mstar.num_generators, (), caps))
-    cols = []
-    # per generator of M, the values of the functionals at it
-    for ev in _transposed(ring.sig, star_vectors, g):
-        if ev.is_zero:
-            cols.append(FreeVector.zero(ring.sig, gss))
-            continue
-        coeffs = lift_span.lift(ev)
-        if coeffs is None:
-            raise RuntimeError("biduality image failed to lift into M**")
-        cols.append(ring.reduce_vector(FreeVector(ring.sig, coeffs)))
-    bmap = ModuleMap(m, mstarstar, cols, caps=caps)
-    ker, _ = kernel(bmap, caps)
-    coker = minimize(bmap.cokernel(), caps)
-    return BidualityReport(bmap, minimize(ker, caps), coker)
+    """The natural map M -> M**, with its kernel and cokernel presented.
+
+    M** = Hom(M*, R) sits inside R^s as the kernel of M*'s transposed
+    presentation, and M -> M** is the evaluation map into it.  So the
+    kernel is the evaluation map's kernel, and the cokernel is one
+    `subquotient`: that kernel modulo the evaluation columns.
+    """
+    mstar, emap = _evaluation(m, caps)
+    ker, _ = kernel(emap, caps)
+    dual_presentation = _transposed(m.ring.sig, mstar.columns, mstar.num_generators)
+    coker = subquotient(m.ring, emap.target.gen_degrees, emap.columns,
+                        (dual_presentation, mstar.num_relations, ()), caps)[0]
+    return BidualityReport(emap, ker, coker)
 
 
 @dataclass
 class PushforwardResult:
     module: PresentedModule
-    embedding: ModuleMap      # N -> R^s against a minimal generating set of N*
+    embedding: ModuleMap      # N -> R^s, evaluation at the minimal generators of N*
     target_free: PresentedModule
     ext1_certificate: object  # homology report for Ext^1(N1, R) = 0
     # Omega(Tr N) and Tr(N1) agree up to free summands; the recorded witness
@@ -572,15 +569,16 @@ class PushforwardResult:
 
 
 def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
-    """Embed a torsionless module along its dual's minimal generators.
+    """Embed a torsionless module N by evaluation at the minimal generators
+    of N* (`_evaluation`), with cokernel N1.
 
-    The cokernel N1 of the embedding N -> R^s satisfies Ext^1(N1, R) = 0,
-    which is recomputed and attached as a certificate.
+    Dualizing 0 -> N -> R^s -> N1 -> 0 gives R^s* -> N* -> Ext^1(N1, R) -> 0,
+    and R^s* -> N* is onto since the functionals generate N*; so
+    Ext^1(N1, R) = 0, which is recomputed and attached as a certificate.
     """
     from .homology import ext
 
-    ring = n.ring
-    ring_module = free_module(ring, (0,))
+    ring_module = free_module(n.ring, (0,))
     tr = transpose(n, caps)
     ext1 = ext(tr, ring_module, 1, caps)
     if not ext1.is_zero:
@@ -588,28 +586,16 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
             "module is not torsionless: Ext^1(transpose, R) is nonzero",
             witness=ext1,
         )
-    mstar, incl_star = _dual_pair(n, caps)
-    star_vectors = list(incl_star.columns)
-    dual_coord_degs = tuple(-d for d in n.gen_degrees)
-    star_degs = [vector_degree(v, dual_coord_degs) for v in star_vectors]
-    kept = minimal_generator_indices(
-        ring, n.num_generators, star_vectors, star_degs, caps=caps
-    )
-    minimal_functionals = [star_vectors[i] for i in kept]
-    e_degs = [star_degs[i] for i in kept]
-    target = free_module(ring, tuple(-e for e in e_degs))
-    cols = _transposed(ring.sig, minimal_functionals, n.num_generators)
-    emb = ModuleMap(n, target, cols, caps=caps)
+    _, emb = _evaluation(n, caps)
     n1 = minimize(emb.cokernel(), caps)
-    tr_n1 = transpose(n1, caps)
-    recheck = ext(tr_n1, ring_module, 1, caps)
+    recheck = ext(n1, ring_module, 1, caps)
     if not recheck.is_zero:
         raise RuntimeError("pushforward postcondition failed: Ext^1(N1, R) != 0")
     omega_tr = syzygy(tr, 1, caps)
-    diff = omega_tr.hilbert_series(caps) - tr_n1.hilbert_series(caps)
+    diff = omega_tr.hilbert_series(caps) - transpose(n1, caps).hilbert_series(caps)
     ring_numer = ring_module.hilbert_series(caps).as_dict()
     witness = diff.is_free_combination_of(ring_numer)
-    return PushforwardResult(n1, emb, target, recheck, witness)
+    return PushforwardResult(n1, emb, emb.target, recheck, witness)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,14 @@ monomial-order oracle is the definition unrolled term by term, the
 basis check reads the basis entries through the engine's exit boundary
 and reduces every S-pair with its own division loop, the
 minors are Leibniz sums over plain term dicts, and two presentations are
-matched entry by entry over every row and column permutation.  The two
+matched entry by entry over every row and column permutation.  The three
 exceptions run the engine by another route: `ext_depth`, depth by its
 definition, the first nonzero Ext^i(k, M), resolves k over R where
 `depth` resolves M over S; `radical_oracle` decides radical membership
 by the Rabinowitsch trick over an extended ring, where the engine
-saturates by repeated ideal quotients.
+saturates by repeated ideal quotients; `biduality_by_lift` presents M**
+as the dual of M* and lifts the evaluation vectors into it, where the
+engine reads M -> M** as the evaluation map into R^s.
 """
 
 from itertools import combinations, permutations
@@ -326,3 +328,35 @@ def radical_oracle(f, ideal, caps=None):
     gens = [lift(g) for g in ideal.generators]
     gens.append(Poly.one(ext) - t * lift(f))
     return normal_form(Poly.one(ext), buchberger(gens, caps)).is_zero
+
+
+def biduality_by_lift(m, caps=None):
+    """Kernel and cokernel of M -> M**, both minimized: M** presented as
+    the dual of M*, each generator's evaluation vector lifted by a tailed
+    `Span` onto M**'s generators, and the kernel and cokernel of that map."""
+    from reflextor.groebner import FreeVector, Span
+    from reflextor.modules import (
+        ModuleMap, PresentedModule, _dual_pair, _transposed, kernel, minimize,
+        ring_membership_span,
+    )
+
+    ring, g = m.ring, m.num_generators
+    if g == 0:
+        zero = PresentedModule(ring, (), (), _minimal=True)
+        return zero, zero
+    mstar, incl_star = _dual_pair(m, caps)
+    mstarstar, incl_star2 = _dual_pair(mstar, caps)
+    s = mstar.num_generators
+    lift_span = Span(ring.sig, s, incl_star2.columns, caps,
+                     ring_membership_span(ring, s, (), caps))
+    cols = []
+    for ev in _transposed(ring.sig, incl_star.columns, g):
+        if ev.is_zero:
+            cols.append(FreeVector.zero(ring.sig, mstarstar.num_generators))
+            continue
+        coeffs = lift_span.lift(ev)
+        assert coeffs is not None, "an evaluation vector lies outside M**"
+        cols.append(FreeVector(ring.sig, coeffs))
+    bmap = ModuleMap(m, mstarstar, cols, caps=caps)
+    ker, _ = kernel(bmap, caps)
+    return minimize(ker, caps), minimize(bmap.cokernel(), caps)

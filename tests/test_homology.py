@@ -127,6 +127,16 @@ class TestResolutions:
             free_resolution(m, 4, Caps(max_pairs=first._pairs_used - 1))
         assert str(error.value) == f"pair cap exceeded ({first._pairs_used - 1})"
 
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_degree_cap_ignores_the_cache(self, ring_a, pa, cap):
+        m = cyclic(ring_a, (pa("x^3"), pa("z^2"), pa("w^2")))
+        # a walk under the default caps leaves steps past the smaller cap
+        resolution(m).extend_to(4)
+        caps = Caps(max_degree=cap)
+        with pytest.raises(CapExceeded) as error:
+            resolution(m, caps).extend_to(4, caps)
+        assert str(error.value) == f"degree cap exceeded ({cap})"
+
     def test_d_squared_on_residue_field(self, ring_a):
         k = ring_a.residue_field_module()
         res = free_resolution(k, 4)

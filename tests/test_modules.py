@@ -41,6 +41,7 @@ from reflextor.rings import RIdeal
 
 from oracles import (
     all_monomials,
+    biduality_by_lift,
     fitting_minors_oracle,
     presentations_equivalent_up_to_permutation,
 )
@@ -238,6 +239,27 @@ class TestBiduality:
                      want_module=False)
             assert rep.torsionless == e1.is_zero
 
+    def test_agrees_with_the_lift_route(self, ring_a, m_a, n_a, tensor_a, n_b):
+        # seeded linear modules and their transposes over both fields and
+        # three rings, k, and the fixture, zero and free modules
+        modules = [m_a, n_a, tensor_a, n_b, PresentedModule(ring_a, (), ()),
+                   free_module(ring_a, (0, 2))]
+        for fld in (GF(32003), QQ):
+            for seed, relations in enumerate((["x*y - z*w"], ["x*y"], ["x*y", "z*w"])):
+                ring = make_ring(fld, ["x", "y", "z", "w"], relations)
+                m = _graded_matrix(ring, seed, (0, 0), (1, 1, 1))
+                modules += [m, transpose(m), ring.residue_field_module()]
+        nonzero = set()
+        for m in modules:
+            rep = biduality(m)
+            for side, got, want in zip(("kernel", "cokernel"),
+                                       (rep.kernel, rep.cokernel), biduality_by_lift(m)):
+                assert sorted(got.gen_degrees) == sorted(want.gen_degrees)
+                assert got.hilbert_series() == want.hilbert_series()
+                if got.num_generators:
+                    nonzero.add(side)
+        assert nonzero == {"kernel", "cokernel"}
+
 
 class TestPushforward:
     def test_free_module(self, ring_a):
@@ -249,6 +271,16 @@ class TestPushforward:
         res = pushforward(n_a)
         assert res.ext1_certificate.is_zero
         assert res.module.num_generators == 1
+
+    def test_certificate_is_ext1_of_the_cokernel(self, m_a):
+        # Ext^1(N1, R) = 0 for every pushforward, while Ext^1(Tr N1, R) need
+        # not vanish: Tr(R/(y,z,w)) over xy (the fixture) and over xy - zw
+        assert pushforward(m_a).ext1_certificate.is_zero
+        for fld in (QQ, GF(32003)):
+            ring = make_ring(fld, ["x", "y", "z", "w"], ["x*y - z*w"])
+            prime = [parse_poly(v, ring.sig) for v in "yzw"]
+            res = pushforward(transpose(cyclic(ring, prime)))
+            assert res.ext1_certificate.is_zero
 
     def test_non_torsionless_rejected_with_witness(self, n_b):
         with pytest.raises(NotTorsionless) as err:

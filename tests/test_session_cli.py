@@ -17,7 +17,7 @@ from reflextor.reports import (
 )
 from reflextor.session import SessionError, load_session
 
-from cli_runner import run_cli
+from cli_runner import REPO_ROOT, run_cli
 
 FIX_A_DOCUMENT = {
     "schema": 1,
@@ -338,6 +338,16 @@ class TestCli:
         proc = run_cli("run", str(path))
         assert proc.returncode == 0, proc.stderr
         assert "verdict False" in proc.stdout
+
+    def test_pushforward_of_the_fixture_module_exits_zero(self, tmp_path):
+        doc = json.loads((REPO_ROOT / "scripts" / "sessions"
+                          / "hypersurface_xy.json").read_text())
+        doc["modules"]["PF"] = {"op": "pushforward", "of": "M"}
+        doc["tasks"].append({"task": "reflexive", "module": "PF"})
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 0, proc.stderr
 
     def test_malformed_session_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
