@@ -25,7 +25,9 @@ ints ascend as the terms descend, so the reduction heap holds bare ints; a
 term times t / lt is `k + (t - lt)` and "lt divides t" one guard-bit test.
 A new product term with a guard bit set, or an input term of degree above
 `orders.FIELD_MAX`, raises `CapExceeded`.  Leads keep exponent tuples too,
-for lcms, the chain criterion and `normal_form`'s early exit.
+for lcms and `normal_form`'s early exit; a pair's lcm is packed once, when
+it is queued, and the chain criterion, like minimalization, tests packed
+terms against divisor keys.
 
 Under position-over-term only entries whose leads share a position can
 pair, be chained or reduce one another (Becker & Weispfenning, Groebner
@@ -134,7 +136,7 @@ class FreeVector:
         )
 
     def __hash__(self):
-        return hash((self.sig, self.coords))
+        return hash(self.coords)  # as `Poly.__hash__`, the terms only
 
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.coords) + ")"
@@ -306,13 +308,13 @@ def _by_position(entries):
     return index
 
 
-def _spair(e1, e2, pk, fld):
+def _spair(e1, e2, lcm, pk, fld):
     """S-vector b*x^s1*f1 - a*x^s2*f2 of two basis entries with leads in the
-    same position, (a, b) = fld.cofactors(c2, c1) so the leads cancel; a
-    term whose field left its range raises `CapExceeded`."""
-    lt1, c1, t1, (pos, m1), _ = e1
-    lt2, c2, t2, (_, m2), _ = e2
-    lcm = pk.pack(pos, mono_lcm(m1, m2))
+    same position and packed lcm `lcm`, (a, b) = fld.cofactors(c2, c1) so
+    the leads cancel; a term whose field left its range raises
+    `CapExceeded`."""
+    lt1, c1, t1, _, _ = e1
+    lt2, c2, t2, _, _ = e2
     s1, s2 = lcm - lt1, lcm - lt2
     a, b = fld.cofactors(c2, c1)
     acc = {k + s1: b * c for k, c in t1.items()}
@@ -335,11 +337,12 @@ class _PairQueue:
     maps each lead position to its entries and `slots` to their places in
     `basis`, both in basis order and both extended by `push`: pair
     formation and the chain criterion walk only the new entry's position,
-    and every reduction takes `index`.  The heap holds (key, j, i, lcm),
-    lcm computed once, and `pending` mirrors it.  A pair's key is deg lcm
-    or, in a `graded` queue, its vector degree deg lcm + delta_j - deg
-    lead_j, where j, the newer entry, is never seeded and was pushed with
-    its vector degree delta_j.
+    and every reduction takes `index`.  The heap holds (key, j, i, lcm,
+    deg lcm), the lcm packed once, and `pending` mirrors it; the chain
+    criterion tests it against the divisor keys and `_spair` shifts by it.
+    A pair's key is deg lcm or, in a `graded` queue, its vector degree
+    deg lcm + delta_j - deg lead_j, where j, the newer entry, is never
+    seeded and was pushed with its vector degree delta_j.
     """
 
     def __init__(self, seeded, sig, caps: Caps, rank: int, graded=False):
@@ -360,42 +363,46 @@ class _PairQueue:
     def push(self, terms, delta=None):
         """Append the entry of a nonzero integer term dict, of vector degree
         `delta` in a graded queue, and queue its pairs."""
-        basis, j = self.basis, len(self.basis)
-        entry = _entry(terms, self.pk, self.fld)
+        basis, j, pk = self.basis, len(self.basis), self.pk
+        entry = _entry(terms, pk, self.fld)
         (pj, mj) = entry[3]
         shift = delta - degree(mj) if self.graded else 0
         for i in self.slots.get(pj, ()):
             lcm = mono_lcm(basis[i][3][1], mj)
+            d = degree(lcm)
             self.pending.add((i, j))
-            heapq.heappush(self.heap, (degree(lcm) + shift, j, i, lcm))
+            heapq.heappush(self.heap, (d + shift, j, i, pk.pack(pj, lcm), d))
         self._append(entry)
 
     def drain(self, bound=None):
         """Treat the pairs of key at most `bound` (all without one), smallest
         first: the chain criterion and, for rank one only, the product
         criterion drop a pair, else its remainder, if any, is pushed."""
-        basis, pending, heap, fld = self.basis, self.pending, self.heap, self.fld
+        basis, pending, heap, fld, pk = (
+            self.basis, self.pending, self.heap, self.fld, self.pk)
+        sign, half, guards = pk.sign, pk.half, pk.guards
         while heap and (bound is None or heap[0][0] <= bound):
-            d, j, i, lcm = heapq.heappop(heap)
+            d, j, i, lcm, deg = heapq.heappop(heap)
             pending.discard((i, j))
-            self.caps.tick(degree(lcm))
-            (pi, mi) = basis[i][3]
-            # product criterion is only sound for rank-one (polynomial) input
-            if self.rank == 1 and lcm == mono_mul(mi, basis[j][3][1]):
+            self.caps.tick(deg)
+            # product criterion is only sound for rank-one (polynomial) input,
+            # where every lead is in position 0 and pack(0, m) = base + m.w
+            if self.rank == 1 and lcm == basis[i][0] + basis[j][0] - pk.base:
                 continue
+            lk = sign * lcm + half
             skip = False
-            for k in self.slots[pi]:
+            for k in self.slots[basis[i][3][0]]:
                 if k in (i, j):
                     continue
-                if mono_divides(basis[k][3][1], lcm):
+                if not (lk - basis[k][4]) & guards:
                     a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                     if a not in pending and b not in pending:
                         skip = True
                         break
             if skip:
                 continue
-            nf, _ = _reduce_full(_spair(basis[i], basis[j], self.pk, fld),
-                                 self.index, self.pk, fld, self.caps)
+            nf, _ = _reduce_full(_spair(basis[i], basis[j], lcm, pk, fld),
+                                 self.index, pk, fld, self.caps)
             if nf:
                 self.push(nf, d)
 
@@ -408,9 +415,9 @@ class _PairQueue:
         # the kept entries in this order, which the tail reduction searches.
         kept, index, fresh = [], {}, {}
         for k in sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True):
-            (p, m) = basis[k][3]
+            p, tk = basis[k][3][0], pk.sign * basis[k][0] + pk.half
             same = index.setdefault(p, [])
-            if not any(mono_divides(e[3][1], m) for e in same):
+            if all((tk - e[4]) & pk.guards for e in same):
                 kept.append(k)
                 same.append(basis[k])
                 if k >= n_seeded:
@@ -547,7 +554,8 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
                     for k, mk in enumerate(leads)
                 )
                 if not chained and _reduce_full(
-                    _spair(entries[i], entries[j], pk, fld), gb._index, pk, fld
+                    _spair(entries[i], entries[j], pk.pack(entries[i][3][0], lcm),
+                           pk, fld), gb._index, pk, fld
                 )[0]:
                     return False
                 done |= {(i, j), (j, i)}
@@ -640,13 +648,16 @@ class IncrementalSpan:
     other use (`contains`, `normal_form`, `_entries` as a seed) first
     drains that queue and interreduces.  The list and index a span started
     from are never mutated, so a shallow copy of a span with no queue
-    grows alone.
+    grows alone.  `memo_key` names the span's content in a run's memo
+    (`modules.ring_membership_span` sets it); `add` drops it, as a grown
+    span is no longer the span its key names.
     """
 
     def __init__(self, sig, rank, vectors=(), caps: Caps = None, ideal=None):
         self.sig = sig
         self.rank = rank
         self.caps = caps or DEFAULT_CAPS.fresh()
+        self.memo_key = None
         self._queue = None
         basis = _ideal_block(ideal, rank, self.caps)
         if vectors:
@@ -689,6 +700,7 @@ class IncrementalSpan:
         True exactly when it was not already in the span.  The queue's
         pairs up to `degree` are treated, v is reduced against its entries
         and a remainder joins the queue."""
+        self.memo_key = None
         if self._queue is None:
             self._queue = _PairQueue(self._basis, self.sig, self.caps, self.rank,
                                      graded=True)

@@ -161,8 +161,24 @@ def apply_columns(ring: QuotientRing, columns, rank: int, vec: FreeVector):
 
 def ring_membership_span(ring, rank, vectors, caps: Caps = None) -> IncrementalSpan:
     """Membership in the R-span of `vectors` inside R^rank; as a relation
-    set D it seeds `syzygies_over_ring` and the Nakayama scan."""
-    return IncrementalSpan(ring.sig, rank, vectors, caps=caps, ideal=ring.ideal)
+    set D it seeds `syzygies_over_ring` and the Nakayama scan.
+
+    Built once per run (`Caps.task_memo`), keyed by rank and vectors: a
+    repeat gets a shallow copy of the kept span, carrying `caps`, and is
+    charged the pairs of the first build.  The span carries its key, which
+    keys the syzygy runs made modulo it."""
+    caps = caps or DEFAULT_CAPS.fresh()
+    vectors = tuple(vectors)
+    key = ("span", rank, vectors)
+
+    def build():
+        span = IncrementalSpan(ring.sig, rank, vectors, caps, ring.ideal)
+        span.caps = None  # the memo holds no Caps
+        return span
+
+    span = copy(caps.task_memo(ring, key, build))
+    span.caps, span.memo_key = caps, key
+    return span
 
 
 def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None,
@@ -172,14 +188,24 @@ def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None
     D is the membership span `modulo`, by default the zero submodule of
     R^rank, when these are the syzygies of `vectors` over R.  One augmented
     run seeded with D's basis, in which only `vectors` carry tails; its
-    syzygies, reduced and nonzero, are the answer.
+    syzygies, reduced and nonzero, are the answer.  The run is made once
+    per run of `caps` for equal vectors modulo an equal D (`Caps.task_memo`,
+    keyed by D's `memo_key`; a D that has none is never memoized).
     """
     if not vectors:
         return []
+    caps = caps or DEFAULT_CAPS.fresh()
     modulo = modulo or ring_membership_span(ring, rank, (), caps)
-    span = Span(ring.sig, rank, vectors, caps, modulo)
-    syz = (ring.reduce_vector(s) for s in span.syzygies())
-    return [s for s in syz if not s.is_zero]
+
+    def run():
+        span = Span(ring.sig, rank, vectors, caps, modulo)
+        syz = (ring.reduce_vector(s) for s in span.syzygies())
+        return [s for s in syz if not s.is_zero]
+
+    if modulo.memo_key is None:
+        return run()
+    key = ("syz", rank, tuple(vectors), modulo.memo_key)
+    return list(caps.task_memo(ring, key, run))
 
 
 def minimal_generator_indices(ring, rank, vectors, degrees, modulo=None, caps=None):
@@ -187,7 +213,8 @@ def minimal_generator_indices(ring, rank, vectors, degrees, modulo=None, caps=No
     D the membership span `modulo` (zero by default); the scan grows a
     copy charged to `caps`, so D is left as it was, and the copy, with
     the pairs it left above the top degree, is dropped on return."""
-    span = copy(modulo or ring_membership_span(ring, rank, (), caps))
+    # a span from `ring_membership_span` is already the caller's own copy
+    span = copy(modulo) if modulo else ring_membership_span(ring, rank, (), caps)
     span.caps = caps or span.caps
     return minimal_vector_subset(span, vectors, degrees)
 

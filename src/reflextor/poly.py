@@ -203,7 +203,9 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.sig, self.terms))
+        # equal polynomials have equal terms; hashing the signature too
+        # would rehash its dataclass fields on every call
+        return hash(self.terms)
 
     def __bool__(self):
         return bool(self.terms)

@@ -9,7 +9,7 @@ from user-supplied candidates.
 
 from dataclasses import dataclass
 
-from .caps import Caps, DEFAULT_CAPS, Token
+from .caps import Caps, DEFAULT_CAPS
 from .groebner import (
     FreeVector,
     Ideal,
@@ -74,45 +74,22 @@ class QuotientRing:
 
     def memo(self, key, caps: Caps, compute, once=False):
         """`compute()` once per key, resolution cap and degree cap, with
-        charged replay.
+        the charged replay of `Caps.memo`.
 
         The key gets `caps.resolution_length` and `caps.max_degree`
         appended, since a smaller cap can turn the answer into
-        `CapExceeded`.  A miss stores the value with the number of pairs
-        `compute()` charged to `caps`, only if it returns normally.  A hit
-        ticks `caps` that many times, so the pair cap and the cancel poll
-        act as in a recomputation; the first run saw no degree above
-        `caps.max_degree`, so neither would this one.  With `once` (ideal
-        bases) a hit charges only if this run has not paid for the key
-        yet (`Caps.pay_once`), as a run on a fresh ring computes the basis
+        `CapExceeded`; the first run saw no degree above `caps.max_degree`,
+        so neither would a recomputation.  With `once` (ideal bases) a hit
+        charges once per run, as a run on a fresh ring computes the basis
         once and then reuses it.  So which task exits 3 never depends on
-        what earlier tasks computed.  No memoized answer's computation
-        uses an answer charged once per run that outlives it (a basis, a
-        resolution kept on a module); one that did would carry that
-        charge in its own pairs, and a run could pay it twice or not at
-        all.  `caps` must not be None (callers pass `caps or
-        DEFAULT_CAPS.fresh()`).  There is no lock: threads sharing a ring
-        may compute an entry twice, and threads sharing a `Caps` may count
-        each other's pairs; that mis-charges, but never gives a wrong
-        answer.
+        what earlier tasks computed.  `caps` must not be None (callers
+        pass `caps or DEFAULT_CAPS.fresh()`).  There is no lock: threads
+        sharing a ring may compute an entry twice, and threads sharing a
+        `Caps` may count each other's pairs; that mis-charges, but never
+        gives a wrong answer.
         """
         key = key + (caps.resolution_length, caps.max_degree)
-        entry = self._caches.get(key)
-        if entry is None:
-            start = caps._pairs_used
-            value = compute()
-            token = Token()
-            self._caches[key] = (value, caps._pairs_used - start, token)
-            if once:
-                caps.pay_once(token, 0)
-            return value
-        value, pairs, token = entry
-        if once:
-            caps.pay_once(token, pairs)
-        else:
-            for _ in range(pairs):
-                caps.tick()
-        return value
+        return caps.memo(self._caches, key, compute, once)
 
     # -- element arithmetic ---------------------------------------------
     def reduce(self, p: Poly) -> Poly:
