@@ -8,26 +8,24 @@ raises `CapExceeded`, a distinct outcome that is never a silently wrong
 answer; a caller-supplied cancel callback raises `ComputationCancelled`
 the same way.
 
-Two memos keep answers, both through `Caps.memo`, the one charged
+Answers are kept in two homes, both through `Caps.memo`, one charged
 replay: a miss stores its value with the number of pairs its computation
 charged, and a hit ticks that many times (`replay`), so the pair cap, the
 cancel poll and every answer are as a recomputation would leave them.
 `QuotientRing.memo` keeps verdicts that depend only on the ring and a
-presentation (reflexivity, torsion-freeness, Fitting chains, ideal
-bases); it lives with the ring, so equal modules built by later tasks
-share them.  `Caps.task_memo` keeps the engine's relation spans and
-syzygy runs (`modules.ring_membership_span`, `modules.syzygies_over_ring`)
-for one task only: it lives on the task's `Caps`, which `fresh` makes
-empty, and holds no `Caps` itself, so it is freed by refcount when the
-task ends, while a ring, held in reference cycles, would keep such bulky
-entries until a full collection.
-
-An answer that a run computes once and then keeps, an ideal basis or a
-step of a module's resolution, is charged once per run instead
-(`pay_once`), so what a run pays never depends on what earlier runs
-left in a cache.  A `Caps` shared across threads can count one thread's
-pairs in another's memo entry, which mis-charges a later hit but never
-gives a wrong answer.
+presentation (reflexivity, torsion-freeness, Fitting chains); it lives
+with the ring, so equal modules built by later tasks share them.
+`Caps.task_memo` keeps what the engine builds, for one run only: relation
+spans and syzygy runs (`modules.ring_membership_span`,
+`modules.syzygies_over_ring`), replayed on a hit, and module resolutions
+and ideal bases, which the run pays for when it computes them and then
+uses for free (`once`), as a run that kept them in a local would.  It
+lives on the run's `Caps`, which `fresh` makes empty, and holds no `Caps`
+itself, so it is freed by refcount when the run ends, and what a run pays
+never depends on what earlier runs computed.  A `Caps` shared across
+threads can build one entry twice, or count one thread's pairs in
+another's memo entry, which mis-charges a later hit but never gives a
+wrong answer.
 """
 
 from dataclasses import dataclass, field
@@ -43,13 +41,6 @@ class ComputationCancelled(RuntimeError):
     """The caller's cancel token fired between reduction steps."""
 
 
-class Token:
-    """Names one kept answer for `Caps.pay_once`: equal only to itself,
-    and weakly referable, so a test can see what still holds it."""
-
-    __slots__ = ("__weakref__",)
-
-
 @dataclass
 class Caps:
     max_pairs: int = 200_000
@@ -59,7 +50,6 @@ class Caps:
     cancel: object = None  # optional zero-arg callable returning True to stop
     _pairs_used: int = field(default=0, repr=False)
     _steps: int = field(default=0, repr=False)
-    _paid: set = field(default_factory=set, repr=False)  # see pay_once
     _memo: dict = field(default_factory=dict, repr=False, compare=False)  # task_memo
 
     def poll(self):
@@ -87,49 +77,33 @@ class Caps:
         for _ in range(pairs):
             self.tick()
 
-    def pay_once(self, key, pairs: int):
-        """Tick `pairs` times for the kept answer `key`, unless this run has
-        paid for it already; pass 0 right after computing it, as its ticks
-        are made.  Keys are built on `Token`s, which `_paid` keeps alive,
-        so no two answers share one."""
-        if key not in self._paid:
-            self.replay(pairs)
-            self._paid.add(key)
-
     def memo(self, store, key, compute, once=False):
         """`compute()` once per key of the dict `store`, with charged replay.
 
         A miss stores the value with the number of pairs `compute()`
         charged to this `Caps`, only if it returns normally; a hit replays
-        that many ticks.  With `once` a hit charges only if this run has
-        not paid for the entry yet (`pay_once`).  No memoized computation
-        may use an answer charged once per run that outlives it (a basis,
-        a resolution kept on a module): its pairs would carry that charge,
-        and a run could pay it twice or not at all.
+        that many ticks.  With `once` the entry is stored with no pairs,
+        so only the miss pays.  No memoized computation may use a `once`
+        entry that outlives it: its pairs would depend on whether the run
+        had built that entry already.
         """
         entry = store.get(key)
         if entry is None:
             start = self._pairs_used
             value = compute()
-            token = Token() if once else None
-            store[key] = (value, self._pairs_used - start, token)
-            if once:
-                self.pay_once(token, 0)
+            store[key] = (value, 0 if once else self._pairs_used - start)
             return value
-        value, pairs, token = entry
-        if once:
-            self.pay_once(token, pairs)
-        else:
-            self.replay(pairs)
+        value, pairs = entry
+        self.replay(pairs)
         return value
 
-    def task_memo(self, owner, key, compute):
-        """`memo` in this run's own store, one per `owner` (a ring), which
-        the store pins so that its id names it for as long as the store
-        lives.  Values must hold no `Caps`, so that dropping the run's
-        `Caps` frees them."""
+    def task_memo(self, owner, key, compute, once=False):
+        """`memo` in this run's own store, one per `owner` (a ring or a
+        module), which the store pins so that its id names it for as long
+        as the store lives.  Values must hold no `Caps`, so that dropping
+        the run's `Caps` frees them."""
         store = self._memo.setdefault(id(owner), (owner, {}))[1]
-        return self.memo(store, key, compute)
+        return self.memo(store, key, compute, once)
 
     def fresh(self) -> "Caps":
         """Copy with the pair counter reset (one budget per top-level run)."""

@@ -1,12 +1,12 @@
 """Minimal graded free resolutions, Tor, Ext, depth and torsion.
 
 Resolutions are computed step by step (iterated syzygies with graded
-Nakayama minimalization), cached append-only on the module, one per
-degree cap, and extended under a lock so concurrent requests serialize.
-Every capped walk obeys one rule (`FreeResolution.extend_to`), and a
-walk is charged once per run for each cached step it reuses, the pairs
-that step first cost (`Caps.pay_once`), so an answer depends on the
-module, the length asked for and the caps, never on what the cache holds.
+Nakayama minimalization), append-only, and extended under a lock so
+concurrent requests serialize.  A run keeps one resolution per module in
+its store (`Caps.task_memo`), paying for each step when it computes it
+and reusing it for free; a new run builds its own.  Every capped walk
+obeys one rule (`FreeResolution.extend_to`), so an answer depends on the
+module, the length asked for and the caps, never on what the run holds.
 Homology of a three-term segment is one `modules.subquotient`: the kernel
 of the map out, modulo the image of the map in and the middle's relations.
 
@@ -26,7 +26,7 @@ import threading
 from copy import copy
 from dataclasses import dataclass
 
-from .caps import Caps, CapExceeded, DEFAULT_CAPS, Token
+from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .hilbert import ambient_resolution, vector_degree
 from .modules import (
     PresentedModule,
@@ -50,13 +50,8 @@ class FreeResolution:
     def __init__(self, module: PresentedModule, caps: Caps = None):
         caps = caps or DEFAULT_CAPS.fresh()
         self.module = module
-        start = caps._pairs_used
         base = minimize(module, caps)
         self.base = base
-        # pairs each step cost: the base's minimize, then each walk step
-        self._pairs = [caps._pairs_used - start]
-        self._token = Token()  # step k is paid for as (token, k)
-        caps.pay_once((self._token, 0), 0)
         self._shifts = [tuple(base.gen_degrees)]
         self._diffs = []  # _diffs[k] holds d_{k+1} columns inside R^{rank F_k}
         self._complete = False
@@ -117,10 +112,7 @@ class FreeResolution:
         bound the length themselves."""
         with self._lock:
             # a walk to `length` runs steps 1 .. length - 1, or to the end
-            for k in range(1, min(length, len(self._pairs))):
-                caps.pay_once((self._token, k), self._pairs[k])
             while not self._complete and self.length_computed() < length:
-                start = caps._pairs_used
                 last_rank = len(self._shifts[-1])
                 last_cols = self._diffs[-1]
                 # nonzero syzygies, in R^{#columns} = R^{rank F_last}
@@ -135,8 +127,6 @@ class FreeResolution:
                     self._shifts.append(tuple(degs[i] for i in kept))
                 else:
                     self._complete = True
-                self._pairs.append(caps._pairs_used - start)
-                caps.pay_once((self._token, len(self._pairs) - 1), 0)
 
     def truncated(self, length: int) -> "FreeResolution":
         """The resolution as a walk of `length` steps reports it: no step
@@ -201,17 +191,13 @@ class FreeResolution:
 
 
 def resolution(m: PresentedModule, caps: Caps = None) -> FreeResolution:
-    """The cached resolution attached to a module (append-only), one per
-    degree cap, since a step computed under a larger cap may hold a degree
-    past a smaller one; `caps` pays for minimizing its base, once per run."""
+    """The run's resolution of M (append-only), kept in the run's store:
+    the first call pays for minimizing its base, later calls with the same
+    `caps` return the same object for free, and a new run builds its own,
+    so a step never holds a degree past the run's degree cap."""
     caps = caps or DEFAULT_CAPS.fresh()
-    with m._resolution_lock:
-        res = m._resolution.get(caps.max_degree)
-        if res is None:
-            res = m._resolution[caps.max_degree] = FreeResolution(m, caps)
-        else:
-            caps.pay_once((res._token, 0), res._pairs[0])
-        return res
+    return caps.task_memo(m, ("resolution",), lambda: FreeResolution(m, caps),
+                          once=True)
 
 
 def free_resolution(m: PresentedModule, max_length: int, caps: Caps = None):

@@ -22,7 +22,6 @@ flips generator degrees, so Hom(M, R) lives inside a free module with
 coordinate degrees -gendeg(i).
 """
 
-import threading
 from copy import copy
 from dataclasses import dataclass
 from functools import reduce
@@ -77,8 +76,6 @@ class PresentedModule:
         "columns",
         "col_degrees",
         "_minimal",
-        "_resolution",
-        "_resolution_lock",
     )
 
     def __init__(self, ring: QuotientRing, gen_degrees, columns, _minimal=False):
@@ -101,8 +98,6 @@ class PresentedModule:
             degs.append(vector_degree(col, self.gen_degrees))
         self.col_degrees = tuple(degs)
         self._minimal = _minimal
-        self._resolution = {}  # max_degree -> FreeResolution, see homology.resolution
-        self._resolution_lock = threading.Lock()
 
     # -- basics ----------------------------------------------------------
     @property

@@ -33,9 +33,9 @@ class UnsupportedIdealClass(ValueError):
 class QuotientRing:
     """Standard-graded quotient of a polynomial ring by a homogeneous ideal.
 
-    `memo` keeps answers that depend only on the ring and a presentation
-    or an ideal, charging each hit as a recomputation would be charged; an
-    equal ring that is a different object starts empty.
+    `memo` keeps verdicts that depend only on the ring and a presentation,
+    charging each hit as a recomputation would be charged; an equal ring
+    that is a different object starts empty.
     """
 
     def __init__(self, sig: RingSignature, ideal_gens, caps: Caps = None):
@@ -72,24 +72,23 @@ class QuotientRing:
         vars_ = ",".join(self.sig.variables)
         return f"{fld!r}[{vars_}]/{self.ideal}"
 
-    def memo(self, key, caps: Caps, compute, once=False):
+    def memo(self, key, caps: Caps, compute):
         """`compute()` once per key, resolution cap and degree cap, with
-        the charged replay of `Caps.memo`.
+        the charged replay of `Caps.memo`: verdicts and Fitting chains,
+        shared by every run on this ring.
 
         The key gets `caps.resolution_length` and `caps.max_degree`
         appended, since a smaller cap can turn the answer into
         `CapExceeded`; the first run saw no degree above `caps.max_degree`,
-        so neither would a recomputation.  With `once` (ideal bases) a hit
-        charges once per run, as a run on a fresh ring computes the basis
-        once and then reuses it.  So which task exits 3 never depends on
-        what earlier tasks computed.  `caps` must not be None (callers
-        pass `caps or DEFAULT_CAPS.fresh()`).  There is no lock: threads
-        sharing a ring may compute an entry twice, and threads sharing a
-        `Caps` may count each other's pairs; that mis-charges, but never
-        gives a wrong answer.
+        so neither would a recomputation.  So which task exits 3 never
+        depends on what earlier tasks computed.  `caps` must not be None
+        (callers pass `caps or DEFAULT_CAPS.fresh()`).  There is no lock:
+        threads sharing a ring may compute an entry twice, and threads
+        sharing a `Caps` may count each other's pairs; that mis-charges,
+        but never gives a wrong answer.
         """
         key = key + (caps.resolution_length, caps.max_degree)
-        return caps.memo(self._caches, key, compute, once)
+        return caps.memo(self._caches, key, compute)
 
     # -- element arithmetic ---------------------------------------------
     def reduce(self, p: Poly) -> Poly:
@@ -301,13 +300,11 @@ class RIdeal:
         return Ideal(self.ring.sig, self.ring.ideal.generators + self.generators)
 
     def lift_gb(self, caps: Caps = None):
-        """Basis of the preimage ideal, kept in the ring's memo and charged
-        once per run, however often the run uses it."""
+        """Basis of the preimage ideal, kept in the run's store: the run
+        pays for it when it computes it, and later uses are free."""
         caps = caps or DEFAULT_CAPS.fresh()
-        return self.ring.memo(
-            ("rideal_gb", self.generators), caps, lambda: self.lift().gb(caps),
-            once=True,
-        )
+        return caps.task_memo(self.ring, ("rideal_gb", self.generators),
+                              lambda: self.lift().gb(caps), once=True)
 
     def contains(self, p: Poly, caps: Caps = None) -> bool:
         return normal_form(p, self.lift_gb(caps)).is_zero

@@ -56,8 +56,12 @@ class Session:
 
 def int_field(value, name, least=None):
     """The integer value of the session field `name`; a value that is not
-    an integer, or is below `least`, is an input error naming the field."""
+    an integer (a boolean, a float with a fractional part, text that does
+    not parse), or is below `least`, is an input error naming the field."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(value)
         number = int(value)
     except (TypeError, ValueError):
         raise SessionError(f"field {name!r} must be an integer: {value!r}") from None

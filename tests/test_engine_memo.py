@@ -13,6 +13,7 @@ import reflextor.groebner as groebner
 from reflextor import QQ, make_ring
 from reflextor.caps import DEFAULT_CAPS, CapExceeded, Caps, ComputationCancelled
 from reflextor.groebner import FreeVector, Ideal, ideal_quotient, intersect_ideals
+from reflextor.homology import free_resolution, resolution
 from reflextor.modules import (
     minimal_generator_indices,
     ring_membership_span,
@@ -29,7 +30,16 @@ CAPS = [10, 30, 120, 140, 230, None]
 
 
 def bypass_memo(monkeypatch):
-    monkeypatch.setattr(Caps, "task_memo", lambda self, owner, key, compute: compute())
+    """Recompute every entry charged on a hit; `once` entries (resolutions,
+    ideal bases) stay kept, as a run that holds them in a local would."""
+    task_memo = Caps.task_memo
+
+    def bypassed(self, owner, key, compute, once=False):
+        if once:
+            return task_memo(self, owner, key, compute, once)
+        return compute()
+
+    monkeypatch.setattr(Caps, "task_memo", bypassed)
 
 
 def keep_task_caps(monkeypatch):
@@ -175,6 +185,33 @@ def test_dropping_a_task_caps_frees_its_entries(monkeypatch):
         refs = [weakref.ref(caps)] + [weakref.ref(s) for s in spans]
         del caps, spans
         assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_a_resolution_lives_for_one_run():
+    ring = fixture_ring()
+    m = ring.residue_field_module()
+    caps = Caps()
+    res = resolution(m, caps)
+    free_resolution(m, 3, caps)
+    paid = caps._pairs_used
+    assert paid > 0 and res.length_computed() >= 3
+    # the same run gets the same object, and walking it again is free
+    assert resolution(m, caps) is res
+    free_resolution(m, 3, caps)
+    assert caps._pairs_used == paid
+    # a new run builds its own, charged in full
+    again = Caps()
+    assert resolution(m, again) is not res
+    free_resolution(m, 3, again)
+    assert again._pairs_used == paid
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [weakref.ref(caps), weakref.ref(res)]
+        del caps, res
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 

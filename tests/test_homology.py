@@ -71,14 +71,15 @@ class TestResolutions:
         res.extend_to(5, Caps(resolution_length=2))  # the end is inside a cap of 2
 
     def test_view_is_cut_at_the_length_asked_for(self, ring_a, n_a, m_a):
-        resolution(n_a).extend_to(5)
-        view = free_resolution(n_a, 1)
+        caps = Caps()  # one run, so one resolution of each module
+        resolution(n_a, caps).extend_to(5, caps)
+        view = free_resolution(n_a, 1, caps)
         assert view.betti_numbers() == [1, 1] and not view.complete
         assert view.periodicity_onset() is None
-        assert resolution(n_a).length_computed() >= 5
+        assert resolution(n_a, caps).length_computed() >= 5
         # pd M = 1 is found at step 2, past a one-step walk
-        assert not free_resolution(m_a, 1).complete
-        assert free_resolution(m_a, 2).complete
+        assert not free_resolution(m_a, 1, caps).complete
+        assert free_resolution(m_a, 2, caps).complete
 
     def test_free_base_ends_at_step_zero(self, ring_a):
         res = free_resolution(free_module(ring_a, (0, 1)), 0)

@@ -520,11 +520,17 @@ class TestOutOfRange:
         (lambda doc: doc.update(caps={"pairs": -1}), "caps.pairs"),
         (lambda doc: doc.update(caps={"degree": -1}), "caps.degree"),
         (lambda doc: doc.update(caps={"resolution": -1}), "caps.resolution"),
+        (lambda doc: doc.update(tasks=[{"task": "tor", "left": "M", "right": "N",
+                                        "i": 1.9}]), "i"),
+        (lambda doc: doc.update(tasks=[{"task": "resolve", "module": "M",
+                                        "length": 2.99}]), "length"),
+        (lambda doc: doc.update(caps={"pairs": True}), "caps.pairs"),
     ], ids=["rigidity-search-window", "tor-i", "ext-range", "tor-empty-range",
             "ntf-n", "thm3.1-n", "verify-window", "depth-formula-window-0", "depth-formula-window-neg",
             "localized-rank-unit-prime", "resolve-length", "syzygy-n",
             "pushforward-not-torsionless", "caps-tor-window", "caps-pairs",
-            "caps-degree", "caps-resolution"])
+            "caps-degree", "caps-resolution", "tor-i-fraction",
+            "resolve-length-fraction", "caps-pairs-boolean"])
     def test_session_field_exits_two_naming_it(self, tmp_path, capsys, change, field):
         doc = _document()
         change(doc)
