@@ -5,14 +5,16 @@ coefficients.  The module order is position-over-term: terms in an
 earlier position are larger than any term in a later position, with the
 ring's monomial order breaking ties inside a position.  That block shape
 is what makes the tail-augmentation trick below work: appending a unit
-tail e_i to each tracked input vector and computing one Gröbner basis
-yields, in a single pass, lifts of members through the tracked vectors
-and a generating set of their syzygy module (the elements whose span part
-reduced to zero).  Only tracked inputs carry tails.  The relations D a
-query works modulo are one membership span (`IncrementalSpan`), whose
-reduced basis seeds the run with zero tails; the tails of the result are
-then exactly those of a fully tailed run with the untracked positions
-dropped, because those positions are the lowest ones.  All of these runs
+tail e_i to each tracked input vector and running the pair queue yields
+a generating set of their syzygy module (the elements whose span part
+reduced to zero).  Over QQ every pair is treated and the set is the
+reduced basis of the syzygy module; over GF(p) syzygies join no pair and
+the set is Schreyer's generators.  Only tracked inputs carry tails.  The
+relations D a query works modulo are one membership span
+(`IncrementalSpan`), whose reduced basis seeds the run with zero tails;
+the syzygies then generate the same module as those of a fully tailed
+run with the untracked positions dropped (over QQ they are the same
+basis), because those positions are the lowest ones.  All of these runs
 go through one pair queue (`_PairQueue`).  The graded-Nakayama scan
 grows a copy of D through the same queue, kept across offers and
 drained only up to each offered degree, with no interreduction: a
@@ -56,7 +58,7 @@ over GF(p); it returns scale * NF, the scale starting at 1.  The way out
 is `_unscale`, the one place `Fraction`s are made, then
 `_terms_to_vector` or `_terms_to_poly`, which unpack: generators and
 syzygy tails divide by their entry's lc, and the exact normal forms
-(`normal_form`, `Span.lift`, `IncrementalSpan.normal_form`) divide once
+(`normal_form`, `IncrementalSpan.normal_form`) divide once
 by scale * den.  `normal_form` returns its input itself, converting
 nothing, when no term of it is divisible by a basis lead in its
 position: such an input is its own normal form.
@@ -84,7 +86,7 @@ _OVERFLOW = "exponent cap exceeded: a packed term field left its range"
 class FreeVector:
     """Element of a free module S^r, coordinates sharing one signature."""
 
-    __slots__ = ("sig", "coords")
+    __slots__ = ("sig", "coords", "_hash")
 
     def __init__(self, sig, coords):
         coords = tuple(coords)
@@ -136,7 +138,11 @@ class FreeVector:
         )
 
     def __hash__(self):
-        return hash(self.coords)  # as `Poly.__hash__`, the terms only
+        try:  # as `Poly.__hash__`, the terms only, kept on first use
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.coords)
+            return self._hash
 
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.coords) + ")"
@@ -342,11 +348,17 @@ class _PairQueue:
     criterion tests it against the divisor keys and `_spair` shifts by it.
     A pair's key is deg lcm or, in a `graded` queue, its vector degree
     deg lcm + delta_j - deg lead_j, where j, the newer entry, is never
-    seeded and was pushed with its vector degree delta_j.
+    seeded and was pushed with its vector degree delta_j.  An entry whose
+    lead position is at or past `tail_pos` (a syzygy of a tailed run) is
+    kept out of `slots`, so it joins no pair.  The entries before it still
+    pair fully and stay a basis of their block, so by Schreyer's theorem
+    (Eisenbud, Commutative Algebra, Thm 15.10) the syzygy entries
+    generate the syzygy module, though they are no basis of it.
     """
 
-    def __init__(self, seeded, sig, caps: Caps, rank: int, graded=False):
-        self.pk = sig.packing
+    def __init__(self, seeded, sig, caps: Caps, rank: int, graded=False,
+                 tail_pos=None):
+        self.pk, self.tail_pos = sig.packing, math.inf if tail_pos is None else tail_pos
         self.fld, self.caps, self.rank, self.graded = sig.field, caps, rank, graded
         self.basis, self.index, self.slots = [], {}, {}
         for e in seeded:
@@ -356,7 +368,8 @@ class _PairQueue:
 
     def _append(self, entry):
         pos = entry[3][0]
-        self.slots.setdefault(pos, []).append(len(self.basis))
+        if pos < self.tail_pos:
+            self.slots.setdefault(pos, []).append(len(self.basis))
         self.index.setdefault(pos, []).append(entry)
         self.basis.append(entry)
 
@@ -407,7 +420,10 @@ class _PairQueue:
                 self.push(nf, d)
 
     def reduced(self):
-        """The reduced basis of the entries' span; the queue must be drained."""
+        """The reduced basis of the entries' span; the queue must be drained.
+        Entries past `tail_pos` are no basis, so none of them is dropped;
+        their tails are reduced like the others', by smaller leads only,
+        which keeps their span and makes them far sparser."""
         basis, pk, n_seeded = self.basis, self.pk, self.n_seeded
         # minimalize, smallest lead first: drop entries whose lead is divisible by
         # another lead in its position; stable under reverse=True, the sort keeps
@@ -417,7 +433,7 @@ class _PairQueue:
         for k in sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True):
             p, tk = basis[k][3][0], pk.sign * basis[k][0] + pk.half
             same = index.setdefault(p, [])
-            if all((tk - e[4]) & pk.guards for e in same):
+            if p >= self.tail_pos or all((tk - e[4]) & pk.guards for e in same):
                 kept.append(k)
                 same.append(basis[k])
                 if k >= n_seeded:
@@ -444,10 +460,11 @@ class _PairQueue:
         return reduced
 
 
-def _buchberger_terms(inputs, sig, caps: Caps, rank: int, seeded=()):
-    """One full run of the pair queue: the reduced basis, as entries, of
-    the span of the `seeded` entries and the term dicts `inputs`."""
-    queue = _PairQueue(seeded, sig, caps, rank)
+def _buchberger_terms(inputs, sig, caps: Caps, rank: int, seeded=(), tail_pos=None):
+    """One run of the pair queue: the reduced basis, as entries, of the
+    span of the `seeded` entries and the term dicts `inputs`, entries past
+    `tail_pos` left as `_PairQueue.reduced` leaves them."""
+    queue = _PairQueue(seeded, sig, caps, rank, tail_pos=tail_pos)
     for terms in inputs:
         if terms:
             queue.push(terms)
@@ -581,16 +598,16 @@ def _ideal_block(ideal, rank, caps: Caps = None):
 
 
 class Span:
-    """Lifts through, and syzygies of, `vectors` in S^rank modulo D.
+    """Syzygies of `vectors` in S^rank modulo D.
 
     D is the membership span `modulo` (an `IncrementalSpan` of rank
     `rank`; none means D = 0), so with D seeded by an ideal*S^rank block
-    the answers are lifts and syzygies over R = S/ideal relative to D's
-    vectors.  One augmented Groebner run serves both queries: only
-    `vectors` carry unit tails, which record how each basis element was
-    assembled from them; D's reduced basis seeds the run as it is.  The
-    augmented basis `_aug` keeps its position index `_index` beside it,
-    which `lift` reduces against.
+    the answers are syzygies over R = S/ideal relative to D's vectors.
+    One augmented run, kept in `_aug`: only `vectors` carry unit tails;
+    D's reduced basis seeds the run as it is.  Over QQ the syzygies are
+    the reduced basis of the syzygy module, whose tail-tail pairs keep the
+    coefficients small; over GF(p) they are Schreyer generators
+    (`tail_pos`), for fewer pairs.
     """
 
     def __init__(self, sig, rank, vectors, caps: Caps = None, modulo=None):
@@ -599,7 +616,6 @@ class Span:
         self.rank = rank
         self.count = len(vectors)
         fld = sig.field
-        self._tail = rank << sig.packing.pos_shift  # the tail block's first term
         inputs = []
         for i, v in enumerate(vectors):
             # the unit tail is den, so the input is den * (v, e_i)
@@ -609,30 +625,17 @@ class Span:
         self._aug = _buchberger_terms(
             inputs, sig, caps, rank + self.count,
             seeded=modulo._entries if modulo is not None else (),
+            tail_pos=rank if fld.characteristic else None,
         )
-        self._index = _by_position(self._aug)
-        # lead in the tail block forces every term into the tail
-        self._syzygy_tails = [
-            _unscale({t - self._tail: c for t, c in terms.items()}, lc, fld)
-            for lt, lc, terms, _, _ in self._aug
-            if lt >= self._tail
-        ]
-
-    def lift(self, v):
-        """Coefficients a with v = sum a_i * vectors_i modulo D, or None."""
-        fld, tail = self.sig.field, self._tail
-        nf, scale = _reduce_value(v, self.rank, self._index, fld)
-        if any(t < tail for t in nf):
-            return None
-        nf = _unscale(nf, scale, fld)
-        coeffs = {t - tail: fld.neg(c) for t, c in nf.items()}
-        return list(_terms_to_vector(coeffs, self.sig, self.count).coords)
 
     def syzygies(self):
-        """Generators of {a in S^count : sum a_i * vectors_i in D}."""
-        return [
-            _terms_to_vector(t, self.sig, self.count) for t in self._syzygy_tails
-        ]
+        """Generators of {a in S^count : sum a_i * vectors_i in D}: the
+        entries with a lead in the tail block, which forces every term
+        there."""
+        tail, fld = self.rank << self.sig.packing.pos_shift, self.sig.field
+        return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
+                                 self.sig, self.count)
+                for lt, lc, terms, _, _ in self._aug if lt >= tail]
 
 
 class IncrementalSpan:
@@ -733,14 +736,8 @@ class Ideal:
 
     def gb(self, caps: Caps = None) -> GroebnerBasis:
         if self._gb is None:
-            if not self.generators:
-                object.__setattr__(
-                    self,
-                    "_gb",
-                    GroebnerBasis(self.sig, 1, [], True, []),
-                )
-            else:
-                object.__setattr__(self, "_gb", buchberger(self.generators, caps))
+            object.__setattr__(self, "_gb", buchberger(self.generators, caps) if self.generators
+                               else GroebnerBasis(self.sig, 1, [], True, []))
         return self._gb
 
     def is_homogeneous(self) -> bool:

@@ -27,7 +27,9 @@ from copy import copy
 from dataclasses import dataclass
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
+from .groebner import FreeVector
 from .hilbert import ambient_resolution, vector_degree
+from .linalg import rank
 from .modules import (
     PresentedModule,
     _free_power,
@@ -162,30 +164,46 @@ class FreeResolution:
         )
 
     def is_minimal(self) -> bool:
-        return all(
-            all(p.is_zero or p.total_degree() > 0 for p in col.coords)
-            for diff in self._diffs
-            for col in diff
-        )
+        return all(p.is_zero or p.total_degree() > 0
+                   for diff in self._diffs for col in diff for p in col.coords)
 
     def _steps_match(self, k: int) -> bool:
         a, b = self.differential(k), self.differential(k + 2)
-        if len(a) != len(b) or not a:
-            return False
-        if any(x.rank != y.rank for x, y in zip(a, b)):
-            return False
-        if any(x.coords != y.coords for x, y in zip(a, b)):
+        if len(a) != len(b) or not a or any(x.coords != y.coords for x, y in zip(a, b)):
             return False
         lo = [y - x for x, y in zip(self._shifts[k - 1], self._shifts[k + 1])]
         hi = [y - x for x, y in zip(self._shifts[k], self._shifts[k + 2])]
         return len(set(lo)) == 1 and len(set(hi)) == 1
 
+    def _factorizes(self, k: int) -> bool:
+        """d_k d_{k+1} = f * C over S with C invertible, f the hypersurface's
+        monic equation: then (d_k, d_{k+1} C^-1) factors f and coker d_k has
+        a 2-periodic resolution (Eisenbud, 1980).  f divides every entry, d
+        being a complex, and C is graded, so it is invertible exactly when
+        its constant part, from the entries c * f of degree deg f, is."""
+        a, b = self.differential(k), self.differential(k + 1)
+        if not b or not len(a) == len(b) == a[0].rank:
+            return False
+        f = self.ring.ideal.gb().generators[0]
+        fld, deg, rows = f.sig.field, f.total_degree(), []
+        for col in b:
+            image = sum((c.poly_mul(p) for c, p in zip(a, col.coords)),
+                        FreeVector.zero(f.sig, len(a))).coords
+            rows.append([p.leading_coefficient() if p.terms and p.total_degree() == deg
+                         else fld.zero for p in image])
+            if any(p != f.scale(c) for p, c in zip(image, rows[-1]) if c):
+                return False
+        return rank(rows, fld) == len(rows)
+
     def periodicity_onset(self):
-        """Smallest step i with d_{k+2} = d_k for every computed k >= i."""
+        """Smallest step i with d_{k+2} = d_k for every computed k >= i; over
+        GF(p), whose differentials are Schreyer generators and need not
+        repeat entrywise, also the first step where d_i, d_{i+1} factor f."""
         top = len(self._diffs)
-        candidates = [i for i in range(1, top - 1)]
-        for i in candidates:
-            if all(self._steps_match(k) for k in range(i, top - 1)):
+        gf = self.ring.hypersurface and self.ring.sig.field.characteristic
+        for i in range(1, top):
+            if gf and self._factorizes(i) or i < top - 1 and all(
+                    self._steps_match(k) for k in range(i, top - 1)):
                 return i
         return None
 
@@ -367,9 +385,10 @@ def tor_vanishing(m: PresentedModule, n: PresentedModule, window: int,
                   caps: Caps = None) -> TorVanishing:
     """Check Tor_i(M,N) = 0 for i = 1..window and certify the tail if possible.
 
-    Over a hypersurface an observed entrywise 2-periodic resolution repeats
-    homology with period two, so vanishing across the window extends to all
-    i past the onset; a completed resolution certifies the tail for free.
+    Over a hypersurface a resolution seen to be 2-periodic (entrywise, or
+    over GF(p) by a matrix factorization) repeats homology with period two,
+    so vanishing across the window extends to all i past the onset; a
+    completed resolution certifies the tail for free.
     """
     caps = caps or DEFAULT_CAPS.fresh()
     first_nonzero = None

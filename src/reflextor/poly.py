@@ -32,6 +32,10 @@ class RingSignature:
         # the Groebner engine's one-int terms over this signature
         object.__setattr__(self, "packing", Packing(self.order, len(self.variables)))
 
+    def __eq__(self, other):  # one shared signature is the common case
+        return self is other or (other.__class__ is self.__class__ and (
+            self.field, self.variables, self.order) == (other.field, other.variables, other.order))
+
     @property
     def nvars(self):
         return len(self.variables)
@@ -51,7 +55,7 @@ def _check_sig(a, b):
 class Poly:
     """Immutable exact polynomial; construct via the classmethods or parse."""
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig", "terms", "_hash")
 
     def __init__(self, sig: RingSignature, terms: tuple):
         # terms must already be canonical; use from_dict for raw data
@@ -204,8 +208,12 @@ class Poly:
 
     def __hash__(self):
         # equal polynomials have equal terms; hashing the signature too
-        # would rehash its dataclass fields on every call
-        return hash(self.terms)
+        # would rehash its dataclass fields on every call.  Kept on first use.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.terms))
+            return self._hash
 
     def __bool__(self):
         return bool(self.terms)

@@ -13,12 +13,19 @@ definition, the first nonzero Ext^i(k, M), resolves k over R where
 by the Rabinowitsch trick over an extended ring, where the engine
 saturates by repeated ideal quotients; `biduality_by_lift` presents M**
 as the dual of M* and lifts the evaluation vectors into it, where the
-engine reads M -> M** as the evaluation map into R^s.
+engine reads M -> M** as the evaluation map into R^s.  `span_lift` reads
+a lift off a tailed `Span`'s basis, which the engine no longer does, and
+`fully_tailed_syzygies` runs the tailed pair queue with every pair, as
+the engine does only over QQ.
 """
 
 from itertools import combinations, permutations
 
-from reflextor.groebner import _terms_to_vector
+from reflextor.caps import Caps
+from reflextor.groebner import (
+    _as_terms, _buchberger_terms, _by_position, _reduce_value, _terms_to_vector,
+    _unscale,
+)
 from reflextor.linalg import rank
 from reflextor.orders import degree, sort_key
 from reflextor.poly import Poly
@@ -354,9 +361,42 @@ def biduality_by_lift(m, caps=None):
         if ev.is_zero:
             cols.append(FreeVector.zero(ring.sig, mstarstar.num_generators))
             continue
-        coeffs = lift_span.lift(ev)
+        coeffs = span_lift(lift_span, ev)
         assert coeffs is not None, "an evaluation vector lies outside M**"
         cols.append(FreeVector(ring.sig, coeffs))
     bmap = ModuleMap(m, mstarstar, cols, caps=caps)
     ker, _ = kernel(bmap, caps)
     return minimize(ker, caps), minimize(bmap.cokernel(), caps)
+
+
+def span_lift(span, v):
+    """Coefficients a with v = sum a_i * vectors_i modulo D, or None, for a
+    `Span` of `vectors` modulo D: v reduced against the tailed run's basis
+    keeps no term before the tail block exactly when it is a member, and
+    then its tail, negated, is a lift.  Over GF(p) the basis's tail block
+    holds Schreyer generators, so the lift is valid but not canonical."""
+    fld, tail = span.sig.field, span.rank << span.sig.packing.pos_shift
+    nf, scale = _reduce_value(v, span.rank, _by_position(span._aug), fld)
+    if any(t < tail for t in nf):
+        return None
+    nf = _unscale(nf, scale, fld)
+    coeffs = {t - tail: fld.neg(c) for t, c in nf.items()}
+    return list(_terms_to_vector(coeffs, span.sig, span.count).coords)
+
+
+def fully_tailed_syzygies(sig, rank, vectors, modulo=None):
+    """The syzygies of `vectors` in S^rank modulo the `IncrementalSpan`
+    `modulo`, from a tailed run that pairs every entry (`tail_pos=None`),
+    tail against tail too: the reduced basis of the syzygy module."""
+    fld, pk = sig.field, sig.packing
+    inputs = []
+    for i, v in enumerate(vectors):
+        den, terms = _as_terms(v, rank, fld)
+        terms[pk.pack(rank + i, (0,) * sig.nvars)] = den
+        inputs.append(terms)
+    seeded = modulo._entries if modulo is not None else ()
+    tail = rank << pk.pos_shift
+    entries = _buchberger_terms(inputs, sig, Caps(), rank + len(vectors), seeded)
+    return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
+                             sig, len(vectors))
+            for lt, lc, terms, _, _ in entries if lt >= tail]

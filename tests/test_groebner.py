@@ -32,10 +32,12 @@ from reflextor.rings import make_ring
 from oracles import (
     all_monomials,
     all_pairs_groebner_check,
+    fully_tailed_syzygies,
     homogeneous_membership_oracle,
     ideal_piece_dimension,
     kernel_piece_dimension,
     radical_oracle,
+    span_lift,
     submodule_piece_dimension,
 )
 
@@ -249,14 +251,14 @@ class TestSpan:
     def test_lift_members(self, sig4, p4):
         span = Span(sig4, 1, [p4("x^2 - y"), p4("y^2 - z")])
         target = p4("(x^2 - y)*z + (y^2 - z)*(x + 1)")
-        coeffs = span.lift(target)
+        coeffs = span_lift(span, target)
         assert coeffs is not None
         rebuilt = coeffs[0] * p4("x^2 - y") + coeffs[1] * p4("y^2 - z")
         assert rebuilt == target
 
     def test_lift_nonmembers(self, sig4, p4):
         span = Span(sig4, 1, [p4("x^2"), p4("y^2")])
-        assert span.lift(p4("x")) is None
+        assert span_lift(span, p4("x")) is None
 
     def test_incremental_matches_batch(self, sig4, p4):
         vectors = [p4("x^2 - y"), p4("x*z - w"), p4("y*w - z^2")]
@@ -370,15 +372,38 @@ class TestManyPositionSpan:
         ]
         span = Span(sig, 3, vectors, modulo=modulo)
         rank = 3 + len(vectors)
-        # q*e_i is a syzygy modulo D of each vector alone, so every tail
-        # position holds a lead
-        assert {lead[0] for _, _, _, lead, _ in span._aug} == set(range(rank))
-        gb = GroebnerBasis(sig, rank, [], True, span._aug)
-        assert verify_groebner(gb) and all_pairs_groebner_check(gb)
+        degrees = [vector_degree(v, coord_degrees) for v in vectors]
+        syzygies = span.syzygies()
 
         def in_d(v, d):
             return (submodule_piece_dimension(d_gens + [v], coord_degrees, d)
                     == submodule_piece_dimension(d_gens, coord_degrees, d))
+
+        if fld is QQ:
+            # q*e_i is a syzygy modulo D of each vector alone, so every tail
+            # position holds a lead
+            assert {lead[0] for _, _, _, lead, _ in span._aug} == set(range(rank))
+            gb = GroebnerBasis(sig, rank, [], True, span._aug)
+            assert verify_groebner(gb) and all_pairs_groebner_check(gb)
+        else:
+            # syzygy entries join no pair, so only the span block, with its
+            # tails cut off, is a basis: of span(vectors) + D
+            tail = 3 << sig.packing.pos_shift
+            block = [(lt, lc, {t: c for t, c in terms.items() if t < tail}, lead, dk)
+                     for lt, lc, terms, lead, dk in span._aug if lt < tail]
+            gb = GroebnerBasis(sig, 3, [], True, block)
+            assert verify_groebner(gb) and all_pairs_groebner_check(gb)
+            # each Schreyer generator is a syzygy modulo D, and they span the
+            # pieces of the reduced basis a run with every pair gives
+            for s in syzygies:
+                image = sum((v.poly_mul(a) for a, v in zip(s.coords, vectors)),
+                            FreeVector.zero(sig, 3))
+                assert in_d(image, vector_degree(s, degrees))
+            full = fully_tailed_syzygies(sig, 3, vectors, modulo)
+            for d in range(1, 5):
+                assert (submodule_piece_dimension(syzygies, degrees, d)
+                        == submodule_piece_dimension(full, degrees, d)
+                        == submodule_piece_dimension(syzygies + full, degrees, d)), d
 
         x, y, z = (Poly.variable(sig, n) for n in ("x", "y", "z"))
         members = [
@@ -388,7 +413,7 @@ class TestManyPositionSpan:
             vectors[2].poly_mul(x * x) - vectors[3].poly_mul(y + z),
         ]
         for probe in members:
-            coeffs = span.lift(probe)
+            coeffs = span_lift(span, probe)
             assert coeffs is not None
             rebuilt = sum((v.poly_mul(a) for a, v in zip(coeffs, vectors)),
                           FreeVector.zero(sig, 3))
@@ -396,14 +421,12 @@ class TestManyPositionSpan:
         verdicts = []
         for probe in [vector(1) for _ in range(3)] + [vector(2) for _ in range(3)]:
             d = vector_degree(probe, coord_degrees)
-            verdicts.append(span.lift(probe) is None)
+            verdicts.append(span_lift(span, probe) is None)
             assert verdicts[-1] == (
                 submodule_piece_dimension(vectors + d_gens + [probe], coord_degrees, d)
                 > submodule_piece_dimension(vectors + d_gens, coord_degrees, d))
         assert any(verdicts)
 
-        degrees = [vector_degree(v, coord_degrees) for v in vectors]
-        syzygies = span.syzygies()
         for d in range(1, 5):
             want = (kernel_piece_dimension(vectors + d_gens, coord_degrees, d)
                     - kernel_piece_dimension(d_gens, coord_degrees, d))
