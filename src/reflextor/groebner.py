@@ -736,8 +736,14 @@ class Ideal:
 
     def gb(self, caps: Caps = None) -> GroebnerBasis:
         if self._gb is None:
-            object.__setattr__(self, "_gb", buchberger(self.generators, caps) if self.generators
-                               else GroebnerBasis(self.sig, 1, [], True, []))
+            if not self.generators:
+                object.__setattr__(
+                    self,
+                    "_gb",
+                    GroebnerBasis(self.sig, 1, [], True, []),
+                )
+            else:
+                object.__setattr__(self, "_gb", buchberger(self.generators, caps))
         return self._gb
 
     def is_homogeneous(self) -> bool:

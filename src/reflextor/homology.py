@@ -164,12 +164,19 @@ class FreeResolution:
         )
 
     def is_minimal(self) -> bool:
-        return all(p.is_zero or p.total_degree() > 0
-                   for diff in self._diffs for col in diff for p in col.coords)
+        return all(
+            all(p.is_zero or p.total_degree() > 0 for p in col.coords)
+            for diff in self._diffs
+            for col in diff
+        )
 
     def _steps_match(self, k: int) -> bool:
         a, b = self.differential(k), self.differential(k + 2)
-        if len(a) != len(b) or not a or any(x.coords != y.coords for x, y in zip(a, b)):
+        if len(a) != len(b) or not a:
+            return False
+        if any(x.rank != y.rank for x, y in zip(a, b)):
+            return False
+        if any(x.coords != y.coords for x, y in zip(a, b)):
             return False
         lo = [y - x for x, y in zip(self._shifts[k - 1], self._shifts[k + 1])]
         hi = [y - x for x, y in zip(self._shifts[k], self._shifts[k + 2])]

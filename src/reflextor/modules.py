@@ -82,14 +82,21 @@ class PresentedModule:
         self.ring = ring
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
         g = len(self.gen_degrees)
+        cleaned = []
         for col in columns:
             if col.rank != g:
                 raise DegreeError(
                     f"relation column of rank {col.rank} against {g} generators"
                 )
-        reduced = (ring.reduce_vector(col) for col in columns)
-        self.columns = tuple(col for col in reduced if not col.is_zero)
-        self.col_degrees = tuple(vector_degree(col, self.gen_degrees) for col in self.columns)
+            col = ring.reduce_vector(col)
+            if col.is_zero:
+                continue
+            cleaned.append(col)
+        self.columns = tuple(cleaned)
+        degs = []
+        for col in self.columns:
+            degs.append(vector_degree(col, self.gen_degrees))
+        self.col_degrees = tuple(degs)
         self._minimal = _minimal
 
     # -- basics ----------------------------------------------------------
@@ -140,8 +147,11 @@ class PresentedModule:
 def apply_columns(ring: QuotientRing, columns, rank: int, vec: FreeVector):
     """sum vec_j * columns_j in R^rank, reduced: the image of `vec` under
     the matrix whose columns are given."""
-    return ring.reduce_vector(sum((c.poly_mul(p) for c, p in zip(columns, vec.coords)
-                                  if not p.is_zero), FreeVector.zero(ring.sig, rank)))
+    out = FreeVector.zero(ring.sig, rank)
+    for j, p in enumerate(vec.coords):
+        if not p.is_zero:
+            out = out + columns[j].poly_mul(p)
+    return ring.reduce_vector(out)
 
 
 def ring_membership_span(ring, rank, vectors, caps: Caps = None) -> IncrementalSpan:
@@ -383,7 +393,8 @@ def minimize(m: PresentedModule, caps: Caps = None) -> PresentedModule:
         return m
     ring = m.ring
     if not m.columns:
-        return PresentedModule(ring, m.gen_degrees, (), _minimal=True)
+        out = PresentedModule(ring, m.gen_degrees, (), _minimal=True)
+        return out
     degs = list(m.gen_degrees)
     rows = [list(r) for r in m.rows()]
     changed = True
@@ -424,11 +435,16 @@ def minimize(m: PresentedModule, caps: Caps = None) -> PresentedModule:
         return PresentedModule(ring, (), (), _minimal=True)
     g = len(rows)
     # entries are reduced: read from a presentation, or pivoted and reduced
-    cols = [col for col in (FreeVector(ring.sig, tuple(row[j] for row in rows))
-                            for j in range(len(rows[0]))) if not col.is_zero]
+    cols = []
+    for j in range(len(rows[0])):
+        col = FreeVector(ring.sig, tuple(rows[i][j] for i in range(g)))
+        if not col.is_zero:
+            cols.append(col)
     col_degs = [vector_degree(c, degs) for c in cols]
     kept = minimal_generator_indices(ring, g, cols, col_degs, caps=caps)
-    return PresentedModule(ring, tuple(degs), tuple(cols[i] for i in kept), _minimal=True)
+    out = PresentedModule(ring, tuple(degs), tuple(cols[i] for i in kept))
+    out._minimal = True
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -721,14 +737,25 @@ def localized_rank(m: PresentedModule, p: RIdeal, caps: Caps = None) -> Localize
     if r == 0:
         return LocalizedRank("free", 0, witness="Fitt_0 survives outside the prime")
     if not below.generators:
-        return LocalizedRank("free", r, witness=f"Fitt_{r - 1} vanishes in the ring")
+        return LocalizedRank(
+            "free", r, witness=f"Fitt_{r - 1} vanishes in the ring"
+        )
     for c in ideal_quotient(ring.ideal, below, caps).generators:
         if not p.contains(c, caps):
-            return LocalizedRank("free", r, certificate=c,
-                                 witness=f"{c} kills Fitt_{r - 1} outside the prime")
-    return LocalizedRank("not_free", None, witness=(
-        f"rank would have to be {r}, but Fitt_{r - 1} does not localize "
-        f"to zero: (I : Fitt_{r - 1}) lies inside the prime"))
+            return LocalizedRank(
+                "free",
+                r,
+                witness=f"{c} kills Fitt_{r - 1} outside the prime",
+                certificate=c,
+            )
+    return LocalizedRank(
+        "not_free",
+        None,
+        witness=(
+            f"rank would have to be {r}, but Fitt_{r - 1} does not localize "
+            f"to zero: (I : Fitt_{r - 1}) lies inside the prime"
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
