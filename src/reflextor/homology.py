@@ -209,8 +209,8 @@ class FreeResolution:
         top = len(self._diffs)
         gf = self.ring.hypersurface and self.ring.sig.field.characteristic
         for i in range(1, top):
-            if gf and self._factorizes(i) or i < top - 1 and all(
-                    self._steps_match(k) for k in range(i, top - 1)):
+            if (gf and self._factorizes(i)) or (i < top - 1 and all(
+                    self._steps_match(k) for k in range(i, top - 1))):
                 return i
         return None
 

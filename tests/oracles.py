@@ -20,6 +20,7 @@ the engine does only over QQ.
 """
 
 from itertools import combinations, permutations
+from math import comb
 
 from reflextor.caps import Caps
 from reflextor.groebner import (
@@ -29,6 +30,24 @@ from reflextor.groebner import (
 from reflextor.linalg import rank
 from reflextor.orders import degree, sort_key
 from reflextor.poly import Poly
+
+
+def random_form(sig, rng, d, terms, prime):
+    """A form of degree d with `terms` random monomials, coefficients drawn
+    from 1..prime-1."""
+    monos = rng.sample(all_monomials(sig.nvars, d), terms)
+    return Poly.from_dict(sig, {m: sig.field.from_int(rng.randrange(1, prime))
+                                for m in monos})
+
+
+def series_over_powers(numerator, power, step, length):
+    """First `length` coefficients of numerator(t) / (1 - t^step)^power."""
+    inverse = [0] * length
+    for k in range(0, (length - 1) // step + 1):
+        inverse[k * step] = comb(power - 1 + k, k)
+    return [sum(numerator[i] * inverse[j - i]
+                for i in range(min(j, len(numerator) - 1) + 1))
+            for j in range(length)]
 
 
 def all_monomials(nvars, d):

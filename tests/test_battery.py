@@ -27,7 +27,7 @@ from reflextor.homology import FreeResolution
 from reflextor.modules import module_from_rows
 from reflextor.poly import Poly
 
-from oracles import all_monomials
+from oracles import random_form, series_over_powers
 
 pytestmark = pytest.mark.slow
 
@@ -35,24 +35,11 @@ PRIME = 32003
 
 
 def _form(sig, rng, d, terms):
-    """A form of degree d with `terms` random monomials and unit coefficients."""
-    monos = rng.sample(all_monomials(sig.nvars, d), terms)
-    return Poly.from_dict(sig, {m: sig.field.from_int(rng.randrange(1, PRIME))
-                                for m in monos})
+    return random_form(sig, rng, d, terms, PRIME)
 
 
 def _signature(n):
     return RingSignature(GF(PRIME), tuple(f"x{i}" for i in range(n)))
-
-
-def _series(numerator, denominator_power, step, length):
-    """First `length` coefficients of numerator(t) / (1 - t^step)^power."""
-    inverse = [0] * length
-    for k in range(0, (length - 1) // step + 1):
-        inverse[k * step] = comb(denominator_power - 1 + k, k)
-    return [sum(numerator[i] * inverse[j - i]
-                for i in range(min(j, len(numerator) - 1) + 1))
-            for j in range(length)]
 
 
 def _resolve(module, length):
@@ -61,6 +48,20 @@ def _resolve(module, length):
     res.extend_to(length, caps)
     assert res.check_d_squared() and res.is_minimal()
     return res
+
+
+def tate_check(n, degrees, length, seed):
+    """Resolve k over a seeded complete intersection and match Tate's series."""
+    sig = _signature(n)
+    rng = random.Random(seed)
+    ring = QuotientRing(sig, [_form(sig, rng, d, 6) for d in degrees])
+    # a homogeneous ideal of height c generated by c forms is a complete
+    # intersection
+    assert ring.dim == n - len(degrees)
+    res = _resolve(ring.residue_field_module(), length)
+    want = series_over_powers([comb(n, i) for i in range(n + 1)], len(degrees), 2,
+                              length + 1)
+    assert res.betti_numbers() == want
 
 
 # (variables, degrees of the complete intersection, resolution length, seed)
@@ -76,15 +77,7 @@ TATE = [
 @pytest.mark.parametrize("n, degrees, length, seed", TATE,
                          ids=[f"n{t[0]}-{''.join(map(str, t[1]))}" for t in TATE])
 def test_tate_series_of_the_residue_field(n, degrees, length, seed):
-    sig = _signature(n)
-    rng = random.Random(seed)
-    ring = QuotientRing(sig, [_form(sig, rng, d, 6) for d in degrees])
-    # a homogeneous ideal of height c generated by c forms is a complete
-    # intersection
-    assert ring.dim == n - len(degrees)
-    res = _resolve(ring.residue_field_module(), length)
-    want = _series([comb(n, i) for i in range(n + 1)], len(degrees), 2, length + 1)
-    assert res.betti_numbers() == want
+    tate_check(n, degrees, length, seed)
 
 
 # (variables, deg f, linear forms or matrix columns, rows, seed); one row is
@@ -133,4 +126,5 @@ def test_two_periodicity_onset(n, fdeg, k, rows, seed):
     # the engine's own onset, a matrix factorization of f over GF(p)
     assert 1 <= res.periodicity_onset() <= onset
     if rows == 1:
-        assert betti == _series([comb(k, i) for i in range(k + 1)], 1, 2, length + 1)
+        assert betti == series_over_powers([comb(k, i) for i in range(k + 1)], 1, 2,
+                                           length + 1)

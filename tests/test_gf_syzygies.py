@@ -11,7 +11,14 @@ five-variable complete intersection of `ring_ci`:
   every degree the computed steps determine: the free modules are R-free,
   so this is Hilbert's series identity with R's numerator over (1-t)^n;
 - `syzygies_over_ring` gives the module that the fully tailed run, with
-  every pair, gives (`oracles.fully_tailed_syzygies`).
+  every pair, gives (`oracles.fully_tailed_syzygies`);
+- one instance of the `slow` battery, fast enough for every run: Tate's
+  series of k over a complete intersection of degrees 2, 3 in six
+  variables, whose resolution loses generators when syzygy entries are
+  dropped by lead divisibility, which is unsound without a basis;
+- the periodicity onset over GF(p), where differentials need not repeat
+  entrywise, comes from a matrix factorization of the equation, and only
+  where the two steps do factor it.
 """
 
 import random
@@ -22,8 +29,10 @@ from reflextor import GF, make_ring
 from reflextor.caps import Caps
 from reflextor.groebner import FreeVector
 from reflextor.hilbert import vector_degree
-from reflextor.homology import FreeResolution
-from reflextor.modules import module_from_rows, ring_membership_span, syzygies_over_ring
+from reflextor.homology import FreeResolution, free_resolution
+from reflextor.modules import (
+    cyclic, module_from_rows, ring_membership_span, syzygies_over_ring,
+)
 from reflextor.poly import Poly
 
 from oracles import (
@@ -32,6 +41,7 @@ from oracles import (
     ideal_piece_dimension,
     submodule_piece_dimension,
 )
+from test_battery import tate_check
 
 LENGTH = 3
 
@@ -115,3 +125,17 @@ def test_syzygies_generate_the_fully_tailed_module(which, g, r, seed, request):
         image = sum((v.poly_mul(a) for a, v in zip(s.coords, vectors)),
                     FreeVector.zero(ring.sig, g))
         assert ring.reduce_vector(image).is_zero
+
+
+def test_periodicity_onset_from_a_matrix_factorization():
+    # over k[x,y]/(xy) the resolution of R/(x^2) is x^2, y, x, y, ...: x^2 * y
+    # is x * f, no factorization, and y * x is f
+    ring = make_ring(GF(32003), ["x", "y"], ["x*y"])
+    x = Poly.variable(ring.sig, "x")
+    res = free_resolution(cyclic(ring, (x * x,)), 5)
+    assert [res._factorizes(i) for i in (1, 2, 3)] == [False, True, True]
+    assert res.periodicity_onset() == 2
+
+
+def test_residue_field_of_a_complete_intersection():
+    tate_check(6, (2, 3), 4, 601)
