@@ -11,7 +11,9 @@ five-variable complete intersection of `ring_ci`:
   every degree the computed steps determine: the free modules are R-free,
   so this is Hilbert's series identity with R's numerator over (1-t)^n;
 - `syzygies_over_ring` gives the module that the fully tailed run, with
-  every pair, gives (`oracles.fully_tailed_syzygies`);
+  every pair, gives (`oracles.fully_tailed_syzygies`), and on
+  hypothesis-drawn presentations the Betti numbers of a resolution built
+  from those runs;
 - one instance of the `slow` battery, fast enough for every run: Tate's
   series of k over a complete intersection of degrees 2, 3 in six
   variables, whose resolution loses generators when syzygy entries are
@@ -24,6 +26,7 @@ five-variable complete intersection of `ring_ci`:
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reflextor import GF, make_ring
 from reflextor.caps import Caps
@@ -31,7 +34,8 @@ from reflextor.groebner import FreeVector
 from reflextor.hilbert import vector_degree
 from reflextor.homology import FreeResolution, free_resolution
 from reflextor.modules import (
-    cyclic, module_from_rows, ring_membership_span, syzygies_over_ring,
+    cyclic, minimal_generator_indices, minimize, module_from_rows, ring_membership_span,
+    syzygies_over_ring,
 )
 from reflextor.poly import Poly
 
@@ -139,3 +143,36 @@ def test_periodicity_onset_from_a_matrix_factorization():
 
 def test_residue_field_of_a_complete_intersection():
     tate_check(6, (2, 3), 4, 601)
+
+
+def fully_tailed_betti(m, length):
+    """Betti numbers of M's minimal resolution to `length`, each step the
+    fully tailed run's syzygies, reduced in R and cut by the Nakayama scan."""
+    ring, base = m.ring, minimize(m)
+    shifts, cols = [base.gen_degrees], list(base.columns)
+    while cols and len(shifts) <= length:
+        shifts.append(tuple(vector_degree(c, shifts[-1]) for c in cols))
+        syz = fully_tailed_syzygies(ring.sig, len(shifts[-2]), cols,
+                                    ring_membership_span(ring, len(shifts[-2]), ()))
+        syz = [s for s in map(ring.reduce_vector, syz) if not s.is_zero]
+        degs = [vector_degree(s, shifts[-1]) for s in syz]
+        cols = [syz[i] for i in minimal_generator_indices(ring, len(cols), syz, degs)]
+    return [len(s) for s in shifts]
+
+
+LINEAR = st.lists(st.tuples(st.sampled_from(range(4)), st.integers(1, 32002)),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=15)
+@given(st.integers(1, 2), st.integers(1, 4), st.data())
+def test_betti_numbers_match_the_fully_tailed_route(g, r, data):
+    ring = make_ring(GF(32003), ["x", "y", "z", "w"], ["x*y - z*w"])
+    sig = ring.sig
+
+    def linear(terms):
+        return Poly.from_dict(sig, {tuple(int(j == i) for j in range(4)): sig.field.from_int(c)
+                                    for i, c in terms})
+    rows = [[linear(data.draw(LINEAR)) for _ in range(r)] for _ in range(g)]
+    m = module_from_rows(ring, rows, (0,) * g)
+    assert free_resolution(m, LENGTH).betti_numbers() == fully_tailed_betti(m, LENGTH)
