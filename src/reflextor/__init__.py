@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .caps import Caps, CapExceeded, ComputationCancelled
 from .fields import GF, QQ
-from .orders import GREVLEX, LEX, elimination
+from .orders import GREVLEX
 from .parse import PolyParseError, parse_poly
 from .poly import Poly, RingSignature
 from .rings import QuotientRing, RIdeal, make_ring
@@ -24,8 +24,6 @@ __all__ = [
     "GF",
     "QQ",
     "GREVLEX",
-    "LEX",
-    "elimination",
     "PolyParseError",
     "parse_poly",
     "Poly",

@@ -2,11 +2,11 @@
 
 Internally an element of S^r is a dict mapping packed terms to
 coefficients.  The module order is position-over-term: terms in an
-earlier position are larger than any term in a later position, with the
-ring's monomial order breaking ties inside a position.  That block shape
-is what makes the tail-augmentation trick below work: appending a unit
-tail e_i to each tracked input vector and running the pair queue yields
-a generating set of their syzygy module (the elements whose span part
+earlier position are larger than any term in a later position, with
+grevlex breaking ties inside a position.  That block shape is what makes
+the tail-augmentation trick below work: appending a unit tail e_i to
+each tracked input vector and running the pair queue yields a
+generating set of their syzygy module (the elements whose span part
 reduced to zero).  Over QQ every pair is treated and the set is the
 reduced basis of the syzygy module; over GF(p) syzygies join no pair and
 the set is Schreyer's generators.  Only tracked inputs carry tails.  The
@@ -22,14 +22,16 @@ homogeneous vector of degree delta lies in the span exactly when it
 reduces to zero against a basis truncated at delta.
 
 A term is one int (`orders.Packing`): the position in the top bits, below
-it the order's flat-key fields, 32 bits each with a guard bit on top.  The
-ints ascend as the terms descend, so the reduction heap holds bare ints; a
-term times t / lt is `k + (t - lt)` and "lt divides t" one guard-bit test.
-A new product term with a guard bit set, or an input term of degree above
-`orders.FIELD_MAX`, raises `CapExceeded`.  Leads keep exponent tuples too,
+it FIELD_MAX minus the degree and the exponents x_n ... x_1, 32 bits each
+with a guard bit on top.  The ints ascend as the terms descend in grevlex,
+so the reduction heap holds bare ints; a term times t / lt is
+`k + (t - lt)` and "lt divides t" is `not (t + deg_guard - lt) & guards`,
+with t + deg_guard taken once per term.  A new product term with a guard
+bit set, or an input term of degree above `orders.FIELD_MAX`, raises
+`CapExceeded`.  Leads keep exponent tuples too,
 for lcms and `normal_form`'s early exit; a pair's lcm is packed once, when
 it is queued, and the chain criterion, like minimalization, tests packed
-terms against divisor keys.
+terms against packed leads.
 
 Under position-over-term only entries whose leads share a position can
 pair, be chained or reduce one another (Becker & Weispfenning, Groebner
@@ -47,10 +49,10 @@ the way in: it turns a polynomial or vector v into (den, terms), a fresh
 dict of packed terms to Python ints equal to den * v, den the lcm of the
 denominators over QQ and 1 over GF(p); a tracked `Span` input's unit tail
 is den, so the tail records den * v too.  Inside, every coefficient is an
-int.  A basis entry (lt, lc, terms, lead, dk) stands for the monic
-element terms / lc: lt is its packed lead, lead the same as (position,
-exponent tuple) and dk its divisor key; over QQ its terms are primitive
-integers with lc > 0, over GF(p) it is monic and lc = 1.
+int.  A basis entry (lt, lc, terms, lead) stands for the monic element
+terms / lc: lt is its packed lead and lead the same as (position,
+exponent tuple); over QQ its terms are primitive integers with lc > 0,
+over GF(p) it is monic and lc = 1.
 `_reduce_full` consumes the dict it reduces and scales it by the field's
 cofactors (over QQ, lc/g and c/g with g = gcd(c, lc); over GF(p) 1 and
 c/lc), each step plain integer arithmetic, old - b * c2, then one `% p`
@@ -207,10 +209,10 @@ def _unscale(terms, scale, fld):
 
 
 def _entry(terms, pk, fld):
-    """Basis entry (lt, lc, terms, lead, dk) of a nonzero integer term
-    dict, standing for the monic terms / lc: primitive integers with lc > 0
+    """Basis entry (lt, lc, terms, lead) of a nonzero integer term dict,
+    standing for the monic terms / lc: primitive integers with lc > 0
     over QQ, monic over GF(p).  lt is the packed lead, the smallest int,
-    lead its (position, exponent tuple) and dk its divisor key."""
+    and lead its (position, exponent tuple)."""
     lt = min(terms)
     if fld.characteristic:
         inv = fld.inv(terms[lt])
@@ -219,7 +221,7 @@ def _entry(terms, pk, fld):
         g = reduce(math.gcd, terms.values(), 0)
         g = -g if terms[lt] < 0 else g
         terms = {t: c // g for t, c in terms.items()}
-    return (lt, terms[lt], terms, (lt >> pk.pos_shift, pk.mono(lt)), pk.sign * lt)
+    return (lt, terms[lt], terms, (lt >> pk.pos_shift, pk.mono(lt)))
 
 
 def _reduce_full(work, index, pk, fld, caps: Caps = None):
@@ -229,8 +231,8 @@ def _reduce_full(work, index, pk, fld, caps: Caps = None):
     The basis is given by its position index (`_by_position`), the one form
     this routine takes: a term is checked only against the entries whose
     leads share its position, and its reducer is the first of them, in
-    basis order, whose lead divides it (`pk`'s guard-bit test on the
-    entry's divisor key).  Returns (remainder, scale) with
+    basis order, whose lead lt divides it (`pk`'s guard-bit test on
+    t + deg_guard - lt).  Returns (remainder, scale) with
     remainder = scale * NF(work), scale starting at 1; `_unscale` divides
     once.  Every term of the remainder is divisible by no basis lead in
     the same position.  The largest term, the smallest int, is popped from
@@ -239,12 +241,14 @@ def _reduce_full(work, index, pk, fld, caps: Caps = None):
     once popped.  Each step takes its multipliers (a, b) from
     `fld.cofactors`: work is scaled by a, which is 1 over GF(p), and b
     times the entry shifted by t - lt is subtracted, a new term out of
-    range raising `CapExceeded`.  Each step is counted on `caps`, where one
-    is given, so a cancel is seen inside a long reduction too.
+    range raising `CapExceeded`.  Under grevlex no such term can arise,
+    as a step never raises a term's degree, but the check stays with the
+    other guard-bit checks.  Each step is counted on `caps`, where one is
+    given, so a cancel is seen inside a long reduction too.
     """
     p = fld.characteristic
-    sign, half, guards, overflow, pos_shift = (
-        pk.sign, pk.half, pk.guards, pk.overflow, pk.pos_shift)
+    guards, deg_guard, overflow, pos_shift = (
+        pk.guards, pk.deg_guard, pk.overflow, pk.pos_shift)
     scale = 1
     heap = list(work)
     heapq.heapify(heap)
@@ -254,10 +258,10 @@ def _reduce_full(work, index, pk, fld, caps: Caps = None):
         c = work.pop(t, None)
         if c is None:
             continue
-        tk = sign * t + half
+        tk = t + deg_guard
         hit = None
         for entry in index.get(t >> pos_shift, ()):
-            if not (tk - entry[4]) & guards:
+            if not (tk - entry[0]) & guards:
                 hit = entry
                 break
         if hit is None:
@@ -265,7 +269,7 @@ def _reduce_full(work, index, pk, fld, caps: Caps = None):
             continue
         if caps is not None:
             caps.step()
-        lt, lc, terms, _, _ = hit
+        lt, lc, terms, _ = hit
         a, b = fld.cofactors(c, lc)
         if a != 1:  # QQ only: integers, so plain products
             scale *= a
@@ -319,8 +323,8 @@ def _spair(e1, e2, lcm, pk, fld):
     same position and packed lcm `lcm`, (a, b) = fld.cofactors(c2, c1) so
     the leads cancel; a term whose field left its range raises
     `CapExceeded`."""
-    lt1, c1, t1, _, _ = e1
-    lt2, c2, t2, _, _ = e2
+    lt1, c1, t1, _ = e1
+    lt2, c2, t2, _ = e2
     s1, s2 = lcm - lt1, lcm - lt2
     a, b = fld.cofactors(c2, c1)
     acc = {k + s1: b * c for k, c in t1.items()}
@@ -345,7 +349,7 @@ class _PairQueue:
     formation and the chain criterion walk only the new entry's position,
     and every reduction takes `index`.  The heap holds (key, j, i, lcm,
     deg lcm), the lcm packed once, and `pending` mirrors it; the chain
-    criterion tests it against the divisor keys and `_spair` shifts by it.
+    criterion tests it against the packed leads and `_spair` shifts by it.
     A pair's key is deg lcm or, in a `graded` queue, its vector degree
     deg lcm + delta_j - deg lead_j, where j, the newer entry, is never
     seeded and was pushed with its vector degree delta_j.  An entry whose
@@ -393,7 +397,7 @@ class _PairQueue:
         criterion drop a pair, else its remainder, if any, is pushed."""
         basis, pending, heap, fld, pk = (
             self.basis, self.pending, self.heap, self.fld, self.pk)
-        sign, half, guards = pk.sign, pk.half, pk.guards
+        guards, deg_guard = pk.guards, pk.deg_guard
         while heap and (bound is None or heap[0][0] <= bound):
             d, j, i, lcm, deg = heapq.heappop(heap)
             pending.discard((i, j))
@@ -402,12 +406,12 @@ class _PairQueue:
             # where every lead is in position 0 and pack(0, m) = base + m.w
             if self.rank == 1 and lcm == basis[i][0] + basis[j][0] - pk.base:
                 continue
-            lk = sign * lcm + half
+            lk = lcm + deg_guard
             skip = False
             for k in self.slots[basis[i][3][0]]:
                 if k in (i, j):
                     continue
-                if not (lk - basis[k][4]) & guards:
+                if not (lk - basis[k][0]) & guards:
                     a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                     if a not in pending and b not in pending:
                         skip = True
@@ -431,13 +435,13 @@ class _PairQueue:
         # the kept entries in this order, which the tail reduction searches.
         kept, index, fresh = [], {}, {}
         for k in sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True):
-            p, tk = basis[k][3][0], pk.sign * basis[k][0] + pk.half
+            p, tk = basis[k][3][0], basis[k][0] + pk.deg_guard
             same = index.setdefault(p, [])
-            if p >= self.tail_pos or all((tk - e[4]) & pk.guards for e in same):
+            if p >= self.tail_pos or all((tk - e[0]) & pk.guards for e in same):
                 kept.append(k)
                 same.append(basis[k])
                 if k >= n_seeded:
-                    fresh.setdefault(p, []).append(basis[k][4])
+                    fresh.setdefault(p, []).append(basis[k][0])
         # tail-reduce and normalize.  A kept seeded entry is already
         # reduced against the other seeded ones, so it needs work only when the
         # lead of a kept new entry divides one of its terms.  The lead of a
@@ -446,9 +450,9 @@ class _PairQueue:
         # and the lead put back, scaled as the tail was.
         reduced = []
         for k in kept:
-            lt, lc, terms, _, _ = basis[k]
+            lt, lc, terms, _ = basis[k]
             if k < n_seeded and not any(
-                pk.divides(dk, t) for t in terms for dk in fresh.get(t >> pk.pos_shift, ())
+                pk.divides(lead, t) for t in terms for lead in fresh.get(t >> pk.pos_shift, ())
             ):
                 reduced.append(basis[k])
                 continue
@@ -485,7 +489,6 @@ class GroebnerBasis:
     sig: object
     rank: int
     generators: list  # Poly when rank == 1 came from polynomials, else FreeVector
-    reduced: bool = True
     _entries: list = ()
 
     def __post_init__(self):
@@ -525,12 +528,12 @@ def buchberger(gens, caps: Caps = None):
     caps = caps or DEFAULT_CAPS.fresh()
     inputs, sig, rank, is_poly = _as_term_inputs(gens)
     entries = _buchberger_terms(inputs, sig, caps, rank)
-    monic = [_unscale(terms, lc, sig.field) for _, lc, terms, _, _ in entries]
+    monic = [_unscale(terms, lc, sig.field) for _, lc, terms, _ in entries]
     if is_poly:
         out = [_terms_to_poly(t, sig) for t in monic]
     else:
         out = [_terms_to_vector(t, sig, rank) for t in monic]
-    return GroebnerBasis(sig, rank, out, True, entries)
+    return GroebnerBasis(sig, rank, out, entries)
 
 
 def normal_form(f, gb: GroebnerBasis):
@@ -591,9 +594,8 @@ def _ideal_block(ideal, rank, caps: Caps = None):
     block = []
     for i in range(rank):
         off = i << pk.pos_shift
-        for lt, lc, terms, (_, m), _ in ideal.gb(caps)._entries:
-            block.append((lt + off, lc, {t + off: c for t, c in terms.items()},
-                          (i, m), pk.sign * (lt + off)))
+        for lt, lc, terms, (_, m) in ideal.gb(caps)._entries:
+            block.append((lt + off, lc, {t + off: c for t, c in terms.items()}, (i, m)))
     return block
 
 
@@ -635,7 +637,7 @@ class Span:
         tail, fld = self.rank << self.sig.packing.pos_shift, self.sig.field
         return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
                                  self.sig, self.count)
-                for lt, lc, terms, _, _ in self._aug if lt >= tail]
+                for lt, lc, terms, _ in self._aug if lt >= tail]
 
 
 class IncrementalSpan:
@@ -737,11 +739,7 @@ class Ideal:
     def gb(self, caps: Caps = None) -> GroebnerBasis:
         if self._gb is None:
             if not self.generators:
-                object.__setattr__(
-                    self,
-                    "_gb",
-                    GroebnerBasis(self.sig, 1, [], True, []),
-                )
+                object.__setattr__(self, "_gb", GroebnerBasis(self.sig, 1, [], []))
             else:
                 object.__setattr__(self, "_gb", buchberger(self.generators, caps))
         return self._gb

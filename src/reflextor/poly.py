@@ -1,15 +1,15 @@
-"""Multivariate polynomials with exact coefficients under a fixed order.
+"""Multivariate polynomials with exact coefficients, ordered by grevlex.
 
-A `RingSignature` pins down the coefficient field, the variable names and
-the monomial order; a `Poly` is an immutable list of (exponent-tuple,
-coefficient) terms sorted strictly descending in that order, with no zero
-coefficients.  All arithmetic is exact.
+A `RingSignature` pins down the coefficient field and the variable names;
+a `Poly` is an immutable list of (exponent-tuple, coefficient) terms
+sorted strictly descending in grevlex, the one monomial order, with no
+zero coefficients.  All arithmetic is exact.
 """
 
 import math
 from dataclasses import dataclass
 
-from .orders import GREVLEX, MonomialOrder, Packing, degree, mono_mul
+from .orders import GREVLEX, Packing, degree, grevlex_key, mono_mul
 
 MINUS_INFINITY = -math.inf
 
@@ -22,19 +22,21 @@ class SignatureMismatch(ValueError):
 class RingSignature:
     field: object
     variables: tuple
-    order: MonomialOrder = GREVLEX
+    order: str = GREVLEX  # the one order; any other raises
 
     def __post_init__(self):
+        if self.order != GREVLEX:
+            raise ValueError(f"unsupported monomial order {self.order!r}: only grevlex")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         if not all(v.isidentifier() for v in self.variables):
             raise ValueError("variable names must be identifiers")
         # the Groebner engine's one-int terms over this signature
-        object.__setattr__(self, "packing", Packing(self.order, len(self.variables)))
+        object.__setattr__(self, "packing", Packing(len(self.variables)))
 
     def __eq__(self, other):  # one shared signature is the common case
         return self is other or (other.__class__ is self.__class__ and (
-            self.field, self.variables, self.order) == (other.field, other.variables, other.order))
+            self.field, self.variables) == (other.field, other.variables))
 
     @property
     def nvars(self):
@@ -66,8 +68,7 @@ class Poly:
     def from_dict(cls, sig, coeffs: dict) -> "Poly":
         fld = sig.field
         items = [(m, c) for m, c in coeffs.items() if not fld.is_zero(c)]
-        key = sig.order.flat_key
-        items.sort(key=lambda mc: key(mc[0]))
+        items.sort(key=lambda mc: grevlex_key(mc[0]))
         return cls(sig, tuple(items))
 
     @classmethod

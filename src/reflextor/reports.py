@@ -38,7 +38,7 @@ from .rigidity import rigidity_search
 from .rings import QuotientRing, RIdeal
 from .serre import is_reflexive, n_torsion_free
 from .session import (
-    Session, SessionError, int_field, poly_field, rigidity_assertion_from,
+    Session, SessionError, int_field, list_field, poly_field, rigidity_assertion_from,
 )
 from .verify import PIPELINES
 
@@ -292,7 +292,7 @@ def _dispatch(session: Session, task: dict, caps):
         ok = ok and _expect_check(task, "expect_verdict", rep.verdict)
         return rep.as_dict(), ok
     if kind == "rigidity-search":
-        names = task.get("catalog") or sorted(session.modules)
+        names = list_field(task.get("catalog") or sorted(session.modules), "catalog")
         catalog = [_get_module(session, {"catalog": n}, "catalog") for n in names]
         window = _int_task_field(task, "window", 3, 2)
         violations = rigidity_search(ring, catalog, window, caps)

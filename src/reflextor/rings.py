@@ -325,11 +325,10 @@ class RIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def make_ring(field, variables, ideal_texts, order=None, caps: Caps = None):
+def make_ring(field, variables, ideal_texts, caps: Caps = None):
     """Build a quotient ring from polynomial strings; the usual entry point."""
-    from .orders import GREVLEX
     from .parse import parse_poly
 
-    sig = RingSignature(field, tuple(variables), order or GREVLEX)
+    sig = RingSignature(field, tuple(variables))
     gens = [parse_poly(t, sig) if isinstance(t, str) else t for t in ideal_texts]
     return QuotientRing(sig, gens, caps)

@@ -70,6 +70,15 @@ def int_field(value, name, least=None):
     return number
 
 
+def list_field(value, name):
+    """The list-valued session field `name`; anything else, a bare string
+    too, which would be read as its characters, is an input error naming
+    the field."""
+    if not isinstance(value, list):
+        raise SessionError(f"field {name!r} must be a list: {value!r}")
+    return value
+
+
 def int_list_field(value, name):
     """The integers of the list-valued session field `name`."""
     if not isinstance(value, (list, tuple)):
@@ -140,16 +149,18 @@ def load_session(document, caps_overrides=None) -> Session:
     caps = parse_caps(document.get("caps"), caps_overrides)
 
     poly = partial(poly_field, sig)
-    ideal_gens = [poly(t, "ring.ideal") for t in ringspec.get("ideal", [])]
+    ideal_gens = [poly(t, "ring.ideal")
+                  for t in list_field(ringspec.get("ideal", []), "ring.ideal")]
     try:
         ring = QuotientRing(sig, ideal_gens, caps)
     except (RingConstructionError, ValueError) as e:
         raise SessionError(f"ring construction failed: {e}") from None
 
     if "minimal_prime_candidates" in ringspec:
+        where = "ring.minimal_prime_candidates"
         candidates = [
-            [poly(t, "minimal_prime_candidates") for t in group]
-            for group in ringspec["minimal_prime_candidates"]
+            [poly(t, where) for t in list_field(group, where)]
+            for group in list_field(ringspec["minimal_prime_candidates"], where)
         ]
         try:
             ring.minimal_primes(candidates=candidates, caps=caps)
@@ -158,16 +169,18 @@ def load_session(document, caps_overrides=None) -> Session:
     elif "factors" in ringspec:
         try:
             ring.minimal_primes(
-                factors=[poly(t, "ring.factors") for t in ringspec["factors"]],
+                factors=[poly(t, "ring.factors")
+                         for t in list_field(ringspec["factors"], "ring.factors")],
                 caps=caps,
             )
         except UnsupportedIdealClass as e:
             raise SessionError(f"factor list rejected: {e}") from None
 
+    where = "ring.height_one_primes"
     height_one = [
-        RIdeal(ring, tuple(poly(t, "height_one_primes") for t in group),
+        RIdeal(ring, tuple(poly(t, where) for t in list_field(group, where)),
                prime_status="asserted")
-        for group in ringspec.get("height_one_primes", [])
+        for group in list_field(ringspec.get("height_one_primes", []), where)
     ]
 
     modules = _evaluate_modules(document.get("modules", {}), ring, poly, caps)
@@ -222,7 +235,8 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
     if op not in MODULE_OPS:
         raise SessionError(f"module {name!r}: unknown op {op!r}")
     if op == "cyclic":
-        gens = tuple(poly(t, f"module {name}") for t in expr.get("ideal", []))
+        gens = tuple(poly(t, f"module {name}")
+                     for t in list_field(expr.get("ideal", []), f"module {name}.ideal"))
         return cyclic(ring, gens)
     if op == "free":
         return free_module(ring, int_list_field(expr.get("degrees", [0]),
@@ -232,11 +246,13 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
         degrees = expr.get("degrees")
         if not matrix or degrees is None:
             raise SessionError(f"module {name!r}: coker needs matrix and degrees")
-        rows = [[poly(t, f"module {name}") for t in row] for row in matrix]
+        where = f"module {name}.matrix"
+        rows = [[poly(t, f"module {name}") for t in list_field(row, where)]
+                for row in list_field(matrix, where)]
         return module_from_rows(ring, rows,
                                 int_list_field(degrees, f"module {name}.degrees"))
     if op == "tensor":
-        args = expr.get("args", [])
+        args = list_field(expr.get("args", []), f"module {name}.args")
         if len(args) != 2:
             raise SessionError(f"module {name!r}: tensor needs two args")
         return tensor(build(args[0]), build(args[1]))

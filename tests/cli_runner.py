@@ -17,10 +17,16 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(*argv):
     """Run `python -m reflextor *argv`; return the `CompletedProcess`."""
+    return run_python("-m", "reflextor", *argv)
+
+
+def run_python(*argv):
+    """Run `python *argv`, a script path relative to the repository root or
+    `-m` and a module; return the `CompletedProcess`."""
     path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-m", "reflextor", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,

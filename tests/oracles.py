@@ -2,7 +2,8 @@
 
 Nothing here runs the Groebner engine; membership and kernel
 dimensions come from row reduction of coefficient matrices, the
-monomial-order oracle is the definition unrolled term by term, the
+monomial-order oracles are a sort key on exponent tuples (`compare`)
+and the definition unrolled term by term (`grevlex_oracle`), the
 basis check reads the basis entries through the engine's exit boundary
 and reduces every S-pair with its own division loop, the
 minors are Leibniz sums over plain term dicts, and two presentations are
@@ -28,7 +29,7 @@ from reflextor.groebner import (
     _unscale,
 )
 from reflextor.linalg import rank
-from reflextor.orders import degree, sort_key
+from reflextor.orders import degree
 from reflextor.poly import Poly
 
 
@@ -174,6 +175,23 @@ def kernel_piece_dimension(vectors, coord_degrees, target_degree):
     return len(columns) - rank(columns, fld)
 
 
+LT, EQ, GT = -1, 0, 1
+
+
+def sort_key(m):
+    """Key with key(a) < key(b) iff a < b in grevlex: the degree, then the
+    exponents from the last variable to the first, negated."""
+    return (sum(m),) + tuple(-e for e in reversed(m))
+
+
+def compare(m1, m2) -> int:
+    """LT, EQ or GT for m1 against m2 in grevlex."""
+    if len(m1) != len(m2):
+        raise ValueError(f"monomial length mismatch: {len(m1)} vs {len(m2)}")
+    k1, k2 = sort_key(m1), sort_key(m2)
+    return LT if k1 < k2 else GT if k1 > k2 else EQ
+
+
 def grevlex_oracle(m1, m2):
     """The definition, unrolled: degree first, then the last differing
     exponent decides reversed."""
@@ -186,13 +204,6 @@ def grevlex_oracle(m1, m2):
     return 0
 
 
-def lex_oracle(m1, m2):
-    for a, b in zip(m1, m2):
-        if a != b:
-            return 1 if a > b else -1
-    return 0
-
-
 def all_pairs_groebner_check(gb):
     """Buchberger's criterion with no shortcut: every same-position S-pair
     of the basis entries top-reduces to zero.  Works on term dicts
@@ -200,10 +211,10 @@ def all_pairs_groebner_check(gb):
     vector as the engine's exit boundary (`_terms_to_vector`) hands it
     out, with position over term order and its own leads, S-vectors and
     division."""
-    order, fld = gb.sig.order, gb.sig.field
+    fld = gb.sig.field
 
     def lead(terms):
-        return max(terms, key=lambda t: (-t[0], sort_key(order, t[1])))
+        return max(terms, key=lambda t: (-t[0], sort_key(t[1])))
 
     def axpy(acc, factor, shift, terms):
         for (p, m), c in terms.items():
@@ -345,7 +356,7 @@ def radical_oracle(f, ideal, caps=None):
     tname = "t"
     while tname in sig.variables:
         tname += "_"
-    ext = RingSignature(sig.field, sig.variables + (tname,), sig.order)
+    ext = RingSignature(sig.field, sig.variables + (tname,))
 
     def lift(p):
         return Poly.from_dict(ext, {m + (0,): c for m, c in p.terms})
@@ -418,4 +429,4 @@ def fully_tailed_syzygies(sig, rank, vectors, modulo=None):
     entries = _buchberger_terms(inputs, sig, Caps(), rank + len(vectors), seeded)
     return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
                              sig, len(vectors))
-            for lt, lc, terms, _, _ in entries if lt >= tail]
+            for lt, lc, terms, _ in entries if lt >= tail]

@@ -7,17 +7,22 @@ purpose regenerates the files from the repository root with
 
     PYTHONPATH=src python3 -m reflextor paper-suite --json > tests/golden/paper_suite.json
     PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy.json --json > tests/golden/hypersurface_xy.json
+    PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy_gf32003.json --json > tests/golden/hypersurface_xy_gf32003.json
     PYTHONPATH=src python3 -m reflextor ext --session scripts/sessions/hypersurface_xy.json M N --from 0 --to 3 --json > tests/golden/ext_M_N.json
     PYTHONPATH=src python3 -m reflextor ext --session scripts/sessions/hypersurface_xy.json N M --from 0 --to 3 --json > tests/golden/ext_N_M.json
+    PYTHONPATH=src python3 scripts/open_question_search.py > tests/golden/open_question_search.txt
+    PYTHONPATH=src python3 scripts/open_question_search.py --vars x y z w > tests/golden/open_question_search_xyzw.txt
 
-and says why in the change's notes.
+and says why in the change's notes.  `hypersurface_xy_gf32003.json` is
+the fixture session over GF(32003) instead of QQ, so both coefficient
+fields are covered.
 """
 
 from pathlib import Path
 
 import pytest
 
-from cli_runner import run_cli
+from cli_runner import run_cli, run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -32,9 +37,24 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
           "--from", "0", "--to", "3", "--json"), "ext_M_N.json"),
         (("ext", "--session", "scripts/sessions/hypersurface_xy.json", "N", "M",
           "--from", "0", "--to", "3", "--json"), "ext_N_M.json"),
+        (("run", "scripts/sessions/hypersurface_xy_gf32003.json", "--json"),
+         "hypersurface_xy_gf32003.json"),
     ],
 )
 def test_cli_json_matches_golden(argv, name):
     proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ((), "open_question_search.txt"),
+        (("--vars", "x", "y", "z", "w"), "open_question_search_xyzw.txt"),
+    ],
+)
+def test_open_question_search_matches_golden(argv, name):
+    proc = run_python("scripts/open_question_search.py", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / name).read_text()

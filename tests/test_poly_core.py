@@ -4,21 +4,11 @@ import pytest
 from fractions import Fraction
 
 from reflextor.fields import GF, QQ, is_prime
-from reflextor.orders import (
-    EQ,
-    GREVLEX,
-    GT,
-    LEX,
-    LT,
-    MonomialOrder,
-    compare,
-    elimination,
-    sort_key,
-)
+from reflextor.orders import GREVLEX, grevlex_key
 from reflextor.parse import PolyParseError, parse_poly
 from reflextor.poly import MINUS_INFINITY, Poly, RingSignature, SignatureMismatch
 
-from oracles import all_monomials, grevlex_oracle, lex_oracle
+from oracles import EQ, GT, LT, all_monomials, compare, grevlex_oracle, sort_key
 
 
 class TestFields:
@@ -71,17 +61,14 @@ class TestFields:
 class TestOrders:
     def test_grevlex_degree_tie(self):
         # x^2 y vs x y z in three variables: degree ties, reverse-lex decides
-        assert compare(GREVLEX, (2, 1, 0), (1, 1, 1)) == GT
-
-    def test_lex_ignores_degree(self):
-        assert compare(LEX, (1, 0, 0), (0, 100, 0)) == GT
+        assert compare((2, 1, 0), (1, 1, 1)) == GT
 
     def test_reflexivity(self):
-        assert compare(GREVLEX, (1, 2, 3), (1, 2, 3)) == EQ
+        assert compare((1, 2, 3), (1, 2, 3)) == EQ
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            compare(GREVLEX, (1, 0), (1, 0, 0))
+            compare((1, 0), (1, 0, 0))
 
     def test_grevlex_matches_unrolled_definition(self):
         # exhaustive over all monomials of degree <= 4 in 3 and 4 variables
@@ -89,49 +76,36 @@ class TestOrders:
             monos = [m for d in range(5) for m in all_monomials(nvars, d)]
             for m1 in monos:
                 for m2 in monos:
-                    assert compare(GREVLEX, m1, m2) == grevlex_oracle(m1, m2)
-
-    def test_lex_matches_unrolled_definition(self):
-        monos = [m for d in range(4) for m in all_monomials(3, d)]
-        for m1 in monos:
-            for m2 in monos:
-                assert compare(LEX, m1, m2) == lex_oracle(m1, m2)
+                    assert compare(m1, m2) == grevlex_oracle(m1, m2)
 
     def test_orders_are_total_and_multiplicative(self):
-        # antisymmetry, transitivity, multiplicativity on a full small grid
+        # antisymmetry, transitivity, multiplicativity on a full small grid,
+        # and the engine's sort key giving the same order
         monos = [m for d in range(4) for m in all_monomials(3, d)]
-        for order in (GREVLEX, LEX, elimination(1), elimination(2)):
-            keyed = sorted(monos, key=lambda m: sort_key(order, m))
-            for i in range(len(keyed)):
-                for j in range(i + 1, len(keyed)):
-                    assert compare(order, keyed[i], keyed[j]) == LT
-            one = (0, 0, 0)
-            for m in monos:
-                if m != one:
-                    assert compare(order, m, one) == GT  # well-order: 1 minimal
-            for a in monos[:6]:
-                for b in monos[:6]:
-                    for c in monos[:6]:
-                        ab = compare(order, a, b)
-                        if ab != EQ:
-                            lhs = tuple(x + y for x, y in zip(a, c))
-                            rhs = tuple(x + y for x, y in zip(b, c))
-                            assert compare(order, lhs, rhs) == ab
-
-    def test_elimination_dominates(self):
-        # first block infinitely larger: t beats any power of the rest
-        order = elimination(1)
-        assert compare(order, (1, 0), (0, 99)) == GT
-        # elimination(2): grevlex on the first two variables, then on the rest
-        monos = [m for d in range(4) for m in all_monomials(4, d)]
-        for m1 in monos:
-            for m2 in monos:
-                want = grevlex_oracle(m1[:2], m2[:2]) or grevlex_oracle(m1[2:], m2[2:])
-                assert compare(elimination(2), m1, m2) == want
+        keyed = sorted(monos, key=sort_key)
+        assert sorted(monos, key=grevlex_key) == keyed[::-1]
+        for i in range(len(keyed)):
+            for j in range(i + 1, len(keyed)):
+                assert compare(keyed[i], keyed[j]) == LT
+        one = (0, 0, 0)
+        for m in monos:
+            if m != one:
+                assert compare(m, one) == GT  # well-order: 1 minimal
+        for a in monos[:6]:
+            for b in monos[:6]:
+                for c in monos[:6]:
+                    ab = compare(a, b)
+                    if ab != EQ:
+                        lhs = tuple(x + y for x, y in zip(a, c))
+                        rhs = tuple(x + y for x, y in zip(b, c))
+                        assert compare(lhs, rhs) == ab
 
     def test_bad_order_kind(self):
-        with pytest.raises(ValueError):
-            MonomialOrder("weird")
+        # grevlex is the one order: named, it is accepted; anything else is not
+        assert RingSignature(QQ, ("x",), GREVLEX) == RingSignature(QQ, ("x",))
+        for order in ("lex", "weird", None):
+            with pytest.raises(ValueError):
+                RingSignature(QQ, ("x",), order)
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +137,11 @@ class TestPolyArithmetic:
             Poly.variable(sig4, "x") + Poly.variable(other, "x")
 
     def test_canonical_terms_sorted_strictly_descending(self, sig4):
-        for order in (sig4.order, LEX, elimination(2)):
-            sig = RingSignature(QQ, sig4.variables, order)
-            f = parse_poly("x*y + z^2 + w^4 + y*w^2 + x*z*w + y^3 - z*w + 1", sig)
-            monos = [m for m, _ in f.terms]
-            assert len(monos) == 8
-            assert all(compare(order, a, b) == GT for a, b in zip(monos, monos[1:]))
-            assert all(c != 0 for _, c in f.terms)
+        f = parse_poly("x*y + z^2 + w^4 + y*w^2 + x*z*w + y^3 - z*w + 1", sig4)
+        monos = [m for m, _ in f.terms]
+        assert len(monos) == 8
+        assert all(compare(a, b) == GT for a, b in zip(monos, monos[1:]))
+        assert all(c != 0 for _, c in f.terms)
 
     def test_homogeneous_degree(self, sig4):
         assert parse_poly("x*y + z^2", sig4).homogeneous_degree() == 2

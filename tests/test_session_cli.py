@@ -525,12 +525,30 @@ class TestOutOfRange:
         (lambda doc: doc.update(tasks=[{"task": "resolve", "module": "M",
                                         "length": 2.99}]), "length"),
         (lambda doc: doc.update(caps={"pairs": True}), "caps.pairs"),
+        # a bare string in a list-valued field would be read as its characters
+        (lambda doc: doc["modules"].update(P={"op": "cyclic", "ideal": "yzw"}),
+         "module P.ideal"),
+        (lambda doc: doc.update(tasks=[{"task": "rigidity-search", "catalog": "PM"}]),
+         "catalog"),
+        (lambda doc: doc["ring"].update(ideal="xy"), "ring.ideal"),
+        (lambda doc: doc["ring"].update(height_one_primes=["xy"]),
+         "ring.height_one_primes"),
+        (lambda doc: doc["ring"].update(minimal_prime_candidates=["x", "y"]),
+         "ring.minimal_prime_candidates"),
+        (lambda doc: doc["ring"].update(factors="xy"), "ring.factors"),
+        (lambda doc: doc["modules"].update(C={"op": "coker", "matrix": ["xy"],
+                                              "degrees": [0]}), "module C.matrix"),
+        (lambda doc: doc["modules"].update(T={"op": "tensor", "args": "MN"}),
+         "module T.args"),
     ], ids=["rigidity-search-window", "tor-i", "ext-range", "tor-empty-range",
             "ntf-n", "thm3.1-n", "verify-window", "depth-formula-window-0", "depth-formula-window-neg",
             "localized-rank-unit-prime", "resolve-length", "syzygy-n",
             "pushforward-not-torsionless", "caps-tor-window", "caps-pairs",
             "caps-degree", "caps-resolution", "tor-i-fraction",
-            "resolve-length-fraction", "caps-pairs-boolean"])
+            "resolve-length-fraction", "caps-pairs-boolean", "cyclic-ideal-string",
+            "catalog-string", "ring-ideal-string", "height-one-group-string",
+            "candidate-group-string", "factors-string", "coker-row-string",
+            "tensor-args-string"])
     def test_session_field_exits_two_naming_it(self, tmp_path, capsys, change, field):
         doc = _document()
         change(doc)
