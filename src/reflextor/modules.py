@@ -10,11 +10,11 @@ polynomial ring.  A relation set D over R is one membership span
 seeded block, plus D's vectors), reduced to a basis once; it seeds the
 Nakayama scan (on a copy) and the tailed syzygy run.  Every kernel modulo
 an image (kernels of maps, the zero test, Tor and Ext, exactness, the
-surjectivity of an isomorphism candidate) is one `subquotient` call: it
-takes the map out and the relations, and builds both spans itself.  Only
-the resolution of M over the ambient ring, behind the Hilbert series and
-depth, takes the ring relations g*e_i as real columns
-(`hilbert.ambient_resolution`).
+surjectivity of an isomorphism candidate, and `minimize` on relations
+with a constant entry) is one `subquotient` call: it takes the map out
+and the relations, and builds both spans itself.  Only the resolution of
+M over the ambient ring, behind the Hilbert series and depth, takes the
+ring relations g*e_i as real columns (`hilbert.ambient_resolution`).
 
 Sign and twist conventions: M = coker(P) with P acting from the column
 side, entry (i, j) homogeneous of degree coldeg(j) - gendeg(i); dualizing
@@ -383,68 +383,25 @@ def kernel(phi: ModuleMap, caps: Caps = None):
 
 
 def minimize(m: PresentedModule, caps: Caps = None) -> PresentedModule:
-    """Equivalent presentation with no unit entries and no redundant data.
+    """Equivalent minimal presentation: minimal generators and relations.
 
-    Unit entries are pivoted away (killing one generator and one relation
-    each), zero columns are dropped, and the surviving columns are cut to
-    a minimal generating set of the relation span.  Idempotent.
+    A relation with a constant entry makes a generator redundant; then M
+    is presented afresh by `subquotient`, the Nakayama choice of minimal
+    generators among the unit vectors modulo the relations, presented by
+    their minimized syzygies.  Otherwise the columns are cut to a minimal
+    generating set of the relation span.  Idempotent.
     """
     if m._minimal:
         return m
-    ring = m.ring
     if not m.columns:
-        out = PresentedModule(ring, m.gen_degrees, (), _minimal=True)
-        return out
-    degs = list(m.gen_degrees)
-    rows = [list(r) for r in m.rows()]
-    changed = True
-    while changed:
-        changed = False
-        g = len(rows)
-        r = len(rows[0]) if rows and rows[0] else 0
-        pivot = None
-        for i in range(g):
-            for j in range(r):
-                p = rows[i][j]
-                if not p.is_zero and p.total_degree() == 0:
-                    pivot = (i, j, p.leading_coefficient())
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i0, j0, unit = pivot
-        fld = ring.sig.field
-        inv = fld.inv(unit)
-        for j in range(len(rows[0])):
-            if j == j0:
-                continue
-            factor = rows[i0][j].scale(inv)
-            if factor.is_zero:
-                continue
-            for i in range(len(rows)):
-                rows[i][j] = ring.reduce(rows[i][j] - factor * rows[i][j0])
-        for i in range(len(rows)):
-            del rows[i][j0]
-        del rows[i0]
-        del degs[i0]
-        changed = True
-        if not rows:
-            break
-    if not rows or not degs:
-        return PresentedModule(ring, (), (), _minimal=True)
-    g = len(rows)
-    # entries are reduced: read from a presentation, or pivoted and reduced
-    cols = []
-    for j in range(len(rows[0])):
-        col = FreeVector(ring.sig, tuple(rows[i][j] for i in range(g)))
-        if not col.is_zero:
-            cols.append(col)
-    col_degs = [vector_degree(c, degs) for c in cols]
-    kept = minimal_generator_indices(ring, g, cols, col_degs, caps=caps)
-    out = PresentedModule(ring, tuple(degs), tuple(cols[i] for i in kept))
-    out._minimal = True
-    return out
+        return PresentedModule(m.ring, m.gen_degrees, (), _minimal=True)
+    if any(not p.is_zero and p.total_degree() == 0
+           for col in m.columns for p in col.coords):
+        return subquotient(m.ring, m.gen_degrees, m.columns, None, caps)[0]
+    kept = minimal_generator_indices(m.ring, m.num_generators, m.columns,
+                                     m.col_degrees, caps=caps)
+    return PresentedModule(m.ring, m.gen_degrees, [m.columns[i] for i in kept],
+                           _minimal=True)
 
 
 # ----------------------------------------------------------------------

@@ -254,7 +254,7 @@ def _dispatch(session: Session, task: dict, caps):
             raise SessionError(f"task field 'prime' must be a list of polynomials: {texts!r}")
         prime = RIdeal(
             ring,
-            tuple(poly_field(ring.sig, t, "task field 'prime'") for t in texts),
+            tuple(poly_field(ring.sig, t, "prime") for t in texts),
             prime_status="asserted",
         )
         if not prime.is_proper(caps):
@@ -270,8 +270,8 @@ def _dispatch(session: Session, task: dict, caps):
         return result, _expect_check(task, "expect", r.kind)
     if kind == "verify":
         key = task.get("pipeline")
-        if key not in PIPELINES:
-            raise SessionError(f"unknown pipeline {key!r}")
+        if not isinstance(key, str) or key not in PIPELINES:
+            raise SessionError(f"task field 'pipeline' names no pipeline: {key!r}")
         name, fn = PIPELINES[key]
         left = _get_module(session, task, "left")
         right = _get_module(session, task, "right")

@@ -87,12 +87,15 @@ def int_list_field(value, name):
 
 
 def poly_field(sig, text, where):
-    """The polynomial `text` of the session field `where` over `sig`; text
-    the parser rejects is an input error naming the field and position."""
+    """The polynomial `text` of the session field `where` over `sig`; a
+    value that is not a string, or text the parser rejects, is an input
+    error naming the field (and the position)."""
+    if not isinstance(text, str):
+        raise SessionError(f"field {where!r} must hold polynomial strings: {text!r}")
     try:
         return parse_poly(text, sig)
     except PolyParseError as e:
-        raise SessionError(f"bad polynomial in {where}: {text!r}: {e}") from None
+        raise SessionError(f"bad polynomial in field {where!r}: {text!r}: {e}") from None
 
 
 def _parse_field(spec):
@@ -138,8 +141,10 @@ def load_session(document, caps_overrides=None) -> Session:
         raise SessionError("missing ring block")
     fld = _parse_field(ringspec.get("field"))
     variables = ringspec.get("vars")
-    if not variables or not isinstance(variables, list):
-        raise SessionError("ring block needs a nonempty vars list")
+    if not (variables and isinstance(variables, list)
+            and all(isinstance(v, str) for v in variables)):
+        raise SessionError(f"field 'ring.vars' must be a nonempty list of names: "
+                           f"{variables!r}")
     from .poly import RingSignature
 
     try:
@@ -234,9 +239,15 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
     op = expr["op"]
     if op not in MODULE_OPS:
         raise SessionError(f"module {name!r}: unknown op {op!r}")
+
+    def named(value, where):
+        if not isinstance(value, str):
+            raise SessionError(f"field {where!r} must name a module: {value!r}")
+        return build(value)
+
     if op == "cyclic":
-        gens = tuple(poly(t, f"module {name}")
-                     for t in list_field(expr.get("ideal", []), f"module {name}.ideal"))
+        where = f"module {name}.ideal"
+        gens = tuple(poly(t, where) for t in list_field(expr.get("ideal", []), where))
         return cyclic(ring, gens)
     if op == "free":
         return free_module(ring, int_list_field(expr.get("degrees", [0]),
@@ -247,7 +258,7 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
         if not matrix or degrees is None:
             raise SessionError(f"module {name!r}: coker needs matrix and degrees")
         where = f"module {name}.matrix"
-        rows = [[poly(t, f"module {name}") for t in list_field(row, where)]
+        rows = [[poly(t, where) for t in list_field(row, where)]
                 for row in list_field(matrix, where)]
         return module_from_rows(ring, rows,
                                 int_list_field(degrees, f"module {name}.degrees"))
@@ -255,8 +266,8 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
         args = list_field(expr.get("args", []), f"module {name}.args")
         if len(args) != 2:
             raise SessionError(f"module {name!r}: tensor needs two args")
-        return tensor(build(args[0]), build(args[1]))
-    base = build(expr.get("of", ""))
+        return tensor(*(named(a, f"module {name}.args") for a in args))
+    base = named(expr.get("of", ""), f"module {name}.of")
     if op == "transpose":
         return transpose(base, caps)
     if op == "dual":

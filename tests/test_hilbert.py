@@ -132,7 +132,7 @@ class TestAgainstPieceDimensions:
             return FreeVector(sig, tuple(form(d - g) for g in degrees))
 
         cols = [column(d) for d in col_degrees]
-        # a unit entry, pivoted away by minimize
+        # a constant entry, which makes a generator redundant
         unit = FreeVector.unit(sig, len(degrees), 1) + column(degrees[1])
         # a redundant column, a combination of two others
         extra = col_degrees[0] + 1

@@ -44,6 +44,7 @@ from oracles import (
     fitting_minors_oracle,
     presentations_equivalent_up_to_permutation,
     span_lift,
+    submodule_piece_dimension,
 )
 
 
@@ -115,6 +116,97 @@ class TestMinimize:
         c = module_from_rows(ring_a, rows, (0, 0, 0, 0))
         assert minimize(c).num_generators == 4
         assert minimize(c).num_relations == 3
+
+
+def _presentation_with_units(ring, seed):
+    """Seeded homogeneous presentation on 2-4 generators in degree 0 or 1.
+    Fewer columns than generators sit in the degree of a generator and
+    carry a nonzero constant entry there; the rest lie one or two degrees above every
+    generator.  Other entries have up to two terms, or are zero."""
+    rng = random.Random(seed)
+    sig, fld = ring.sig, ring.sig.field
+
+    def form(d):
+        if d < 0 or rng.random() < 0.25:
+            return Poly.zero(sig)
+        monos = all_monomials(sig.nvars, d)
+        picks = rng.sample(monos, min(len(monos), rng.randint(1, 2)))
+        return Poly.from_dict(sig, {m: fld.from_int(rng.choice((-3, -2, -1, 1, 2, 5)))
+                                    for m in picks})
+
+    gen_degrees = tuple(rng.choice((0, 0, 1)) for _ in range(rng.randint(2, 4)))
+    cols = []
+    for _ in range(rng.randint(1, len(gen_degrees) - 1)):
+        i = rng.randrange(len(gen_degrees))
+        coords = [form(gen_degrees[i] - g) for g in gen_degrees]
+        coords[i] = Poly.constant(sig, fld.from_int(rng.choice((-2, -1, 1, 3))))
+        cols.append(FreeVector(sig, tuple(coords)))
+    for _ in range(rng.randint(1, 4)):
+        d = max(gen_degrees) + rng.choice((1, 1, 2))
+        cols.append(FreeVector(sig, tuple(form(d - g) for g in gen_degrees)))
+    return PresentedModule(ring, gen_degrees, cols)
+
+
+def _has_constant_entry(m):
+    return any(not p.is_zero and p.total_degree() == 0
+               for col in m.columns for p in col.coords)
+
+
+class TestMinimizeAgainstPieceDimensions:
+    """A minimized presentation with constant entries against plain linear
+    algebra over graded pieces (no Groebner engine): M_d is F_d modulo the
+    degree-d piece of the S-span of the columns and the ring relations
+    g*e_i; the generators in degree d number dim (F / (im P + mF))_d, and
+    the relations in degree d number dim (N / mN)_d, N the image of the
+    presentation in R^g."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("variables, ideal", [
+        (["x", "y", "z", "w"], ["x*y"]),
+        (["x", "y", "u", "v"], ["x*u", "x*v", "y*u", "y*v"]),
+    ], ids=["hypersurface", "two-planes"])
+    def test_seeded_presentations(self, field, variables, ideal):
+        ring = make_ring(field, variables, ideal)
+        sig = ring.sig
+        xs = [Poly.variable(sig, v) for v in sig.variables]
+
+        def ideal_relations(degrees):
+            return [FreeVector.unit(sig, len(degrees), i).poly_mul(g)
+                    for g in ring.ideal.generators for i in range(len(degrees))]
+
+        def free(degrees, d):
+            return sum(len(all_monomials(sig.nvars, d - g)) for g in degrees)
+
+        for seed in range(8):
+            m = _presentation_with_units(ring, seed)
+            assert _has_constant_entry(m), seed
+            out = minimize(m)
+            assert not _has_constant_entry(out), seed
+            assert minimize(out) is out
+
+            degs, rels = m.gen_degrees, ideal_relations(m.gen_degrees)
+            maximal = [FreeVector.unit(sig, len(degs), j).poly_mul(x)
+                       for j in range(len(degs)) for x in xs]
+            out_rels = ideal_relations(out.gen_degrees)
+            out_cols = list(out.columns)
+            series = out.hilbert_series()
+            for d in range(min(degs), max(m.col_degrees) + 1):
+                h = free(degs, d) - submodule_piece_dimension(list(m.columns) + rels,
+                                                              degs, d)
+                assert series.coefficient(d) == h, (seed, d)
+                assert free(out.gen_degrees, d) - submodule_piece_dimension(
+                    out_cols + out_rels, out.gen_degrees, d) == h, (seed, d)
+
+                mingens = free(degs, d) - submodule_piece_dimension(
+                    list(m.columns) + maximal + rels, degs, d)
+                assert out.gen_degrees.count(d) == mingens, (seed, d)
+
+                minrels = (submodule_piece_dimension(out_cols + out_rels,
+                                                     out.gen_degrees, d)
+                           - submodule_piece_dimension(
+                               [c.poly_mul(x) for c in out_cols for x in xs]
+                               + out_rels, out.gen_degrees, d))
+                assert out.col_degrees.count(d) == minrels, (seed, d)
 
 
 class TestTensor:

@@ -349,6 +349,33 @@ class TestCli:
         proc = run_cli("run", str(path))
         assert proc.returncode == 0, proc.stderr
 
+    def test_coker_with_a_constant_entry(self, tmp_path):
+        # C is M with a generator e of degree 0 added and killed by the
+        # relation e + y*e_0 (and x*e, which then vanishes since xy = 0),
+        # so C is isomorphic to M; the matrix it prints is not pinned
+        doc = _document()
+        doc["modules"]["C"] = {
+            "op": "coker", "degrees": [-1, -1, -1, 0],
+            "matrix": [["w", "y", "0"], ["y", "0", "0"], ["z", "0", "0"],
+                       ["0", "1", "x"]],
+        }
+        doc["modules"]["CN"] = {"op": "tensor", "args": ["C", "N"]}
+        doc["tasks"] = [
+            {"task": "reflexive", "module": "C", "expect": False},
+            {"task": "reflexive", "module": "CN", "expect": True},
+            {"task": "tor", "left": "C", "right": "N", "range": [1, 4],
+             "expect_zero": True},
+        ]
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        results = [t["result"] for t in report["tasks"]]
+        assert [r["verdict"] for r in results[:2]] == [False, True]
+        assert [e["is_zero"] for e in results[2]["values"]] == [True] * 4
+        assert revalidate_report(report) == []
+
     def test_malformed_session_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
         doc = _document()
@@ -540,6 +567,20 @@ class TestOutOfRange:
                                               "degrees": [0]}), "module C.matrix"),
         (lambda doc: doc["modules"].update(T={"op": "tensor", "args": "MN"}),
          "module T.args"),
+        # a number or a list where a string is expected
+        (lambda doc: doc["ring"].update(vars=[1, 2]), "ring.vars"),
+        (lambda doc: doc["ring"].update(ideal=[3]), "ring.ideal"),
+        (lambda doc: doc["ring"].update(factors=["x", 2]), "ring.factors"),
+        (lambda doc: doc["modules"].update(Q={"op": "cyclic", "ideal": ["x", 4]}),
+         "module Q.ideal"),
+        (lambda doc: doc.update(tasks=[{"task": "localized-rank", "module": "M",
+                                        "prime": [5]}]), "prime"),
+        (lambda doc: doc["modules"].update(D={"op": "dual", "of": ["M"]}),
+         "module D.of"),
+        (lambda doc: doc["modules"].update(T={"op": "tensor", "args": [["M"], "N"]}),
+         "module T.args"),
+        (lambda doc: doc.update(tasks=[{"task": "verify", "pipeline": ["thm1.1"],
+                                        "left": "M", "right": "N"}]), "pipeline"),
     ], ids=["rigidity-search-window", "tor-i", "ext-range", "tor-empty-range",
             "ntf-n", "thm3.1-n", "verify-window", "depth-formula-window-0", "depth-formula-window-neg",
             "localized-rank-unit-prime", "resolve-length", "syzygy-n",
@@ -548,7 +589,9 @@ class TestOutOfRange:
             "resolve-length-fraction", "caps-pairs-boolean", "cyclic-ideal-string",
             "catalog-string", "ring-ideal-string", "height-one-group-string",
             "candidate-group-string", "factors-string", "coker-row-string",
-            "tensor-args-string"])
+            "tensor-args-string", "vars-numbers", "ring-ideal-number",
+            "factors-number", "cyclic-ideal-number", "prime-number", "of-list",
+            "tensor-arg-list", "pipeline-list"])
     def test_session_field_exits_two_naming_it(self, tmp_path, capsys, change, field):
         doc = _document()
         change(doc)
