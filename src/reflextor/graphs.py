@@ -1,7 +1,9 @@
 """The graph on minimal primes with height-one adjacency, and rank spread.
 
 Vertices are the minimal primes of the ring; two are joined when their
-sum has height at most one.  When a module is free at every vertex with
+sum has height at most one.  On a monomial ring that sum is itself a
+variable prime of height at most one, kept as the edge's witness and read
+off the two primes.  When a module is free at every vertex with
 one common rank, that number is its rank; a vertex where freeness fails,
 or unequal ranks, yield the negative outcomes.
 """
@@ -19,7 +21,7 @@ class HHGraph:
     vertices: tuple                     # minimal primes
     edges: tuple                        # pairs (i, j), i < j
     heights: dict = field(default_factory=dict)     # (i, j) -> height(p_i + p_j)
-    witnesses: dict = field(default_factory=dict)   # (i, j) -> height<=1 prime over the sum
+    witnesses: dict = field(default_factory=dict)   # (i, j) -> p_i + p_j as a variable prime
 
     def is_connected(self) -> bool:
         """Grow the vertices reached from vertex 0 along the edges until
@@ -47,9 +49,16 @@ class HHGraph:
 
 
 def hh_graph(ring: QuotientRing, caps: Caps = None) -> HHGraph:
-    """Vertices = minimal primes, edges where height(p + q) <= 1."""
+    """Vertices = minimal primes, edges where height(p + q) <= 1.
+
+    On a monomial ring every minimal prime is generated by variables, the
+    leads of its basis, so an edge's witness is p + q itself: the variable
+    prime on the union of the two vertices' variables, in variable order.
+    Other rings get no witnesses.
+    """
     caps = caps or DEFAULT_CAPS.fresh()
     primes = ring.minimal_primes(caps=caps)
+    monomial = ring.is_monomial()
     edges = []
     heights = {}
     witnesses = {}
@@ -59,21 +68,16 @@ def hh_graph(ring: QuotientRing, caps: Caps = None) -> HHGraph:
             heights[(i, j)] = h
             if h <= 1:
                 edges.append((i, j))
-                w = _height_one_witness(ring, primes[i], primes[j], caps)
-                if w is not None:
-                    witnesses[(i, j)] = w
+                if monomial:
+                    witnesses[(i, j)] = ring._variable_prime(
+                        _variables(primes[i], caps) | _variables(primes[j], caps))
     return HHGraph(ring, tuple(primes), tuple(edges), heights, witnesses)
 
 
-def _height_one_witness(ring, p, q, caps):
-    """A height<=1 prime containing p + q, found among monomial primes."""
-    if not ring.is_monomial():
-        return None
-    s = p.sum(q)
-    for cand in ring.monomial_primes_of_height_at_most(1, caps):
-        if cand.contains_ideal(s, caps):
-            return cand
-    return None
+def _variables(p, caps):
+    """Indices of the variables in the leads of p's basis."""
+    return {k for g in p.lift_gb(caps).generators
+            for k, e in enumerate(g.leading_monomial()) if e}
 
 
 class RankConsistencyError(RuntimeError):
@@ -82,7 +86,7 @@ class RankConsistencyError(RuntimeError):
 
 @dataclass
 class GraphRankResult:
-    kind: str                 # "rank" | "no_rank" | "unknown"
+    kind: str                 # "rank" | "no_rank"
     rank: object = None
     vertex_ranks: tuple = ()
     witness: str = ""
@@ -107,9 +111,6 @@ def graph_rank(module: PresentedModule, graph: HHGraph = None,
     locals_ = [localized_rank(module, p, caps) for p in graph.vertices]
     vertex_ranks = tuple(lr.rank for lr in locals_)
     for p, lr in zip(graph.vertices, locals_):
-        if lr.kind == "unknown":
-            return GraphRankResult("unknown", None, vertex_ranks,
-                                   f"verdict unknown at {p}")
         if lr.kind == "not_free":
             return GraphRankResult(
                 "no_rank", None, vertex_ranks, f"not free at {p}: {lr.witness}"

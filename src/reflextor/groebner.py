@@ -744,9 +744,6 @@ class Ideal:
                 object.__setattr__(self, "_gb", buchberger(self.generators, caps))
         return self._gb
 
-    def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
-
     def contains(self, f: Poly, caps: Caps = None) -> bool:
         if not self.generators:
             return f.is_zero

@@ -29,32 +29,6 @@ def _laurent_shift(a: dict, shift: int) -> dict:
     return {d + shift: c for d, c in a.items()}
 
 
-def laurent_div_exact(num: dict, den: dict):
-    """Exact quotient num/den in Z[t, 1/t], or None when not divisible."""
-    if not den:
-        raise ZeroDivisionError("division by the zero Laurent polynomial")
-    num = dict(num)
-    quot = {}
-    den_top = max(den)
-    den_lead = den[den_top]
-    lowest = (min(num) - min(den)) if num else 0
-    while num:
-        top = max(num)
-        lead = num[top]
-        if lead % den_lead != 0:
-            return None
-        c = lead // den_lead
-        d = top - den_top
-        if d < lowest:
-            return None  # quotient exponents would descend without end
-        quot[d] = quot.get(d, 0) + c
-        for e, k in den.items():
-            num[e + d] = num.get(e + d, 0) - c * k
-            if num[e + d] == 0:
-                del num[e + d]
-    return quot
-
-
 def laurent_str(a: dict) -> str:
     if not a:
         return "0"
@@ -123,16 +97,6 @@ class HilbertSeries:
 
     def values(self, lo: int, hi: int):
         return [self.coefficient(d) for d in range(lo, hi + 1)]
-
-    def is_free_combination_of(self, ring_numerator: dict):
-        """Quotient by the ring's numerator when it divides exactly, else None.
-
-        A Z[t,1/t] quotient exhibits the series as an integer combination of
-        shifted free-module series, the stable-equivalence signature.
-        """
-        if self.is_zero:
-            return {}
-        return laurent_div_exact(self.as_dict(), ring_numerator)
 
     def __str__(self):
         if self.is_zero:

@@ -108,9 +108,6 @@ class PresentedModule:
     def num_relations(self):
         return len(self.columns)
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.columns[j].coords[i]
-
     def rows(self):
         return [
             [self.columns[j].coords[i] for j in range(self.num_relations)]
@@ -540,13 +537,12 @@ def biduality(m: PresentedModule, caps: Caps = None) -> BidualityReport:
 
 @dataclass
 class PushforwardResult:
+    """N1 with the embedding 0 -> N -> R^s -> N1 -> 0; the certificate is
+    Ext^1(N1, R) = 0, recomputed on N1."""
     module: PresentedModule
     embedding: ModuleMap      # N -> R^s, evaluation at the minimal generators of N*
     target_free: PresentedModule
     ext1_certificate: object  # homology report for Ext^1(N1, R) = 0
-    # Omega(Tr N) and Tr(N1) agree up to free summands; the recorded witness
-    # is the Hilbert-series difference written over the ring's series
-    stable_syzygy_identity: object = None
 
 
 def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
@@ -555,7 +551,8 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
 
     Dualizing 0 -> N -> R^s -> N1 -> 0 gives R^s* -> N* -> Ext^1(N1, R) -> 0,
     and R^s* -> N* is onto since the functionals generate N*; so
-    Ext^1(N1, R) = 0, which is recomputed and attached as a certificate.
+    Ext^1(N1, R) = 0, which is recomputed and attached as the result's one
+    certificate.
     """
     from .homology import ext
 
@@ -572,11 +569,7 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
     recheck = ext(n1, ring_module, 1, caps)
     if not recheck.is_zero:
         raise RuntimeError("pushforward postcondition failed: Ext^1(N1, R) != 0")
-    omega_tr = syzygy(tr, 1, caps)
-    diff = omega_tr.hilbert_series(caps) - transpose(n1, caps).hilbert_series(caps)
-    ring_numer = ring_module.hilbert_series(caps).as_dict()
-    witness = diff.is_free_combination_of(ring_numer)
-    return PushforwardResult(n1, emb, emb.target, recheck, witness)
+    return PushforwardResult(n1, emb, emb.target, recheck)
 
 
 # ----------------------------------------------------------------------
@@ -655,7 +648,7 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
 
 @dataclass
 class LocalizedRank:
-    kind: str                # "free" | "not_free" | "unknown"
+    kind: str                # "free" | "not_free"
     rank: object = None
     witness: str = ""
     certificate: object = None  # the element outside p killing Fitt_{r-1}

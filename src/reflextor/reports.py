@@ -35,7 +35,7 @@ from .modules import (
 from .parse import parse_poly
 from .poly import RingSignature
 from .rigidity import rigidity_search
-from .rings import QuotientRing, RIdeal
+from .rings import QuotientRing, RIdeal, RingConstructionError, UnsupportedIdealClass
 from .serre import is_reflexive, n_torsion_free
 from .session import (
     Session, SessionError, int_field, list_field, poly_field, rigidity_assertion_from,
@@ -94,6 +94,9 @@ def run_task(session: Session, task: dict, index: int) -> dict:
     except (CapExceeded, ComputationCancelled) as e:
         out["status"] = "cap_exceeded"
         out["result"] = {"error": str(e)}
+    except (UnsupportedIdealClass, RingConstructionError) as e:
+        raise SessionError(f"task {out['name']!r} ({kind}) cannot run on this "
+                           f"ring: {e}") from None
     return out
 
 

@@ -237,10 +237,8 @@ def verify_second_rigidity(m, n, caps: Caps = None, window: int = None):
             "module-has-rank", VERIFIED,
             f"free of rank {gr.rank} at every minimal prime ({_min_ass_note(ring)})",
         ))
-    elif gr.kind == "no_rank":
-        rep.hypotheses.append(LedgerEntry("module-has-rank", FAILED, gr.witness))
     else:
-        rep.hypotheses.append(LedgerEntry("module-has-rank", UNKNOWN, gr.witness))
+        rep.hypotheses.append(LedgerEntry("module-has-rank", FAILED, gr.witness))
     t = minimize(tensor(m, n), caps)
     rep.hypotheses.append(
         _reflexivity_entry("tensor-reflexive", t, "tensor product", caps)
@@ -380,8 +378,6 @@ def verify_rigidity_vanishing_strong(m, n, level: int,
             "partner-support-full", VERIFIED,
             f"rank {gr.rank} > 0 at every minimal prime",
         ))
-    elif gr.kind == "unknown":
-        rep.hypotheses.append(LedgerEntry("partner-support-full", UNKNOWN, gr.witness))
     else:
         rep.hypotheses.append(LedgerEntry(
             "partner-support-full", FAILED,

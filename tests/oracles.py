@@ -17,7 +17,11 @@ as the dual of M* and lifts the evaluation vectors into it, where the
 engine reads M -> M** as the evaluation map into R^s.  `span_lift` reads
 a lift off a tailed `Span`'s basis, which the engine no longer does, and
 `fully_tailed_syzygies` runs the tailed pair queue with every pair, as
-the engine does only over QQ.
+the engine does only over QQ.  `height_one_witness_by_search` finds an
+edge's height-one prime by searching every variable prime of height <= 1,
+where the engine reads it off the edge's two primes.  `laurent_div_exact`
+and `is_free_combination_of` test a Hilbert-series difference for stable
+equivalence, which the engine never needs.
 """
 
 from itertools import combinations, permutations
@@ -430,3 +434,54 @@ def fully_tailed_syzygies(sig, rank, vectors, modulo=None):
     return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
                              sig, len(vectors))
             for lt, lc, terms, _ in entries if lt >= tail]
+
+
+def height_one_witness_by_search(ring, p, q, caps=None):
+    """A height<=1 prime containing p + q on a monomial ring, the first
+    among every variable prime of height <= 1 in (generator count, text)
+    order that contains the sum; None on any other ring."""
+    if not ring.is_monomial():
+        return None
+    s = p.sum(q)
+    for cand in ring.monomial_primes_of_height_at_most(1, caps):
+        if cand.contains_ideal(s, caps):
+            return cand
+    return None
+
+
+def laurent_div_exact(num: dict, den: dict):
+    """Exact quotient num/den in Z[t, 1/t], or None when not divisible."""
+    if not den:
+        raise ZeroDivisionError("division by the zero Laurent polynomial")
+    num = dict(num)
+    quot = {}
+    den_top = max(den)
+    den_lead = den[den_top]
+    lowest = (min(num) - min(den)) if num else 0
+    while num:
+        top = max(num)
+        lead = num[top]
+        if lead % den_lead != 0:
+            return None
+        c = lead // den_lead
+        d = top - den_top
+        if d < lowest:
+            return None  # quotient exponents would descend without end
+        quot[d] = quot.get(d, 0) + c
+        for e, k in den.items():
+            num[e + d] = num.get(e + d, 0) - c * k
+            if num[e + d] == 0:
+                del num[e + d]
+    return quot
+
+
+def is_free_combination_of(series, ring_numerator: dict):
+    """Quotient of a `HilbertSeries` by the ring's numerator when it divides
+    exactly, else None.
+
+    A Z[t,1/t] quotient exhibits the series as an integer combination of
+    shifted free-module series, the stable-equivalence signature.
+    """
+    if series.is_zero:
+        return {}
+    return laurent_div_exact(series.as_dict(), ring_numerator)

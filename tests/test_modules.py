@@ -42,6 +42,7 @@ from oracles import (
     all_monomials,
     biduality_by_lift,
     fitting_minors_oracle,
+    is_free_combination_of,
     presentations_equivalent_up_to_permutation,
     span_lift,
     submodule_piece_dimension,
@@ -79,7 +80,7 @@ class TestConstruction:
         tt = transpose(transpose(m_a))
         diff = tt.hilbert_series() - m_a.hilbert_series()
         ring_numer = free_module(ring_a, (0,)).hilbert_series().as_dict()
-        assert diff.is_free_combination_of(ring_numer) is not None
+        assert is_free_combination_of(diff, ring_numer) is not None
 
 
 class TestMinimize:
@@ -384,12 +385,6 @@ class TestPushforward:
         res = pushforward(n_a)
         ker, _ = kernel(res.embedding)
         assert module_is_zero(ker)
-
-    def test_stable_syzygy_identity_recorded(self, ring_a, n_a):
-        # Omega(Tr N) agrees with Tr(N1) up to free summands: the series
-        # difference divides by the ring's series with an integer quotient
-        res = pushforward(n_a)
-        assert res.stable_syzygy_identity is not None
 
 
 def _graded_matrix(ring, seed, gen_degrees, col_degrees):

@@ -2,9 +2,17 @@
 
 import pytest
 
+from reflextor import GF, QQ, make_ring
+from reflextor.caps import Caps
 from reflextor.graphs import HHGraph, graph_rank, hh_graph
-from reflextor.modules import free_module
+from reflextor.modules import cyclic, free_module
+from reflextor.parse import parse_poly
 from reflextor.serre import is_reflexive, n_torsion_free
+
+from oracles import height_one_witness_by_search
+
+FIELDS = [QQ, GF(32003)]
+FIELD_IDS = ["QQ", "GF32003"]
 
 
 class TestNTorsionFree:
@@ -130,3 +138,75 @@ class TestGraphRank:
         assert result.kind == "rank"
         vertex_set = set(result.vertex_ranks)
         assert len(vertex_set) == 1
+
+
+# (variables, defining ideal, minimal prime candidates or None)
+WITNESS_RINGS = [
+    ("xyzw", ["x*y"], None),
+    ("xyzw", ["x*y", "z*w"], None),
+    ("xyz", ["x*y*z"], None),
+    ("xyz", ["x*y", "x*z", "y*z"], None),
+    ("xyzwv", ["x*y", "y*z", "z*w"], None),
+    ("xyz", ["x^2*y"], None),
+    ("xyzw", ["x*z", "x*w", "y*z", "y*w"], None),
+    ("xyzw", ["x*y"], [["2*x"], ["y"]]),
+]
+
+
+class TestEdgeWitnesses:
+    """Each edge's height-one prime against a search of every variable
+    prime of height <= 1 for the first one over the edge's sum."""
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("variables, ideal, candidates", WITNESS_RINGS,
+                             ids=["xy", "xy-zw", "xyz", "xy-xz-yz", "path-5",
+                                  "x2y", "two-planes", "candidates"])
+    def test_witnesses_match_the_search(self, fld, variables, ideal, candidates):
+        ring = make_ring(fld, list(variables), ideal)
+        if candidates is not None:
+            ring.minimal_primes(candidates=[
+                [parse_poly(t, ring.sig) for t in c] for c in candidates])
+        g = hh_graph(ring, Caps())
+        expected = {}
+        for i, j in g.edges:
+            w = height_one_witness_by_search(ring, g.vertices[i], g.vertices[j],
+                                             Caps())
+            if w is not None:
+                expected[(i, j)] = (w.generators, w.prime_status)
+        assert set(expected) == set(g.edges)
+        got = {e: (w.generators, w.prime_status) for e, w in g.witnesses.items()}
+        assert got == expected
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+    def test_non_monomial_ring_has_no_witnesses(self, fld):
+        ring = make_ring(fld, ["x", "y", "z"], ["x^2 - y^2"])
+        ring.minimal_primes(factors=[parse_poly(t, ring.sig)
+                                     for t in ("x - y", "x + y")])
+        g = hh_graph(ring, Caps())
+        assert g.edges == ((0, 1),)
+        assert g.witnesses == {}
+
+
+class TestFourVertexRank:
+    """Q[x,y,z,w]/(xy, zw): vertices (x, z), (x, w), (y, z), (y, w), and
+    unequal vertex ranks explained at the first edge prime where the
+    module is not free."""
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("ideal, ranks, prime", [
+        (["x"], (1, 1, 0, 0), "(x, y, z)"),
+        (["x", "z"], (1, 0, 0, 0), "(x, z, w)"),
+        (["y", "w"], (0, 0, 0, 1), "(x, y, w)"),
+    ], ids=["x", "x-z", "y-w"])
+    def test_no_rank_names_the_edge_prime(self, fld, ideal, ranks, prime):
+        ring = make_ring(fld, ["x", "y", "z", "w"], ["x*y", "z*w"])
+        g = hh_graph(ring, Caps())
+        assert [str(p) for p in g.vertices] == [
+            "(x, z)", "(x, w)", "(y, z)", "(y, w)"]
+        m = cyclic(ring, tuple(parse_poly(t, ring.sig) for t in ideal))
+        result = graph_rank(m, g, Caps())
+        assert result.kind == "no_rank"
+        assert result.vertex_ranks == ranks
+        assert result.witness == (
+            f"unequal vertex ranks {ranks}; not free at the height-one "
+            f"prime {prime}")

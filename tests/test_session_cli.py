@@ -508,6 +508,57 @@ class TestCli:
         assert violations and violations[0]["kind"] == "1-rigidity"
 
 
+class TestRingOutsideTaskClass:
+    """A task that needs minimal primes the ring cannot supply, or heights
+    on a ring that is not equidimensional, is an input error naming the
+    task, not an engine fault."""
+
+    @staticmethod
+    def _session(tmp_path, ideal, task):
+        doc = {
+            "schema": 1,
+            "ring": {"field": "QQ", "vars": ["x", "y", "z", "w"], "ideal": ideal},
+            "modules": {"M": {"op": "cyclic", "ideal": ["x"]},
+                        "N": {"op": "cyclic", "ideal": ["y"]}},
+            "tasks": [dict(task, name="probe")],
+        }
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("ideal, task, reason", [
+        (["x*y - z*w"], {"task": "hh-graph"}, "minimal primes need"),
+        (["x*y - z*w"], {"task": "is-torsion", "module": "M"}, "minimal primes need"),
+        (["x*y - z*w"], {"task": "minimal-primes"}, "minimal primes need"),
+        (["x*y - z*w"], {"task": "verify", "pipeline": "thm1.1", "left": "M",
+                         "right": "N"}, "minimal primes need"),
+        (["x*y", "x*z"], {"task": "hh-graph"}, "not equidimensional"),
+        (["x*y", "x*z"], {"task": "graph-rank", "module": "M"},
+         "not equidimensional"),
+        (["x*y", "x*z"], {"task": "verify", "pipeline": "thm1.1", "left": "M",
+                          "right": "N"}, "not equidimensional"),
+        (["x*y", "x*z"], {"task": "verify", "pipeline": "thm1.2", "left": "M",
+                          "right": "N"}, "not equidimensional"),
+    ], ids=["no-primes-hh-graph", "no-primes-is-torsion", "no-primes-minimal-primes",
+            "no-primes-thm1.1", "mixed-dim-hh-graph", "mixed-dim-graph-rank",
+            "mixed-dim-thm1.1", "mixed-dim-thm1.2"])
+    def test_exits_two_naming_the_task(self, tmp_path, capsys, ideal, task, reason):
+        path = self._session(tmp_path, ideal, task)
+        assert cli_main(["run", str(path)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        text = out.out + out.err
+        assert "input error" in text
+        assert "'probe'" in text and task["task"] in text
+        assert reason in text
+
+    def test_child_process_prints_no_traceback(self, tmp_path):
+        path = self._session(tmp_path, ["x*y - z*w"], {"task": "hh-graph"})
+        proc = run_cli("run", str(path), "--json")
+        assert proc.returncode == EXIT_INPUT, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["exit_code"] == EXIT_INPUT
+
+
 class TestOutOfRange:
     """Integer fields below their least value, a unit prime and a refused
     pushforward are input errors naming the field (exit 2), whether they
