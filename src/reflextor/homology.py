@@ -203,16 +203,13 @@ class FreeResolution:
         return rank(rows, fld) == len(rows)
 
     def periodicity_onset(self):
-        """Smallest step i with d_{k+2} = d_k for every computed k >= i; over
-        GF(p), whose differentials are Schreyer generators and need not
-        repeat entrywise, also the first step where d_i, d_{i+1} factor f."""
-        top = len(self._diffs)
-        gf = self.ring.hypersurface and self.ring.sig.field.characteristic
-        for i in range(1, top):
-            if (gf and self._factorizes(i)) or (i < top - 1 and all(
-                    self._steps_match(k) for k in range(i, top - 1))):
-                return i
-        return None
+        """First step i from which the resolution is certified 2-periodic,
+        or None, by one test the ring picks.  On a hypersurface d_i, d_{i+1}
+        factor f (entrywise repetition implies it there); on any other ring
+        d_{i+2} = d_i with uniform shifts, so the (i+1)-st syzygy is the
+        (i-1)-st twisted."""
+        test = self._factorizes if self.ring.hypersurface else self._steps_match
+        return next((i for i in range(1, len(self._diffs)) if test(i)), None)
 
 
 def resolution(m: PresentedModule, caps: Caps = None) -> FreeResolution:
@@ -392,10 +389,10 @@ def tor_vanishing(m: PresentedModule, n: PresentedModule, window: int,
                   caps: Caps = None) -> TorVanishing:
     """Check Tor_i(M,N) = 0 for i = 1..window and certify the tail if possible.
 
-    Over a hypersurface a resolution seen to be 2-periodic (entrywise, or
-    over GF(p) by a matrix factorization) repeats homology with period two,
-    so vanishing across the window extends to all i past the onset; a
-    completed resolution certifies the tail for free.
+    A completed resolution of M, or a free or zero N (Tor is symmetric),
+    certifies the tail for free.  A resolution of M 2-periodic from step i
+    (`periodicity_onset`, on any ring) has Tor_{k+2} = Tor_k for k >= i, so
+    vanishing on a window that reaches i + 1 extends to every index.
     """
     caps = caps or DEFAULT_CAPS.fresh()
     first_nonzero = None
@@ -409,9 +406,9 @@ def tor_vanishing(m: PresentedModule, n: PresentedModule, window: int,
     res = resolution(m, caps).truncated((first_nonzero or window) + 1)
     cert = "window_only"
     onset = None
-    if res.complete:
+    if res.complete or resolution(n, caps).ends_within(0):
         cert = "finite_pd"
-    elif m.ring.hypersurface:
+    else:
         onset = res.periodicity_onset()
         if onset is not None and window >= onset + 1:
             cert = "periodicity"

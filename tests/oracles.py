@@ -21,7 +21,10 @@ the engine does only over QQ.  `height_one_witness_by_search` finds an
 edge's height-one prime by searching every variable prime of height <= 1,
 where the engine reads it off the edge's two primes.  `laurent_div_exact`
 and `is_free_combination_of` test a Hilbert-series difference for stable
-equivalence, which the engine never needs.
+equivalence, which the engine never needs.  `periodicity_onset_reference`
+is the older onset rule that forked on the field: entrywise repetition
+d_{k+2} = d_k at every computed step from the onset on, or over GF(p) on a
+hypersurface also the engine's matrix-factorization test.
 """
 
 from itertools import combinations, permutations
@@ -446,6 +449,29 @@ def height_one_witness_by_search(ring, p, q, caps=None):
     for cand in ring.monomial_primes_of_height_at_most(1, caps):
         if cand.contains_ideal(s, caps):
             return cand
+    return None
+
+
+def steps_match(res, k):
+    """d_{k+2} = d_k entry by entry, and the shifts of F_{k+1}, F_{k+2} are
+    those of F_{k-1}, F_k each moved by one constant."""
+    a, b = res.differential(k), res.differential(k + 2)
+    if not a or len(a) != len(b) or any(x.coords != y.coords for x, y in zip(a, b)):
+        return False
+    return all(len({y - x for x, y in zip(res.shift(j), res.shift(j + 2))}) == 1
+               for j in (k - 1, k))
+
+
+def periodicity_onset_reference(res):
+    """The smallest step i with d_{k+2} = d_k for every computed k >= i (at
+    least one), or over GF(p) on a hypersurface the first i where
+    `res._factorizes(i)`; None when neither fires."""
+    top = res.length_computed()
+    gf = res.ring.hypersurface and res.ring.sig.field.characteristic
+    for i in range(1, top):
+        if (gf and res._factorizes(i)) or (i < top - 1 and all(
+                steps_match(res, k) for k in range(i, top - 1))):
+            return i
     return None
 
 

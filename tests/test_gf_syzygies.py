@@ -18,9 +18,9 @@ five-variable complete intersection of `ring_ci`:
   series of k over a complete intersection of degrees 2, 3 in six
   variables, whose resolution loses generators when syzygy entries are
   dropped by lead divisibility, which is unsound without a basis;
-- the periodicity onset over GF(p), where differentials need not repeat
-  entrywise, comes from a matrix factorization of the equation, and only
-  where the two steps do factor it.
+- the periodicity onset on a hypersurface, over GF(p) as over QQ, comes
+  from a matrix factorization of the equation, and only where the two
+  steps do factor it: over GF(p) differentials need not repeat entrywise.
 """
 
 import random

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from reflextor import GF, QQ, make_ring
 from reflextor.caps import Caps, CapExceeded
 from reflextor.homology import (
     INFINITE_DEPTH,
@@ -18,6 +19,7 @@ from reflextor.homology import (
     tor_vanishing,
 )
 from reflextor.modules import (
+    PresentedModule,
     cyclic,
     free_module,
     minimize,
@@ -25,6 +27,7 @@ from reflextor.modules import (
     syzygy,
     transpose,
 )
+from reflextor.parse import parse_poly
 from reflextor.rings import RIdeal
 
 
@@ -165,9 +168,9 @@ class TestPd:
         # a one-step walk cannot see that end, so pd M = 1 is above a cap of 1
         assert pd(m_a, Caps(resolution_length=1)).above_cap
         assert pd(m_a, Caps(resolution_length=2)).value == 1
-        resolution(n_a).extend_to(6)
-        # two steps show no 2-periodicity yet
-        assert pd(n_a, Caps(resolution_length=2)).periodicity_onset is None
+        resolution(n_a).extend_to(6)  # the cache knows onset 1
+        # one step has no d_2, so it shows no 2-periodicity yet
+        assert pd(n_a, Caps(resolution_length=1)).periodicity_onset is None
 
 
 class TestTorExt:
@@ -344,6 +347,28 @@ class TestPeriodicityCertificate:
         if v.certificate == "periodicity":
             assert v.periodicity_onset is not None
             assert v.window >= v.periodicity_onset + 1
+
+    def test_free_or_zero_partner_certifies_the_tail(self):
+        # k over xy - zw has onset 4, past a window of 2; Tor against a
+        # free or zero N vanishes at every index, Tor being symmetric
+        ring = make_ring(QQ, ["x", "y", "z", "w"], ["x*y - z*w"])
+        k = ring.residue_field_module()
+        for partner in (PresentedModule(ring, (), ()),
+                        cyclic(ring, (parse_poly("1", ring.sig),)),
+                        free_module(ring, (0, 1))):
+            v = tor_vanishing(k, partner, 2)
+            assert v.all_zero and v.certificate == "finite_pd"
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_periodicity_certifies_off_hypersurfaces(self, field):
+        # R = k[x]/(x^2) (x) k[y,z]/(y^2): R/(x) resolves by x, x, ... and
+        # Tor_i(R/(x), R/(y)) = 0 for every i >= 1
+        ring = make_ring(field, ["x", "y", "z"], ["x^2", "y^2"])
+        x, y = (cyclic(ring, (parse_poly(v, ring.sig),)) for v in "xy")
+        v = tor_vanishing(x, y, 3)
+        assert v.all_zero
+        assert (v.certificate, v.periodicity_onset) == ("periodicity", 1)
+        assert str(pd(x)) == "AboveCap (2-periodic from step 1)"
 
 
 def _tate_degrees(top):

@@ -209,14 +209,16 @@ class TestRunSession:
 
     def test_tor_certificate_does_not_depend_on_task_order(self):
         # the certificate reads the steps the Tor window walked (two here),
-        # where no periodicity shows yet, not the three a pd task leaves
+        # where the onset of R/(x, z) at step 2 does not show yet, not the
+        # three a pd task leaves, where it does
         doc = _document()
+        doc["modules"]["L"] = {"op": "cyclic", "ideal": ["x", "z"]}
         doc["caps"] = {"resolution": 3}
-        formula = {"task": "depth-formula", "left": "N", "right": "N",
-                   "window": 2}
+        formula = {"task": "depth-formula", "left": "L", "right": "L",
+                   "window": 1}
         doc["tasks"] = [formula]
         alone = run_session(load_session(doc))["tasks"][0]
-        doc["tasks"] = [{"task": "pd", "module": "N"}, formula]
+        doc["tasks"] = [{"task": "pd", "module": "L"}, formula]
         after = run_session(load_session(doc))["tasks"][1]
         assert after["result"] == alone["result"]
         assert alone["result"]["tor_certificate"] == "window_only"
