@@ -154,10 +154,7 @@ def main(argv=None) -> int:
             return report["exit_code"]
         if args.command == "paper-suite":
             report = paper_suite(parse_caps(None, _caps_overrides(args)))
-            if args.json:
-                sys.stdout.write(report_json(report))
-            else:
-                sys.stdout.write(paper_suite_text(report))
+            _emit(args, report, paper_suite_text)
             return report["exit_code"]
         if args.command == "resolve":
             task = {"task": "resolve", "module": args.module}

@@ -34,8 +34,9 @@ from .modules import (
     PresentedModule,
     _free_power,
     _tensor_id,
-    apply_columns,
-    fitting_ideal,
+    composes_to_zero,
+    has_unit_entry,
+    localized_rank,
     minimal_generator_indices,
     minimize,
     module_is_zero,
@@ -156,19 +157,11 @@ class FreeResolution:
 
     def check_d_squared(self) -> bool:
         """Exact verification that consecutive differentials compose to zero."""
-        return all(
-            apply_columns(self.ring, self.differential(k - 1),
-                          len(self._shifts[k - 2]), col).is_zero
-            for k in range(2, len(self._diffs) + 1)
-            for col in self.differential(k)
-        )
+        return all(composes_to_zero(self.ring, a, b)
+                   for a, b in zip(self._diffs, self._diffs[1:]))
 
     def is_minimal(self) -> bool:
-        return all(
-            all(p.is_zero or p.total_degree() > 0 for p in col.coords)
-            for diff in self._diffs
-            for col in diff
-        )
+        return not any(has_unit_entry(diff) for diff in self._diffs)
 
     def _steps_match(self, k: int) -> bool:
         a, b = self.differential(k), self.differential(k + 2)
@@ -361,15 +354,12 @@ def depth(m: PresentedModule, caps: Caps = None):
 
 
 def is_torsion(t: PresentedModule, caps: Caps = None) -> bool:
-    """T vanishes at every minimal prime, certified through Fitt_0."""
+    """T vanishes at every minimal prime: its rank there is 0, which
+    `localized_rank` certifies by Fitt_0 lying outside the prime, read
+    off the Fitting chain the ring's memo keeps."""
     caps = caps or DEFAULT_CAPS.fresh()
-    primes = t.ring.minimal_primes(caps=caps)
-    tm = minimize(t, caps)
-    fitt0 = fitting_ideal(tm, 0, caps)
-    for p in primes:
-        if all(p.contains(g, caps) for g in fitt0.generators):
-            return False  # Fitt_0 inside p: T survives at p
-    return True
+    return all(localized_rank(t, p, caps).rank == 0
+               for p in t.ring.minimal_primes(caps=caps))
 
 
 @dataclass

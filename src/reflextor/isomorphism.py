@@ -66,9 +66,6 @@ class IsoResult:
     source: PresentedModule
     target: PresentedModule
 
-    def matrix_strings(self):
-        return self.map.matrix_strings()
-
 
 def shift_module(m: PresentedModule, s: int) -> PresentedModule:
     out = PresentedModule(m.ring, tuple(d + s for d in m.gen_degrees), m.columns)

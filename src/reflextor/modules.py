@@ -56,11 +56,8 @@ class NotWellDefined(ValueError):
 
 
 class NotTorsionless(ValueError):
-    """Pushforward requested for a module with biduality kernel."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """Pushforward requested for a module that is not torsionless: the
+    first Ext verdict of `serre.n_torsion_free`, Ext^1(Tr N, R) = 0, fails."""
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +146,19 @@ def apply_columns(ring: QuotientRing, columns, rank: int, vec: FreeVector):
         if not p.is_zero:
             out = out + columns[j].poly_mul(p)
     return ring.reduce_vector(out)
+
+
+def composes_to_zero(ring: QuotientRing, left, right) -> bool:
+    """The matrix with columns `left` kills every column of `right`: the
+    composite left * right is zero over the ring."""
+    rank = left[0].rank if left else 0
+    return all(apply_columns(ring, left, rank, col).is_zero for col in right)
+
+
+def has_unit_entry(columns) -> bool:
+    """Some column has a nonzero constant entry."""
+    return any(not p.is_zero and p.total_degree() == 0
+               for col in columns for p in col.coords)
 
 
 def ring_membership_span(ring, rank, vectors, caps: Caps = None) -> IncrementalSpan:
@@ -360,12 +370,6 @@ class ModuleMap:
             tuple(self.columns) + tuple(self.target.columns),
         )
 
-    def matrix_strings(self):
-        return [
-            [str(self.columns[j].coords[i]) for j in range(len(self.columns))]
-            for i in range(self.target.num_generators)
-        ]
-
 
 def kernel(phi: ModuleMap, caps: Caps = None):
     """Kernel of a map, as a presented module plus its inclusion map."""
@@ -392,8 +396,7 @@ def minimize(m: PresentedModule, caps: Caps = None) -> PresentedModule:
         return m
     if not m.columns:
         return PresentedModule(m.ring, m.gen_degrees, (), _minimal=True)
-    if any(not p.is_zero and p.total_degree() == 0
-           for col in m.columns for p in col.coords):
+    if has_unit_entry(m.columns):
         return subquotient(m.ring, m.gen_degrees, m.columns, None, caps)[0]
     kept = minimal_generator_indices(m.ring, m.num_generators, m.columns,
                                      m.col_degrees, caps=caps)
@@ -552,21 +555,19 @@ def pushforward(n: PresentedModule, caps: Caps = None) -> PushforwardResult:
     Dualizing 0 -> N -> R^s -> N1 -> 0 gives R^s* -> N* -> Ext^1(N1, R) -> 0,
     and R^s* -> N* is onto since the functionals generate N*; so
     Ext^1(N1, R) = 0, which is recomputed and attached as the result's one
-    certificate.
+    certificate.  N must be torsionless, i.e. Ext^1(Tr N, R) = 0, read
+    from the memoized verdict of `serre.n_torsion_free`; otherwise
+    `NotTorsionless` is raised before anything is built.
     """
     from .homology import ext
+    from .serre import n_torsion_free
 
-    ring_module = free_module(n.ring, (0,))
-    tr = transpose(n, caps)
-    ext1 = ext(tr, ring_module, 1, caps)
-    if not ext1.is_zero:
+    if not n_torsion_free(n, 1, caps).all_vanish:
         raise NotTorsionless(
-            "module is not torsionless: Ext^1(transpose, R) is nonzero",
-            witness=ext1,
-        )
+            "module is not torsionless: Ext^1(transpose, R) is nonzero")
     _, emb = _evaluation(n, caps)
     n1 = minimize(emb.cokernel(), caps)
-    recheck = ext(n1, ring_module, 1, caps)
+    recheck = ext(n1, free_module(n.ring, (0,)), 1, caps)
     if not recheck.is_zero:
         raise RuntimeError("pushforward postcondition failed: Ext^1(N1, R) != 0")
     return PushforwardResult(n1, emb, emb.target, recheck)

@@ -61,12 +61,6 @@ def _matrix_columns(ring, rows):
     ]
 
 
-def _compose_is_zero(ring, left_cols, right_cols):
-    rank = left_cols[0].rank
-    return all(modules.apply_columns(ring, left_cols, rank, col).is_zero
-               for col in right_cols)
-
-
 def paper_suite(caps: Caps = None) -> dict:
     """Run all claims; returns the deterministic report dict."""
     caps = caps or Caps()
@@ -83,7 +77,8 @@ def paper_suite(caps: Caps = None) -> dict:
     a2 = _matrix_columns(ring, complex_mid)
     a3 = _matrix_columns(ring, complex_right)
 
-    composes = _compose_is_zero(ring, a2, a1) and _compose_is_zero(ring, a3, a2)
+    composes = (modules.composes_to_zero(ring, a2, a1)
+                and modules.composes_to_zero(ring, a3, a2))
     exact = _complex_exact(ring, a1, a2, a3, caps)
     claims.append(Claim(
         "four-term-complex-exact",

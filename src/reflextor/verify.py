@@ -174,12 +174,10 @@ def _min_ass_note(ring):
 
 
 def _dedupe_primes(primes):
-    seen = []
+    seen = {}
     for p in primes:
-        key = tuple(sorted(str(g) for g in p.generators))
-        if key not in [s[0] for s in seen]:
-            seen.append((key, p))
-    return [p for _, p in seen]
+        seen.setdefault(tuple(sorted(str(g) for g in p.generators)), p)
+    return list(seen.values())
 
 
 def _height_one_list(ring, extra, caps):

@@ -25,6 +25,9 @@ equivalence, which the engine never needs.  `periodicity_onset_reference`
 is the older onset rule that forked on the field: entrywise repetition
 d_{k+2} = d_k at every computed step from the onset on, or over GF(p) on a
 hypersurface also the engine's matrix-factorization test.
+`is_torsion_reference` is the older torsion test: Fitt_0 of the minimized
+module, computed afresh and tested against every minimal prime, where the
+engine reads the rank at each prime off the ring's kept Fitting chain.
 """
 
 from itertools import combinations, permutations
@@ -473,6 +476,18 @@ def periodicity_onset_reference(res):
                 steps_match(res, k) for k in range(i, top - 1))):
             return i
     return None
+
+
+def is_torsion_reference(t, caps=None):
+    """T vanishes at every minimal prime: Fitt_0 of the minimized
+    presentation lies inside no minimal prime of the ring."""
+    from reflextor.modules import fitting_ideal, minimize
+
+    caps = caps or Caps()
+    primes = t.ring.minimal_primes(caps=caps)
+    fitt0 = fitting_ideal(minimize(t, caps), 0, caps)
+    return not any(all(p.contains(g, caps) for g in fitt0.generators)
+                   for p in primes)
 
 
 def laurent_div_exact(num: dict, den: dict):

@@ -1,4 +1,4 @@
-"""Byte-for-byte checks of the CLI's `--json` output against stored copies.
+"""Byte-for-byte checks of the CLI's output against stored copies.
 
 The files under `tests/golden/` hold the exact stdout of the commands
 below.  An engine change that is meant to leave every answer as it was
@@ -8,6 +8,9 @@ purpose regenerates the files from the repository root with
     PYTHONPATH=src python3 -m reflextor paper-suite --json > tests/golden/paper_suite.json
     PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy.json --json > tests/golden/hypersurface_xy.json
     PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy_gf32003.json --json > tests/golden/hypersurface_xy_gf32003.json
+    PYTHONPATH=src python3 -m reflextor paper-suite > tests/golden/paper_suite.txt
+    PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy.json > tests/golden/hypersurface_xy.txt
+    PYTHONPATH=src python3 -m reflextor run scripts/sessions/hypersurface_xy_gf32003.json > tests/golden/hypersurface_xy_gf32003.txt
     PYTHONPATH=src python3 -m reflextor ext --session scripts/sessions/hypersurface_xy.json M N --from 0 --to 3 --json > tests/golden/ext_M_N.json
     PYTHONPATH=src python3 -m reflextor ext --session scripts/sessions/hypersurface_xy.json N M --from 0 --to 3 --json > tests/golden/ext_N_M.json
     PYTHONPATH=src python3 scripts/open_question_search.py > tests/golden/open_question_search.txt
@@ -15,7 +18,9 @@ purpose regenerates the files from the repository root with
 
 and says why in the change's notes.  `hypersurface_xy_gf32003.json` is
 the fixture session over GF(32003) instead of QQ, so both coefficient
-fields are covered.
+fields are covered.  The `.txt` copies of the first three are the same
+commands without `--json`: the text renderings of the paper suite and of
+a session report.
 """
 
 from pathlib import Path
@@ -42,6 +47,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ],
 )
 def test_cli_json_matches_golden(argv, name):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("paper-suite",), "paper_suite.txt"),
+        (("run", "scripts/sessions/hypersurface_xy.json"), "hypersurface_xy.txt"),
+        (("run", "scripts/sessions/hypersurface_xy_gf32003.json"),
+         "hypersurface_xy_gf32003.txt"),
+    ],
+)
+def test_cli_text_matches_golden(argv, name):
     proc = run_cli(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / name).read_text()

@@ -30,6 +30,8 @@ from reflextor.modules import (
 from reflextor.parse import parse_poly
 from reflextor.rings import RIdeal
 
+from oracles import is_torsion_reference
+
 
 class TestResolutions:
     def test_periodic_resolution_of_partner(self, ring_a, n_a):
@@ -280,6 +282,47 @@ class TestTorsion:
 
     def test_zero_module_is_torsion(self, ring_a, pa):
         assert is_torsion(minimize(cyclic(ring_a, (pa("1"),))))
+
+    # (variables, equations, factors of a principal equation or None)
+    SWEEP_RINGS = [
+        ("xyzw", ["x*y"], None),
+        ("xyzw", ["x*y", "z*w"], None),
+        ("xyz", ["x^2 - y^2"], ["x - y", "x + y"]),
+        ("xy", ["x*y"], None),
+        ("xyzw", ["x*y - z*w"], ["x*y - z*w"]),
+    ]
+    SWEEP_IDEALS = {
+        "xy": [["x"], ["y"], ["x", "y"], ["x^2"], ["x + y"], ["x^2", "y"],
+               ["x*y"], ["x - y"], ["y^2"], ["x^2", "x*y"], ["x^2 + y^2"]],
+        "xyz": [["x"], ["y"], ["z"], ["x - y"], ["x + y"], ["x", "z"],
+                ["x", "y"], ["z^2"], ["x + z"], ["x", "y", "z"], ["x^2", "z"]],
+        "xyzw": [["x"], ["y"], ["z"], ["x", "y"], ["x", "z"], ["x + z"],
+                 ["z + w"], ["x", "y", "z", "w"], ["x^2"], ["x", "z", "w"],
+                 ["y", "w"]],
+    }
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF(32003)"])
+    @pytest.mark.parametrize("variables, equations, factors", SWEEP_RINGS,
+                             ids=[f"{v}/({','.join(e)})".replace(" ", "")
+                                  for v, e, _ in SWEEP_RINGS])
+    def test_agrees_with_the_fitting_reference(self, field, variables,
+                                               equations, factors):
+        """Eleven cyclic R/I and their Tor_1 against R/(x), plus R and
+        R/(1), on each ring: the engine's answer is the older Fitt_0
+        test's, and the sweep meets both answers."""
+        ring = make_ring(field, list(variables), equations)
+        p = lambda t: parse_poly(t, ring.sig)
+        if factors:
+            ring.minimal_primes(factors=[p(f) for f in factors])
+        caps = Caps()
+        rx = cyclic(ring, (p("x"),))
+        modules = [free_module(ring, (0,)), cyclic(ring, (p("1"),))]
+        for gens in self.SWEEP_IDEALS[variables]:
+            m = cyclic(ring, tuple(p(g) for g in gens))
+            modules += [m, tor(m, rx, 1, caps).module]
+        answers = [is_torsion(t, caps) for t in modules]
+        assert answers == [is_torsion_reference(t, caps) for t in modules]
+        assert set(answers) == {True, False}
 
 
 class TestDepthFormula:

@@ -293,6 +293,49 @@ class TestRunSession:
             assert t["result"]["verdict"] != "counterexample-candidate"
 
 
+def _set_entry(step, entry):
+    def tamper(report):
+        report["tasks"][0]["result"]["differentials"][step][0][0] = entry
+    return tamper
+
+
+def _flip_tor_one(report):
+    value = report["tasks"][1]["result"]["values"][0]
+    value["is_zero"] = not value["is_zero"]
+
+
+def _drift_basis(report):
+    report["ring"]["groebner_basis"] = ["x^2*y"]
+
+
+class TestRevalidationFires:
+    """`revalidate_report` on tampered copies of one report: the resolution
+    of N to length 3 and Tor_1, Tor_2(M, N) of the fixture session."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        doc = _document(tasks=[
+            {"task": "resolve", "module": "N", "length": 3},
+            {"task": "tor", "left": "M", "right": "N", "range": [1, 2]},
+        ])
+        return json.loads(report_json(run_session(load_session(doc))))
+
+    @pytest.mark.parametrize("tamper, problems", [
+        (None, []),
+        (_set_entry(1, "x"), ["task-0: d.d != 0 at step 2",
+                              "task-0: d.d != 0 at step 3"]),
+        (_set_entry(0, "1"), ["task-0: d.d != 0 at step 2",
+                              "task-0: scalar entry in a minimal resolution"]),
+        (_flip_tor_one, ["task-1[i=1]: membership recheck disagrees with is_zero"]),
+        (_drift_basis, ["ring basis drifted from the embedded certificate"]),
+    ], ids=["clean", "d2-entry-x", "d1-entry-1", "tor1-is-zero", "ring-basis"])
+    def test_each_tampering_is_reported(self, report, tamper, problems):
+        copy = json.loads(json.dumps(report))
+        if tamper is not None:
+            tamper(copy)
+        assert revalidate_report(copy) == problems
+
+
 class TestPaperSuite:
     def test_all_claims_verified(self):
         report = paper_suite()
