@@ -364,6 +364,10 @@ def is_torsion(t: PresentedModule, caps: Caps = None) -> bool:
 
 @dataclass
 class TorVanishing:
+    """One pair's Tor walk.  `tail_certified` is the one rule for whether
+    the window speaks for every i >= 1: past pd M (or for a free or zero N)
+    Tor_k = 0, and from the periodicity onset Tor_{k+2} is Tor_k up to a
+    shift, so a window of at least onset + 1 holds both parities."""
     all_zero: bool
     window: int
     first_nonzero: object = None
@@ -371,18 +375,23 @@ class TorVanishing:
     periodicity_onset: object = None
 
     @property
+    def tail_certified(self):
+        return self.certificate != "window_only"
+
+    @property
     def certified_all(self):
-        return self.all_zero and self.certificate in ("finite_pd", "periodicity")
+        return self.all_zero and self.tail_certified
 
 
 def tor_vanishing(m: PresentedModule, n: PresentedModule, window: int,
                   caps: Caps = None) -> TorVanishing:
-    """Check Tor_i(M,N) = 0 for i = 1..window and certify the tail if possible.
+    """Check Tor_i(M,N) = 0 for i = 1..window, up to the first nonzero one,
+    building no Tor module, and certify the tail if possible.
 
     A completed resolution of M, or a free or zero N (Tor is symmetric),
     certifies the tail for free.  A resolution of M 2-periodic from step i
     (`periodicity_onset`, on any ring) has Tor_{k+2} = Tor_k for k >= i, so
-    vanishing on a window that reaches i + 1 extends to every index.
+    a window that reaches i + 1 certifies every index.
     """
     caps = caps or DEFAULT_CAPS.fresh()
     first_nonzero = None

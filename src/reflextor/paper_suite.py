@@ -13,7 +13,7 @@ identically against the Koszul-shaped outer matrices.
 
 from dataclasses import dataclass
 
-from . import homology, modules
+from . import modules
 from .caps import Caps
 from .fields import QQ
 from .groebner import FreeVector
@@ -139,13 +139,14 @@ def paper_suite(caps: Caps = None) -> dict:
         (not pd_m.above_cap) and pd_m.value == 1,
     ))
 
-    vanishing = homology.tor_vanishing(m, n, 6, caps)
+    formula = depth_formula_check(m, n, 6, caps)  # the one Tor(M, N) walk
+    vanishing = formula.vanishing
     claims.append(Claim(
         "tor-vanishing-certified",
         "Tor_i(M, N) = 0 for i = 1..6, with a certificate covering all i >= 1",
         "all zero, tail certified",
         f"all_zero={vanishing.all_zero}, certificate={vanishing.certificate}",
-        vanishing.all_zero and vanishing.certificate in ("finite_pd", "periodicity"),
+        vanishing.certified_all,
     ))
 
     res_n = free_resolution(n, 6, caps)
@@ -229,7 +230,6 @@ def paper_suite(caps: Caps = None) -> dict:
         bool(hits_m),
     ))
 
-    formula = depth_formula_check(m, n, 6, caps)
     claims.append(Claim(
         "depth-formula",
         "depth M + depth N = depth R + depth(M (x) N) holds with depths "

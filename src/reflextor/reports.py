@@ -286,9 +286,9 @@ def _dispatch(session: Session, task: dict, caps):
             rep = fn(left, right, _int_task_field(task, "n", 1, 1),
                      rigidity_assertion_from(task.get("rigidity")),
                      height_one_primes=session.height_one_primes, **kwargs)
-        elif key == "thm1.2":
-            rep = fn(left, right, height_one_primes=session.height_one_primes,
-                     **kwargs)
+        elif key == "thm1.2":  # no Tor walk; the window is only validated
+            rep = fn(left, right, caps=caps,
+                     height_one_primes=session.height_one_primes)
         else:
             rep = fn(left, right, **kwargs)
         ok = rep.verdict != "counterexample-candidate"

@@ -165,6 +165,14 @@ def _reflexivity_entry(name, module, expected_detail, caps) -> LedgerEntry:
     return LedgerEntry(name, status, detail)
 
 
+def _ntf_entry(name, rep, level, note="") -> LedgerEntry:
+    """The ledger entry of an `n_torsion_free` result at `level`."""
+    return LedgerEntry(
+        name, VERIFIED if rep.all_vanish else FAILED,
+        f"level {level} verdicts {rep.verdicts}" + (f" ({note})" if note else ""),
+    )
+
+
 def _min_ass_note(ring):
     red = ring.is_reduced()
     if red:
@@ -249,11 +257,9 @@ def verify_second_rigidity(m, n, caps: Caps = None, window: int = None):
     return rep.seal()
 
 
-def verify_strong_second_rigidity(m, n, caps: Caps = None, window: int = None,
-                                  height_one_primes=()):
+def verify_strong_second_rigidity(m, n, caps: Caps = None, height_one_primes=()):
     """Adds finite pd of M and local freeness of N in codimension <= 1."""
     caps = caps or DEFAULT_CAPS.fresh()
-    window = window or caps.tor_window
     rep = TheoremReport("strong-second-rigidity")
     ring = m.ring
     rep.hypotheses.append(
@@ -289,7 +295,9 @@ def verify_strong_second_rigidity(m, n, caps: Caps = None, window: int = None,
 def verify_rigidity_vanishing(m, n, level: int, rigidity: RigidityAssertion = None,
                               caps: Caps = None, window: int = None):
     """Rigid M, finite CI-dim N, tensor n-torsion-free, torsion tails =>
-    total Tor vanishing and N n-torsion-free."""
+    total Tor vanishing and N n-torsion-free.  One `tor_vanishing` walk
+    serves both Tor questions: Tor_i = 0 below `first_nonzero` is torsion,
+    and `tail_certified` decides whether the torsion tail is verified."""
     caps = caps or DEFAULT_CAPS.fresh()
     window = window or caps.tor_window
     rep = TheoremReport("rigidity-vanishing")
@@ -308,38 +316,24 @@ def verify_rigidity_vanishing(m, n, level: int, rigidity: RigidityAssertion = No
         ))
     t = minimize(tensor(m, n), caps)
     ntf_t = n_torsion_free(t, level, caps)
-    rep.hypotheses.append(LedgerEntry(
-        "tensor-n-torsion-free",
-        VERIFIED if ntf_t.all_vanish else FAILED,
-        f"level {level} verdicts {ntf_t.verdicts} ({ntf_t.interpretation})",
-    ))
-    torsion_fails = None
-    for i in range(1, window + 1):
-        report = tor(m, n, i, caps)
-        if not is_torsion(report.module, caps):
-            torsion_fails = i
-            break
+    rep.hypotheses.append(_ntf_entry("tensor-n-torsion-free", ntf_t, level,
+                                     ntf_t.interpretation))
     v = tor_vanishing(m, n, window, caps)
-    if torsion_fails is None:
-        status = VERIFIED if v.certified_all or v.certificate == "finite_pd" else ASSERTED
-        rep.hypotheses.append(LedgerEntry(
-            "tor-eventually-torsion", status,
-            f"torsion for i = 1..{window}"
-            + ("; tail certified by " + v.certificate if v.certified_all
-               else "; tail asserted (window only)"),
-        ))
+    torsion_fails = next(
+        (i for i in range(v.first_nonzero or window + 1, window + 1)
+         if not is_torsion(tor(m, n, i, caps).module, caps)), None)
+    if torsion_fails is not None:
+        status, detail = FAILED, f"Tor_{torsion_fails} is not torsion"
+    elif v.tail_certified:
+        status, detail = VERIFIED, (f"torsion for i = 1..{window}; "
+                                    f"tail certified by {v.certificate}")
     else:
-        rep.hypotheses.append(LedgerEntry(
-            "tor-eventually-torsion", FAILED,
-            f"Tor_{torsion_fails} is not torsion",
-        ))
+        status, detail = ASSERTED, (f"torsion for i = 1..{window}; "
+                                    "tail asserted (window only)")
+    rep.hypotheses.append(LedgerEntry("tor-eventually-torsion", status, detail))
     rep.conclusions.append(_tor_vanishing_entry("tor-vanishing", v))
-    ntf_n = n_torsion_free(n, level, caps)
-    rep.conclusions.append(LedgerEntry(
-        "partner-n-torsion-free",
-        VERIFIED if ntf_n.all_vanish else FAILED,
-        f"level {level} verdicts {ntf_n.verdicts}",
-    ))
+    rep.conclusions.append(_ntf_entry("partner-n-torsion-free",
+                                      n_torsion_free(n, level, caps), level))
     return rep.seal()
 
 
@@ -382,12 +376,8 @@ def verify_rigidity_vanishing_strong(m, n, level: int,
             gr.witness if not gr.has_rank else "rank zero somewhere",
         ))
     rep.conclusions.extend(base.conclusions)
-    ntf_m = n_torsion_free(m, level, caps)
-    rep.conclusions.append(LedgerEntry(
-        "left-n-torsion-free",
-        VERIFIED if ntf_m.all_vanish else FAILED,
-        f"level {level} verdicts {ntf_m.verdicts}",
-    ))
+    rep.conclusions.append(_ntf_entry("left-n-torsion-free",
+                                      n_torsion_free(m, level, caps), level))
     rep.notes.append(f"height-one enumeration: {completeness}")
     return rep.seal()
 

@@ -28,6 +28,9 @@ hypersurface also the engine's matrix-factorization test.
 `is_torsion_reference` is the older torsion test: Fitt_0 of the minimized
 module, computed afresh and tested against every minimal prime, where the
 engine reads the rank at each prime off the ring's kept Fitting chain.
+`rigidity_torsion_entry_reference` is the older torsion hypothesis of the
+rigidity-vanishing pipeline: every Tor_i module built for i = 1..window,
+and a status rule of its own beside `tor_vanishing`'s.
 """
 
 from itertools import combinations, permutations
@@ -488,6 +491,25 @@ def is_torsion_reference(t, caps=None):
     fitt0 = fitting_ideal(minimize(t, caps), 0, caps)
     return not any(all(p.contains(g, caps) for g in fitt0.generators)
                    for p in primes)
+
+
+def rigidity_torsion_entry_reference(m, n, window, caps=None):
+    """(status, detail) of the `tor-eventually-torsion` entry: the first
+    i <= window whose Tor_i(M, N) module is not torsion fails it;
+    otherwise it is verified when the Tor walk certified every index or
+    M has finite projective dimension, and asserted if not."""
+    from reflextor.homology import is_torsion, tor, tor_vanishing
+
+    caps = caps or Caps()
+    for i in range(1, window + 1):
+        if not is_torsion(tor(m, n, i, caps).module, caps):
+            return "failed", f"Tor_{i} is not torsion"
+    v = tor_vanishing(m, n, window, caps)
+    certified = v.all_zero and v.certificate in ("finite_pd", "periodicity")
+    status = "verified" if certified or v.certificate == "finite_pd" else "asserted"
+    return status, (f"torsion for i = 1..{window}"
+                    + ("; tail certified by " + v.certificate if certified
+                       else "; tail asserted (window only)"))
 
 
 def laurent_div_exact(num: dict, den: dict):

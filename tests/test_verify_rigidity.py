@@ -2,11 +2,17 @@
 
 import pytest
 
+from oracles import rigidity_torsion_entry_reference
+from reflextor import GF, QQ, make_ring
+from reflextor.caps import Caps
+from reflextor.homology import tor, tor_vanishing
 from reflextor.modules import cyclic, free_module
 from reflextor.parse import parse_poly
 from reflextor.rigidity import rigidity_search
 from reflextor.verify import (
+    LedgerEntry,
     RigidityAssertion,
+    TheoremReport,
     verify_rigidity_vanishing,
     verify_rigidity_vanishing_strong,
     verify_second_rigidity,
@@ -87,6 +93,104 @@ class TestRigidityVanishing:
             RigidityAssertion("finite-pd-hypersurface"),
         )
         assert rep.verdict == "consistent"
+
+
+class TestTorsionTail:
+    """The `tor-eventually-torsion` entry of thm3.1 against the older
+    torsion loop and status rule of `rigidity_torsion_entry_reference`."""
+
+    # (variables, equations, factors of a principal equation or None,
+    #  the cyclic R/I whose every ordered pair is checked)
+    SWEEP = [
+        ("xyzw", ["x*y"], None, [["x"], ["z"], ["x", "z"], ["x^2"]]),
+        ("xyzw", ["x*y", "z*w"], None, [["x"], ["z"], ["x", "z"], ["y", "w"]]),
+        ("xyz", ["x^2 - y^2"], ["x - y", "x + y"],
+         [["x - y"], ["z"], ["x", "y"], ["x", "z"]]),
+        ("xy", ["x*y"], None, [["x"], ["y"], ["x^2"], ["x", "y"]]),
+        ("xyzw", ["x*y - z*w"], ["x*y - z*w"],
+         [["x"], ["x", "z"], ["z + w"], ["x", "y"]]),
+        # Tor over a reduced ring is torsion; only here can the entry fail
+        ("xy", ["x^2"], None, [["x"], ["y"], ["x + y"], ["x", "y"]]),
+    ]
+    WINDOW = 3
+
+    @staticmethod
+    def _entry_agrees(m, n, window, caps):
+        """The engine's entry and verdict against the reference's; the
+        tail certificate the status reads."""
+        rep = verify_rigidity_vanishing(m, n, 1, RigidityAssertion("asserted"),
+                                        caps, window)
+        entry = rep.hypothesis("tor-eventually-torsion")
+        status, detail = rigidity_torsion_entry_reference(m, n, window, caps)
+        v = tor_vanishing(m, n, window, caps)
+        if "failed" in (entry.status, status):
+            assert (entry.status, entry.detail) == (status, detail)
+        else:
+            assert (entry.status == "verified") == v.tail_certified
+            named = (f"tail certified by {v.certificate}" if v.tail_certified
+                     else "tail asserted (window only)")
+            assert entry.detail == f"torsion for i = 1..{window}; {named}"
+        reference = TheoremReport(
+            rep.pipeline,
+            [e if e is not entry else LedgerEntry(e.name, status, detail)
+             for e in rep.hypotheses],
+            rep.conclusions,
+        )
+        assert rep.verdict == reference.seal().verdict
+        return entry.status, v.certificate
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF(32003)"])
+    def test_agrees_with_the_reference(self, field):
+        tally = set()
+        for variables, equations, factors, ideals in self.SWEEP:
+            ring = make_ring(field, list(variables), equations)
+            p = lambda t: parse_poly(t, ring.sig)
+            if factors:
+                ring.minimal_primes(factors=[p(f) for f in factors])
+            caps = Caps()
+            mods = [cyclic(ring, tuple(p(g) for g in gens)) for gens in ideals]
+            for m in mods:
+                for n in mods:
+                    tally.add(self._entry_agrees(m, n, self.WINDOW, caps))
+        assert {status for status, _ in tally} == {"verified", "asserted", "failed"}
+
+    @pytest.mark.parametrize("variables, equation, left, right, window, certificate", [
+        ("xyzw", "x*y", "z", "z", 3, "finite_pd"),
+        ("xy", "x*y", "x", "x^2", 3, "periodicity"),
+        ("xy", "x*y", "x", "x", 1, "window_only"),
+    ])
+    def test_pinned_certificates(self, variables, equation, left, right, window,
+                                 certificate):
+        ring = make_ring(QQ, list(variables), [equation])
+        p = lambda t: parse_poly(t, ring.sig)
+        m, n = cyclic(ring, (p(left),)), cyclic(ring, (p(right),))
+        status, read = self._entry_agrees(m, n, window, Caps())
+        assert read == certificate
+        assert status == ("asserted" if certificate == "window_only" else "verified")
+
+    def test_one_tor_walk_and_no_module_below_first_nonzero(self, ring_b, pb,
+                                                            m_b, monkeypatch):
+        """R/(x) against R/(y): Tor_1 = 0 and Tor_2 != 0, so of i = 1..3
+        only Tor_2 and Tor_3 are built for the torsion test."""
+        from reflextor import verify
+
+        walks, built = [], []
+
+        def walk(*args):
+            walks.append(tor_vanishing(*args))
+            return walks[-1]
+
+        def build(m, n, i, caps):
+            built.append(i)
+            return tor(m, n, i, caps)
+
+        monkeypatch.setattr(verify, "tor_vanishing", walk)
+        monkeypatch.setattr(verify, "tor", build)
+        rep = verify_rigidity_vanishing(m_b, cyclic(ring_b, (pb("y"),)), 1,
+                                        None, Caps(), 3)
+        assert len(walks) == 1 and walks[0].first_nonzero == 2
+        assert built == [2, 3]
+        assert rep.hypothesis("tor-eventually-torsion").status == "verified"
 
 
 class TestRigidityVanishingStrong:
