@@ -58,12 +58,15 @@ cofactors (over QQ, lc/g and c/g with g = gcd(c, lc); over GF(p) 1 and
 c/lc), each step plain integer arithmetic, old - b * c2, then one `% p`
 over GF(p); it returns scale * NF, the scale starting at 1.  The way out
 is `_unscale`, the one place `Fraction`s are made, then
-`_terms_to_vector` or `_terms_to_poly`, which unpack: generators and
-syzygy tails divide by their entry's lc, and the exact normal forms
+`_terms_to_vector` or `_terms_to_poly`, which unpack: generators divide
+by their entry's lc, syzygy tails, reduced modulo the ring's ideal while
+still term dicts, by lc * scale, and the exact normal forms
 (`normal_form`, `IncrementalSpan.normal_form`) divide once
 by scale * den.  `normal_form` returns its input itself, converting
 nothing, when no term of it is divisible by a basis lead in its
-position: such an input is its own normal form.
+position: such an input is its own normal form.  A syzygy leaves with
+its packed form, which `_as_terms` copies, so the next run (the Nakayama
+scan, the next resolution step) packs nothing again.
 
 All routines are pure; caps and cancellation are threaded via `Caps`.
 """
@@ -86,9 +89,11 @@ _OVERFLOW = "exponent cap exceeded: a packed term field left its range"
 
 
 class FreeVector:
-    """Element of a free module S^r, coordinates sharing one signature."""
+    """Element of a free module S^r, coordinates sharing one signature.
+    `_packed` is None or, set by `Span.syzygies`, what `_as_terms` makes
+    of it; it takes no part in equality, hashing or arithmetic."""
 
-    __slots__ = ("sig", "coords", "_hash")
+    __slots__ = ("sig", "coords", "_hash", "_packed")
 
     def __init__(self, sig, coords):
         coords = tuple(coords)
@@ -97,6 +102,7 @@ class FreeVector:
                 raise SignatureMismatch("vector coordinate over a foreign signature")
         self.sig = sig
         self.coords = coords
+        self._packed = None
 
     @classmethod
     def zero(cls, sig, rank):
@@ -179,10 +185,15 @@ def _coords(v, rank):
 def _as_terms(v, rank, fld):
     """(den, terms): a fresh term dict of Python ints equal to den * v, the
     one entry point for field values and exponent tuples.  Over QQ den is
-    the lcm of the denominators, over GF(p) it is 1."""
+    the lcm of the denominators, over GF(p) it is 1.  A packed form is
+    copied, as callers extend and consume the dict."""
+    coords = _coords(v, rank)
+    packed = getattr(v, "_packed", None)
+    if packed is not None:
+        den, terms = packed
+        return den, dict(terms)
     pk = v.sig.packing
     base, shift, w = pk.base, pk.pos_shift, pk.weights
-    coords = _coords(v, rank)
     if any(sum(m) > FIELD_MAX for p in coords for m, _ in p.terms):
         raise CapExceeded(_OVERFLOW)
     items = [(base + (i << shift) + sum(map(mul, m, w)), c)
@@ -630,14 +641,29 @@ class Span:
             tail_pos=rank if fld.characteristic else None,
         )
 
-    def syzygies(self):
+    def syzygies(self, ideal=None, caps: Caps = None):
         """Generators of {a in S^count : sum a_i * vectors_i in D}: the
         entries with a lead in the tail block, which forces every term
-        there."""
-        tail, fld = self.rank << self.sig.packing.pos_shift, self.sig.field
-        return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
-                                 self.sig, self.count)
-                for lt, lc, terms, _ in self._aug if lt >= tail]
+        there.  With an `ideal` each is reduced against `_ideal_block`, a
+        reduced basis of ideal*S^count, and zeros are dropped: reduced
+        normal forms being unique, these are the syzygies over S/ideal that
+        `normal_form` on each coordinate gives, in the same order.  Each
+        vector keeps its packed form."""
+        pk, fld = self.sig.packing, self.sig.field
+        tail = self.rank << pk.pos_shift
+        index = _by_position(_ideal_block(ideal, self.count, caps))
+        out = []
+        for lt, lc, terms, _ in self._aug:
+            if lt >= tail:
+                nf, scale = _reduce_full({t - tail: c for t, c in terms.items()},
+                                         index, pk, fld, caps)
+                if nf:  # v = nf / den; over GF(p) den is 1
+                    den = lc * scale
+                    g = 1 if den == 1 else reduce(math.gcd, nf.values(), den)
+                    v = _terms_to_vector(_unscale(nf, den, fld), self.sig, self.count)
+                    v._packed = (den // g, {t: c // g for t, c in nf.items()} if g > 1 else nf)
+                    out.append(v)
+        return out
 
 
 class IncrementalSpan:

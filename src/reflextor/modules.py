@@ -190,8 +190,9 @@ def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None
     D is the membership span `modulo`, by default the zero submodule of
     R^rank, when these are the syzygies of `vectors` over R.  One augmented
     run seeded with D's basis, in which only `vectors` carry tails; its
-    syzygies, reduced in R and nonzero, are the answer: over QQ the
-    reduced basis of the syzygy module, over GF(p) Schreyer generators.
+    syzygies, reduced modulo the ring's ideal inside the run and nonzero,
+    are the answer, each carrying its packed form: over QQ the reduced
+    basis of the syzygy module, over GF(p) Schreyer generators.
     The run is made once per run of `caps` for equal vectors modulo an
     equal D (`Caps.task_memo`, keyed by D's `memo_key`; a D that has none
     is never memoized).
@@ -202,9 +203,7 @@ def syzygies_over_ring(ring: QuotientRing, rank: int, vectors, caps: Caps = None
     modulo = modulo or ring_membership_span(ring, rank, (), caps)
 
     def run():
-        span = Span(ring.sig, rank, vectors, caps, modulo)
-        syz = (ring.reduce_vector(s) for s in span.syzygies())
-        return [s for s in syz if not s.is_zero]
+        return Span(ring.sig, rank, vectors, caps, modulo).syzygies(ring.ideal, caps)
 
     if modulo.memo_key is None:
         return run()

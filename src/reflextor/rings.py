@@ -8,6 +8,7 @@ from user-supplied candidates.
 """
 
 from dataclasses import dataclass
+from operator import is_
 
 from .caps import Caps, DEFAULT_CAPS
 from .groebner import (
@@ -97,7 +98,12 @@ class QuotientRing:
         return normal_form(p, self.ideal.gb())
 
     def reduce_vector(self, v: FreeVector) -> FreeVector:
-        return FreeVector(self.sig, tuple(self.reduce(p) for p in v.coords))
+        """v reduced coordinatewise: v itself when already reduced, so a
+        vector keeps its packed form."""
+        coords = tuple(self.reduce(p) for p in v.coords)
+        if all(map(is_, coords, v.coords)):
+            return v
+        return FreeVector(self.sig, coords)
 
     # -- distinguished ideals -------------------------------------------
     def irrelevant_ideal(self) -> "RIdeal":

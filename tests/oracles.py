@@ -31,6 +31,10 @@ engine reads the rank at each prime off the ring's kept Fitting chain.
 `rigidity_torsion_entry_reference` is the older torsion hypothesis of the
 rigidity-vanishing pipeline: every Tor_i module built for i = 1..window,
 and a status rule of its own beside `tor_vanishing`'s.
+`syzygies_over_ring_reference` is the older route of syzygies over R: the
+bare `Span` syzygies over S, each reduced modulo the ring coordinate by
+coordinate (`QuotientRing.reduce_vector`), where the engine reduces them
+modulo I*S^count inside the run.
 """
 
 from itertools import combinations, permutations
@@ -38,7 +42,7 @@ from math import comb
 
 from reflextor.caps import Caps
 from reflextor.groebner import (
-    _as_terms, _buchberger_terms, _by_position, _reduce_value, _terms_to_vector,
+    Span, _as_terms, _buchberger_terms, _by_position, _reduce_value, _terms_to_vector,
     _unscale,
 )
 from reflextor.linalg import rank
@@ -443,6 +447,19 @@ def fully_tailed_syzygies(sig, rank, vectors, modulo=None):
     return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
                              sig, len(vectors))
             for lt, lc, terms, _ in entries if lt >= tail]
+
+
+def syzygies_over_ring_reference(ring, rank, vectors, caps=None, modulo=None):
+    """Generators of {a in R^len(vectors) : sum a_i * vectors_i in D}, D the
+    membership span `modulo` (zero by default): the syzygies of a bare
+    `Span` run, each reduced in R one coordinate at a time, zeros dropped."""
+    from reflextor.modules import ring_membership_span
+
+    caps = caps or Caps()
+    modulo = modulo or ring_membership_span(ring, rank, (), caps)
+    syz = (ring.reduce_vector(s)
+           for s in Span(ring.sig, rank, vectors, caps, modulo).syzygies())
+    return [s for s in syz if not s.is_zero]
 
 
 def height_one_witness_by_search(ring, p, q, caps=None):
