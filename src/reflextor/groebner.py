@@ -42,7 +42,11 @@ it on `push`, `GroebnerBasis`, `Span`, `IncrementalSpan`).  Pair
 formation, the chain criterion, minimalization and every reducer search
 walk one position's list, and the index is the only basis form
 `_reduce_full` takes.  Within a position the reducer of a term is still
-the first entry, in basis order, whose lead divides it.
+the first entry, in basis order, whose lead divides it.  A run may
+remember that entry per term (a memo `first`, which lives with its queue
+or call, never with a basis or a span), because a position list only
+grows by appending: no later entry comes before a divisor already found.
+An irreducible term is not remembered, as a later entry may divide it.
 
 Field values and exponent tuples cross two boundaries.  `_as_terms` is
 the way in: it turns a polynomial or vector v into (den, terms), a fresh
@@ -235,7 +239,7 @@ def _entry(terms, pk, fld):
     return (lt, terms[lt], terms, (lt >> pk.pos_shift, pk.mono(lt)))
 
 
-def _reduce_full(work, index, pk, fld, caps: Caps = None):
+def _reduce_full(work, index, first, pk, fld, caps: Caps = None):
     """Full normal form of an integer term dict against a basis, up to a
     scale; `work` is consumed.
 
@@ -243,7 +247,10 @@ def _reduce_full(work, index, pk, fld, caps: Caps = None):
     this routine takes: a term is checked only against the entries whose
     leads share its position, and its reducer is the first of them, in
     basis order, whose lead lt divides it (`pk`'s guard-bit test on
-    t + deg_guard - lt).  Returns (remainder, scale) with
+    t + deg_guard - lt).  `first` is the memo of those reducers that
+    belongs to `index`, read before the scan and filled by it (see the
+    module docstring); a caller reducing once passes a fresh dict.
+    Returns (remainder, scale) with
     remainder = scale * NF(work), scale starting at 1; `_unscale` divides
     once.  Every term of the remainder is divisible by no basis lead in
     the same position.  The largest term, the smallest int, is popped from
@@ -269,15 +276,16 @@ def _reduce_full(work, index, pk, fld, caps: Caps = None):
         c = work.pop(t, None)
         if c is None:
             continue
-        tk = t + deg_guard
-        hit = None
-        for entry in index.get(t >> pos_shift, ()):
-            if not (tk - entry[0]) & guards:
-                hit = entry
-                break
+        hit = first.get(t)
         if hit is None:
-            remainder[t] = c
-            continue
+            tk = t + deg_guard
+            for entry in index.get(t >> pos_shift, ()):
+                if not (tk - entry[0]) & guards:
+                    first[t] = hit = entry
+                    break
+            else:
+                remainder[t] = c
+                continue
         if caps is not None:
             caps.step()
         lt, lc, terms, _ = hit
@@ -309,12 +317,12 @@ def _reduce_full(work, index, pk, fld, caps: Caps = None):
     return remainder, scale
 
 
-def _reduce_value(v, rank, index, fld, caps: Caps = None):
-    """(remainder, scale) of a field-valued v against a position index:
-    remainder = scale * NF(v), the scale counting the denominators
-    `_as_terms` cleared."""
+def _reduce_value(v, rank, index, first, fld, caps: Caps = None):
+    """(remainder, scale) of a field-valued v against a position index and
+    its reducer memo `first`: remainder = scale * NF(v), the scale counting
+    the denominators `_as_terms` cleared."""
     den, work = _as_terms(v, rank, fld)
-    remainder, scale = _reduce_full(work, index, v.sig.packing, fld, caps)
+    remainder, scale = _reduce_full(work, index, first, v.sig.packing, fld, caps)
     return remainder, scale * den
 
 
@@ -348,8 +356,8 @@ def _spair(e1, e2, lcm, pk, fld):
 
 
 class _PairQueue:
-    """The one pair queue: a basis list, its position index, its pending
-    pairs and their heap.
+    """The one pair queue: a basis list, its position index and reducer
+    memo, its pending pairs and their heap.
 
     The `seeded` entries must already form a reduced basis (normalized as
     `_entry` leaves them, no term of one divisible by another's lead in
@@ -358,9 +366,13 @@ class _PairQueue:
     maps each lead position to its entries and `slots` to their places in
     `basis`, both in basis order and both extended by `push`: pair
     formation and the chain criterion walk only the new entry's position,
-    and every reduction takes `index`.  The heap holds (key, j, i, lcm,
-    deg lcm), the lcm packed once, and `pending` mirrors it; the chain
-    criterion tests it against the packed leads and `_spair` shifts by it.
+    and every reduction takes `index` with its memo `first` (see
+    `_reduce_full`), which `drain` and a scan's `IncrementalSpan.add`
+    share: the index only grows by `_append`, so a term's first reducer
+    found once stays its first for the queue's life.  The heap holds
+    (key, j, i, lcm, deg lcm), the lcm packed once, and `pending` mirrors
+    it; the chain criterion tests it against the packed leads and
+    `_spair` shifts by it.
     A pair's key is deg lcm or, in a `graded` queue, its vector degree
     deg lcm + delta_j - deg lead_j, where j, the newer entry, is never
     seeded and was pushed with its vector degree delta_j.  An entry whose
@@ -368,14 +380,15 @@ class _PairQueue:
     kept out of `slots`, so it joins no pair.  The entries before it still
     pair fully and stay a basis of their block, so by Schreyer's theorem
     (Eisenbud, Commutative Algebra, Thm 15.10) the syzygy entries
-    generate the syzygy module, though they are no basis of it.
+    generate the syzygy module, though they are no basis of it.  `reduced`
+    interreduces only that syzygy block, as `Span` reads nothing else.
     """
 
     def __init__(self, seeded, sig, caps: Caps, rank: int, graded=False,
                  tail_pos=None):
         self.pk, self.tail_pos = sig.packing, math.inf if tail_pos is None else tail_pos
         self.fld, self.caps, self.rank, self.graded = sig.field, caps, rank, graded
-        self.basis, self.index, self.slots = [], {}, {}
+        self.basis, self.index, self.slots, self.first = [], {}, {}, {}
         for e in seeded:
             self._append(e)
         self.n_seeded = len(self.basis)
@@ -430,23 +443,31 @@ class _PairQueue:
             if skip:
                 continue
             nf, _ = _reduce_full(_spair(basis[i], basis[j], lcm, pk, fld),
-                                 self.index, pk, fld, self.caps)
+                                 self.index, self.first, pk, fld, self.caps)
             if nf:
                 self.push(nf, d)
 
     def reduced(self):
         """The reduced basis of the entries' span; the queue must be drained.
-        Entries past `tail_pos` are no basis, so none of them is dropped;
-        their tails are reduced like the others', by smaller leads only,
-        which keeps their span and makes them far sparser."""
+        A tailed run interreduces its syzygy block, the entries at or past
+        `tail_pos`, alone: the entries before it pass through as the queue
+        left them, a basis of span + D though not a reduced one, since no
+        lead there can divide a syzygy term, so the syzygies are those of a
+        full interreduction.  Syzygy entries are no basis, so none of them
+        is dropped; their tails are reduced like the others', by smaller
+        leads only, which keeps their span and makes them far sparser."""
         basis, pk, n_seeded = self.basis, self.pk, self.n_seeded
+        start = 0 if self.tail_pos == math.inf else self.tail_pos
         # minimalize, smallest lead first: drop entries whose lead is divisible by
         # another lead in its position; stable under reverse=True, the sort keeps
         # a seeded entry over a new one with the same lead.  `index` collects
         # the kept entries in this order, which the tail reduction searches.
-        kept, index, fresh = [], {}, {}
+        kept, index, fresh, reduced = [], {}, {}, []
         for k in sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True):
             p, tk = basis[k][3][0], basis[k][0] + pk.deg_guard
+            if p < start:
+                reduced.append(basis[k])
+                continue
             same = index.setdefault(p, [])
             if p >= self.tail_pos or all((tk - e[0]) & pk.guards for e in same):
                 kept.append(k)
@@ -459,7 +480,7 @@ class _PairQueue:
         # kept entry divides none of its own smaller terms, nor any term the
         # reduction makes, so its tail is reduced against every kept entry
         # and the lead put back, scaled as the tail was.
-        reduced = []
+        first = {}
         for k in kept:
             lt, lc, terms, _ = basis[k]
             if k < n_seeded and not any(
@@ -469,7 +490,7 @@ class _PairQueue:
                 continue
             tail = dict(terms)
             del tail[lt]
-            nf, scale = _reduce_full(tail, index, pk, self.fld, self.caps)
+            nf, scale = _reduce_full(tail, index, first, pk, self.fld, self.caps)
             reduced.append(_entry({lt: lc * scale, **nf}, pk, self.fld))
         reduced.sort(key=itemgetter(0), reverse=True)
         return reduced
@@ -557,7 +578,7 @@ def normal_form(f, gb: GroebnerBasis):
                for e in gb._index.get(pos, ()) for mono, _ in p.terms):
         return f
     fld = gb.sig.field
-    nf = _unscale(*_reduce_value(f, gb.rank, gb._index, fld), fld)
+    nf = _unscale(*_reduce_value(f, gb.rank, gb._index, {}, fld), fld)
     if isinstance(f, Poly):
         return _terms_to_poly(nf, gb.sig)
     return _terms_to_vector(nf, gb.sig, gb.rank)
@@ -573,7 +594,7 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
     and (j, k) established, since their lcm-representations give one of
     (i, j); else reduced to zero.
     """
-    pk, fld = gb.sig.packing, gb.sig.field
+    pk, fld, first = gb.sig.packing, gb.sig.field, {}
     for entries in gb._index.values():
         leads = [e[3][1] for e in entries]
         done = set()  # both orientations of every established pair
@@ -586,7 +607,7 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
                 )
                 if not chained and _reduce_full(
                     _spair(entries[i], entries[j], pk.pack(entries[i][3][0], lcm),
-                           pk, fld), gb._index, pk, fld
+                           pk, fld), gb._index, first, pk, fld
                 )[0]:
                     return False
                 done |= {(i, j), (j, i)}
@@ -620,7 +641,9 @@ class Span:
     D's reduced basis seeds the run as it is.  Over QQ the syzygies are
     the reduced basis of the syzygy module, whose tail-tail pairs keep the
     coefficients small; over GF(p) they are Schreyer generators
-    (`tail_pos`), for fewer pairs.
+    (`tail_pos`), for fewer pairs, and only this syzygy block is
+    interreduced: the span block of `_aug` stays a basis of
+    span(vectors) + D as the pair queue left it, not a reduced one.
     """
 
     def __init__(self, sig, rank, vectors, caps: Caps = None, modulo=None):
@@ -651,12 +674,12 @@ class Span:
         vector keeps its packed form."""
         pk, fld = self.sig.packing, self.sig.field
         tail = self.rank << pk.pos_shift
-        index = _by_position(_ideal_block(ideal, self.count, caps))
+        index, first = _by_position(_ideal_block(ideal, self.count, caps)), {}
         out = []
         for lt, lc, terms, _ in self._aug:
             if lt >= tail:
                 nf, scale = _reduce_full({t - tail: c for t, c in terms.items()},
-                                         index, pk, fld, caps)
+                                         index, first, pk, fld, caps)
                 if nf:  # v = nf / den; over GF(p) den is 1
                     den = lc * scale
                     g = 1 if den == 1 else reduce(math.gcd, nf.values(), den)
@@ -724,7 +747,7 @@ class IncrementalSpan:
 
     def _reduce(self, v):
         self._settle()
-        return _reduce_value(v, self.rank, self._index, self.sig.field, self.caps)
+        return _reduce_value(v, self.rank, self._index, {}, self.sig.field, self.caps)
 
     def add(self, v, degree) -> bool:
         """Absorb v, homogeneous of vector degree `degree`, as a scan step;
@@ -736,8 +759,8 @@ class IncrementalSpan:
             self._queue = _PairQueue(self._basis, self.sig, self.caps, self.rank,
                                      graded=True)
         self._queue.drain(degree)
-        nf, _ = _reduce_value(v, self.rank, self._queue.index, self.sig.field,
-                              self.caps)
+        nf, _ = _reduce_value(v, self.rank, self._queue.index, self._queue.first,
+                              self.sig.field, self.caps)
         if nf:
             self._queue.push(nf, degree)
         return bool(nf)

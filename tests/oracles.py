@@ -34,7 +34,13 @@ and a status rule of its own beside `tor_vanishing`'s.
 `syzygies_over_ring_reference` is the older route of syzygies over R: the
 bare `Span` syzygies over S, each reduced modulo the ring coordinate by
 coordinate (`QuotientRing.reduce_vector`), where the engine reduces them
-modulo I*S^count inside the run.
+modulo I*S^count inside the run.  `first_reducer_reference` finds a
+term's reducer by a plain scan of its position list, exponent tuple
+against exponent tuple, where the engine remembers the first hit of each
+term for the life of a run.  `span_syzygies_full_reference` is the older
+route of a `Span`'s syzygies: the tailed run's whole augmented basis
+minimalized and tail-reduced, span block too, where the engine
+interreduces only the syzygy block.
 """
 
 from itertools import combinations, permutations
@@ -42,11 +48,11 @@ from math import comb
 
 from reflextor.caps import Caps
 from reflextor.groebner import (
-    Span, _as_terms, _buchberger_terms, _by_position, _reduce_value, _terms_to_vector,
-    _unscale,
+    FreeVector, Span, _PairQueue, _as_terms, _buchberger_terms, _by_position, _entry,
+    _reduce_full, _reduce_value, _terms_to_vector, _unscale, normal_form,
 )
 from reflextor.linalg import rank
-from reflextor.orders import degree
+from reflextor.orders import degree, mono_divides
 from reflextor.poly import Poly
 
 
@@ -423,7 +429,7 @@ def span_lift(span, v):
     then its tail, negated, is a lift.  Over GF(p) the basis's tail block
     holds Schreyer generators, so the lift is valid but not canonical."""
     fld, tail = span.sig.field, span.rank << span.sig.packing.pos_shift
-    nf, scale = _reduce_value(v, span.rank, _by_position(span._aug), fld)
+    nf, scale = _reduce_value(v, span.rank, _by_position(span._aug), {}, fld)
     if any(t < tail for t in nf):
         return None
     nf = _unscale(nf, scale, fld)
@@ -447,6 +453,75 @@ def fully_tailed_syzygies(sig, rank, vectors, modulo=None):
     return [_terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
                              sig, len(vectors))
             for lt, lc, terms, _ in entries if lt >= tail]
+
+
+def first_reducer_reference(index, t, pk):
+    """The first entry, in basis order, of the position list of the packed
+    term t whose lead divides t, or None: a plain scan, testing exponent
+    tuples."""
+    pos, m = t >> pk.pos_shift, pk.mono(t)
+    for entry in index.get(pos, ()):
+        if mono_divides(entry[3][1], m):
+            return entry
+    return None
+
+
+def _interreduce_all(queue):
+    """The reduced basis of a drained `_PairQueue`'s entries, every block
+    minimalized and tail-reduced: the older `_PairQueue.reduced`, which
+    treated the span block of a tailed run like the syzygy block."""
+    basis, pk, n_seeded = queue.basis, queue.pk, queue.n_seeded
+    kept, index, fresh = [], {}, {}
+    for k in sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True):
+        p, tk = basis[k][3][0], basis[k][0] + pk.deg_guard
+        same = index.setdefault(p, [])
+        if p >= queue.tail_pos or all((tk - e[0]) & pk.guards for e in same):
+            kept.append(k)
+            same.append(basis[k])
+            if k >= n_seeded:
+                fresh.setdefault(p, []).append(basis[k][0])
+    reduced = []
+    for k in kept:
+        lt, lc, terms, _ = basis[k]
+        if k < n_seeded and not any(
+            pk.divides(lead, t) for t in terms for lead in fresh.get(t >> pk.pos_shift, ())
+        ):
+            reduced.append(basis[k])
+            continue
+        tail = dict(terms)
+        del tail[lt]
+        nf, scale = _reduce_full(tail, index, {}, pk, queue.fld, queue.caps)
+        reduced.append(_entry({lt: lc * scale, **nf}, pk, queue.fld))
+    reduced.sort(key=lambda e: e[0], reverse=True)
+    return reduced
+
+
+def span_syzygies_full_reference(sig, rank, vectors, caps=None, modulo=None, ideal=None):
+    """`Span(sig, rank, vectors, caps, modulo).syzygies(ideal, caps)` by the
+    older route: the same tailed run (Schreyer generators over GF(p)), its
+    whole augmented basis interreduced (`_interreduce_all`), then each
+    syzygy reduced modulo `ideal` one coordinate at a time, zeros
+    dropped."""
+    fld, pk = sig.field, sig.packing
+    queue = _PairQueue(modulo._entries if modulo is not None else (), sig,
+                       caps or Caps(), rank + len(vectors),
+                       tail_pos=rank if fld.characteristic else None)
+    for i, v in enumerate(vectors):
+        den, terms = _as_terms(v, rank, fld)
+        terms[pk.pack(rank + i, (0,) * sig.nvars)] = den
+        queue.push(terms)
+    queue.drain()
+    tail = rank << pk.pos_shift
+    out = []
+    for lt, lc, terms, _ in _interreduce_all(queue):
+        if lt >= tail:
+            v = _terms_to_vector(_unscale({t - tail: c for t, c in terms.items()}, lc, fld),
+                                 sig, len(vectors))
+            if ideal is not None:
+                v = FreeVector(sig, [normal_form(c, ideal.gb(caps)) for c in v.coords])
+            if not v.is_zero:
+                out.append(v)
+    return out
 
 
 def syzygies_over_ring_reference(ring, rank, vectors, caps=None, modulo=None):

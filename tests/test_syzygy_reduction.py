@@ -15,6 +15,11 @@ GF(32003), plain and modulo a seeded relation span:
   is handed out as a copy, still checks the rank, and leaves equality and
   hashing alone.
 
+A tailed run interreduces only its syzygy block, and on the same sweep
+its syzygies over R, in order, and its pairs are those of the older route
+that interreduces the whole augmented basis
+(`oracles.span_syzygies_full_reference`).
+
 `QuotientRing.reduce_vector` returns a reduced vector itself, so a
 presentation keeps the packed form of its columns.
 """
@@ -29,7 +34,7 @@ from reflextor.groebner import FreeVector, _as_terms
 from reflextor.modules import PresentedModule, ring_membership_span, syzygies_over_ring
 from reflextor.poly import Poly
 
-from oracles import random_form, syzygies_over_ring_reference
+from oracles import random_form, span_syzygies_full_reference, syzygies_over_ring_reference
 
 RINGS = {
     "xy": (["x", "y"], ["x*y"]),
@@ -91,6 +96,25 @@ def test_syzygies_reduced_in_the_run_match_the_coordinate_route(name, field):
         assert caps._pairs_used == ref_caps._pairs_used
         for v in got:
             check_packed_form(v)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", RINGS)
+def test_syzygies_match_the_full_interreduction_route(name, field):
+    names, ideal = RINGS[name]
+    ring = make_ring(FIELDS[field], names, ideal)
+    ring.ideal.gb()
+    for rank, vectors, relations in instances(ring):
+        caps, ref_caps = Caps(), Caps()
+        got = syzygies_over_ring(
+            ring, rank, vectors, caps,
+            modulo=ring_membership_span(ring, rank, relations, caps))
+        want = span_syzygies_full_reference(
+            ring.sig, rank, vectors, ref_caps,
+            modulo=ring_membership_span(ring, rank, relations, ref_caps),
+            ideal=ring.ideal)
+        assert got and got == want
+        assert caps._pairs_used == ref_caps._pairs_used
 
 
 def test_reduce_vector_returns_a_reduced_vector_itself(ring_a):
