@@ -11,7 +11,10 @@ on one session, in reverse order on one session, and each task alone on
 its own session.  A task's answer is its status and result; the task
 name, which defaults to its position, is left out.  Every (cap, task)
 whose three answers are not all equal is printed with the three answers,
-then a count.  The exit status is 1 when any answer differs.
+then a count.  Hitting a cap must never give a wrong answer, so every
+finished answer (status other than cap_exceeded) is also compared with the
+task's answer without a pair cap; each (cap, task) where one differs is
+printed, then a count.  The exit status is 1 when any answer differs.
 """
 
 import argparse
@@ -42,6 +45,11 @@ def answers(document, cap, tasks):
             for r in run_session(session)["tasks"]]
 
 
+def finished(answer):
+    """Whether the task ran to an answer, with no cap hit."""
+    return not answer.startswith("load:") and json.loads(answer)["status"] != "cap_exceeded"
+
+
 def short(answer):
     """The status, with the error message when the task did not finish."""
     if answer.startswith("load:"):
@@ -58,7 +66,8 @@ def main(argv=None):
     with open(args.session, encoding="utf-8") as fh:
         document = json.load(fh)
     tasks = document["tasks"]
-    differ = 0
+    uncapped = answers(document, None, tasks)
+    differ = wrong = 0
     for cap in CAPS:
         in_order = answers(document, cap, tasks)
         reverse = answers(document, cap, tasks[::-1])[::-1]
@@ -72,8 +81,14 @@ def main(argv=None):
                       f"alone {short(trio[2])}")
                 if len({short(a) for a in trio}) == 1:
                     print("  (same status and message; the results differ)")
-    print(f"{differ} of {len(CAPS) * len(tasks)} (cap, task) answers differ")
-    return 1 if differ else 0
+            if any(finished(a) and a != uncapped[i] for a in trio):
+                wrong += 1
+                print(f"cap {cap} task {i} ({task_label(task)}): a finished "
+                      f"answer differs from the uncapped {short(uncapped[i])}")
+    total = len(CAPS) * len(tasks)
+    print(f"{differ} of {total} (cap, task) answers differ")
+    print(f"{wrong} of {total} (cap, task) finished answers differ from the uncapped answer")
+    return 1 if differ or wrong else 0
 
 
 if __name__ == "__main__":

@@ -369,8 +369,9 @@ def render_text(report: dict) -> str:
         lines.append(f"input error: {report['error']}")
         return "\n".join(lines) + "\n"
     ring = report["ring"]
+    fld = ring["field"] if ring["field"] == "QQ" else f"GF({ring['field']['prime']})"
     lines.append(
-        f"ring: {ring['field'] if isinstance(ring['field'], str) else ring['field']}"
+        f"ring: {fld}"
         f"[{','.join(ring['vars'])}] / ({', '.join(ring['ideal']) or '0'})"
         f"  dim {ring['dim']}"
         + ("  hypersurface" if ring["hypersurface"] else "")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reflextor import GF, QQ, make_ring
+from reflextor import GF, QQ, make_ring, serre
 from reflextor.caps import Caps
 from reflextor.graphs import HHGraph, graph_rank, hh_graph
 from reflextor.modules import cyclic, free_module
@@ -58,6 +58,21 @@ class TestReflexivity:
         assert rep.ext_verdicts == (True, False)
         assert rep.biduality_kernel_generators == 0
         assert rep.biduality_cokernel_generators > 0
+
+    def test_reflexive_module_builds_no_biduality(self, monkeypatch):
+        # both Ext verdicts hold, so both counts are 0 with no map built;
+        # a new ring, so no memo entry answers first
+        def refuse(m, caps=None):
+            raise AssertionError("biduality built for a reflexive module")
+
+        monkeypatch.setattr(serre, "biduality", refuse)
+        ring = make_ring(QQ, ["x", "y", "z", "w"], ["x*y"])
+        x = parse_poly("x", ring.sig)
+        for m in (cyclic(ring, (x,)), free_module(ring, (0, 1))):
+            rep = is_reflexive(m)
+            assert rep.reflexive and rep.torsionless
+            assert (rep.biduality_kernel_generators,
+                    rep.biduality_cokernel_generators) == (0, 0)
 
 
 class TestConnectivity:

@@ -31,6 +31,8 @@ def fresh_m():
 
 
 def count_biduality(monkeypatch):
+    """Record each `serre.biduality` call: the probe needs a non-reflexive
+    module, as `fresh_m` is, since a reflexive one builds no biduality."""
     calls = []
     inner = serre.biduality
 
@@ -205,7 +207,16 @@ def test_order_probe_reports_no_order_dependence():
     spec.loader.exec_module(probe)
     document = json.loads(FIXTURE.read_text(encoding="utf-8"))
     tasks = document["tasks"]
+    # hitting a cap is never a wrong answer: a task that finishes under a
+    # cap answers as it does with none
+    uncapped = probe.answers(document, None, tasks)
+    finished = set()
     for cap in (10, 30, 120, 140, 230):
         in_order = probe.answers(document, cap, tasks)
         alone = [probe.answers(document, cap, [t])[0] for t in tasks]
         assert in_order == alone, cap
+        for got, want in zip(in_order, uncapped):
+            finished.add(probe.finished(got))
+            assert got == want or not probe.finished(got), cap
+    assert finished == {True, False}
+
