@@ -589,12 +589,14 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
     The cancel callback of `caps` is polled once per row tail.
 
     Minors are built on integers, a monomial packed into one int in base
-    B = size * e + 1, e the largest exponent in any entry: no exponent of a
-    minor exceeds size * e < B, so a monomial product is one addition with
-    no carry.  The cofactor sign is folded into the top row, and each
-    minor is normalized once (`fld.normalized`).  Over QQ each row is
-    scaled by the lcm of its denominators; a minor on row set T is divided
-    by the product of T's scales when it is unpacked into `Fraction`s.
+    B = size * e + 1, e the largest exponent in any entry, x_n the top
+    digit: no exponent of a minor exceeds size * e < B, so a product is one
+    addition with no carry.  Columns are homogeneous (`PresentedModule`
+    checks it), so minors are, and in one degree grevlex is reverse-lex on
+    (x_n, ..., x_1): sorted ints are the `Poly` term order.  The cofactor
+    sign is folded into the top row, and each minor is normalized once
+    (`fld.normalized`).  Over QQ each row is scaled by the lcm of its
+    denominators, and `_unscale` divides a minor on rows T by prod(scales[T]).
     """
     sig = m.ring.sig
     g = m.num_generators
@@ -634,13 +636,12 @@ def fitting_ideal(m: PresentedModule, i: int, caps: Caps = None) -> Ideal:
                 level[tail, cols] = fld.normalized(acc)
     exponents, minors = {}, {}
     for (tail, _), packed in level.items():
-        terms = {}
-        for mo, c in packed.items():
+        terms = _unscale(packed, prod(scales[t] for t in tail), fld)
+        keys = sorted(terms)
+        for mo in keys:
             if mo not in exponents:
                 exponents[mo] = tuple(mo // w % base for w in weights)
-            terms[exponents[mo]] = c
-        terms = _unscale(terms, prod(scales[t] for t in tail), fld)
-        d = m.ring.reduce(Poly.from_dict(sig, terms))
+        d = m.ring.reduce(Poly(sig, tuple([(exponents[mo], terms[mo]) for mo in keys])))
         if not d.is_zero:
             minors.setdefault(d.terms, d)
     return Ideal(sig, tuple(minors.values()))

@@ -70,12 +70,17 @@ class _Parser:
                 self.error("expected ')'")
             return inner
         if c.isdigit():
+            start = self.pos
             num = self.parse_nat()
             if self.eat("/"):
                 den = self.parse_nat()
                 if den == 0:
                     self.error("zero denominator")
-                return Poly.constant(self.sig, self.sig.field.from_rational(num, den))
+                try:
+                    value = self.sig.field.from_rational(num, den)
+                except ZeroDivisionError as e:  # den is not invertible in GF(p)
+                    raise PolyParseError(str(e), start) from None
+                return Poly.constant(self.sig, value)
             return Poly.constant(self.sig, self.sig.field.from_int(num))
         if c.isalpha() or c == "_":
             start = self.pos

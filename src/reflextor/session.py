@@ -233,6 +233,16 @@ def _evaluate_modules(specs, ring, poly, caps):
     return resolved
 
 
+def _input_module(name, build, *args):
+    """The module `build(*args)` of a cyclic or coker spec; a spec it
+    rejects (a ragged matrix, a degree count that is not the row count, an
+    inhomogeneous generator or column) is an input error naming the module."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise SessionError(f"module {name!r}: {e}") from None
+
+
 def _evaluate_expr(expr, name, ring, poly, caps, build):
     if not isinstance(expr, dict) or "op" not in expr:
         raise SessionError(f"module {name!r} needs an object with an \"op\"")
@@ -248,7 +258,7 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
     if op == "cyclic":
         where = f"module {name}.ideal"
         gens = tuple(poly(t, where) for t in list_field(expr.get("ideal", []), where))
-        return cyclic(ring, gens)
+        return _input_module(name, cyclic, ring, gens)
     if op == "free":
         return free_module(ring, int_list_field(expr.get("degrees", [0]),
                                                 f"module {name}.degrees"))
@@ -260,8 +270,8 @@ def _evaluate_expr(expr, name, ring, poly, caps, build):
         where = f"module {name}.matrix"
         rows = [[poly(t, where) for t in list_field(row, where)]
                 for row in list_field(matrix, where)]
-        return module_from_rows(ring, rows,
-                                int_list_field(degrees, f"module {name}.degrees"))
+        return _input_module(name, module_from_rows, ring, rows,
+                             int_list_field(degrees, f"module {name}.degrees"))
     if op == "tensor":
         args = list_field(expr.get("args", []), f"module {name}.args")
         if len(args) != 2:

@@ -424,12 +424,29 @@ def _graded_matrix(ring, seed, gen_degrees, col_degrees):
     return module_from_rows(ring, rows, gen_degrees)
 
 
-def _assert_fitting_matches_oracle(m, rows=None):
-    """Every Fitt_i, i up to g + 1, equals the Leibniz minors of `rows` (by
-    default the presentation's) reduced in the ring, zeros and repeats
-    dropped, first occurrence kept, in order."""
+def _linear_matrix(ring, seed, g, r):
+    """Seeded g x r matrix of dense linear forms, as the benchmark's: every
+    variable with a random coefficient, over QQ a fraction."""
+    rng = random.Random(seed)
+    sig, fld = ring.sig, ring.sig.field
+    axes = [tuple(int(i == j) for j in range(sig.nvars)) for i in range(sig.nvars)]
+
+    def coefficient():
+        if fld.characteristic:
+            return fld.from_int(rng.randrange(1, fld.characteristic))
+        return fld.from_rational(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 4))
+
+    rows = [[Poly.from_dict(sig, {e: coefficient() for e in axes}) for _ in range(r)]
+            for _ in range(g)]
+    return module_from_rows(ring, rows, (0,) * g)
+
+
+def _assert_fitting_matches_oracle(m, rows=None, indices=None):
+    """Every Fitt_i, i up to g + 1 (or in `indices`), equals the Leibniz
+    minors of `rows` (by default the presentation's) reduced in the ring,
+    zeros and repeats dropped, first occurrence kept, in order."""
     rows = m.rows() if rows is None else rows
-    for i in range(m.num_generators + 2):
+    for i in range(m.num_generators + 2) if indices is None else indices:
         want = {}
         for d in fitting_minors_oracle(rows, max(m.num_generators - i, 0)):
             d = m.ring.reduce(d)
@@ -454,6 +471,46 @@ class TestFittingIdeals:
         assert any(p.is_zero for p in entries)
         assert len({p.total_degree() for p in entries if not p.is_zero}) > 1
         _assert_fitting_matches_oracle(m)
+
+    @pytest.mark.parametrize("field, seed, g, r", [
+        (GF(32003), 1, 3, 5),
+        (GF(32003), 2, 5, 7),
+        (QQ, 3, 4, 6),
+    ], ids=["GF32003-3x5", "GF32003-5x7", "QQ-4x6"])
+    def test_linear_matrices_match_leibniz_oracle(self, field, seed, g, r):
+        # the benchmark's shape: dense linear forms in four variables
+        ring = make_ring(field, ["x0", "x1", "x2", "x3"], [])
+        m = _linear_matrix(ring, seed, g, r)
+        assert (m.num_generators, m.num_relations) == (g, r)
+        _assert_fitting_matches_oracle(m, indices=(0, 1))
+
+    def test_packed_monomials_wider_than_a_machine_word(self):
+        # six variables, entry degrees 0 to 2400: the 3-minors pack in base
+        # 3 * 2400 + 1, so x5's digit starts above bit 64 and the term order
+        # comes from multi-digit int comparisons
+        ring = make_ring(GF(32003), [f"x{v}" for v in range(6)], [])
+        rows = [["x0*x5 - x3^2", "x5^2400", "x1*x2^3 + x4^4", "x2 + x3"],
+                ["x4", "x0^2399 - 2*x3^1200*x5^1199", "x5^3 + x1*x4^2", "0"],
+                ["x1*x5", "x2^1500*x4^900 + x5^2400", "x0^2*x3^2 - x5^4", "x1 - x4"]]
+        m = module_from_rows(ring, [[parse_poly(s, ring.sig) for s in row]
+                                    for row in rows], (0, 1, 0))
+        entries = [p for row in m.rows() for p in row if not p.is_zero]
+        assert len({p.total_degree() for p in entries}) > 3
+        e = max(x for p in entries for mono, _ in p.terms for x in mono)
+        assert (3 * e + 1) ** 5 > 2 ** 64
+        _assert_fitting_matches_oracle(m)
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+    def test_free_ring_minors_make_no_key_sort(self, field, monkeypatch):
+        ring = make_ring(field, ["x0", "x1", "x2", "x3"], [])
+        m = _linear_matrix(ring, 4, 3, 5)
+        want = [fitting_ideal(m, i).generators for i in range(5)]
+
+        def refuse(cls, sig, coeffs):
+            raise AssertionError("Poly.from_dict called")
+
+        monkeypatch.setattr(Poly, "from_dict", classmethod(refuse))
+        assert [fitting_ideal(m, i).generators for i in range(5)] == want
 
     def test_quotient_ring_matrix_matches_leibniz_oracle(self, ring_a, pa):
         rows = [[pa(s) for s in row] for row in

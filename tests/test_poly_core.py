@@ -171,6 +171,15 @@ class TestParser:
             parse_poly("x + q", sig4)
         assert exc.value.position == 4
 
+    def test_non_invertible_literal_is_positioned(self):
+        sig = RingSignature(GF(7), ("x", "y"))
+        for text, position in (("1/7*x", 0), ("x + 1/14*y^2", 4), ("x*(y - 3/21)", 7)):
+            with pytest.raises(PolyParseError) as exc:
+                parse_poly(text, sig)
+            assert exc.value.position == position
+            assert "not invertible mod 7" in str(exc.value)
+        assert parse_poly("1/8*x", sig) == parse_poly("x", sig)
+
     def test_malformed(self, sig4):
         for bad in ("x +", "x ^ -2", "(x", "x ** y", ""):
             with pytest.raises(PolyParseError):

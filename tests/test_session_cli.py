@@ -738,3 +738,46 @@ class TestOutOfRange:
         path.write_text(json.dumps(doc))
         assert cli_main(["run", str(path), flag, "1"]) == EXIT_CAP
         capsys.readouterr()
+
+
+class TestMalformedInput:
+    """A literal the field cannot hold and a module spec its constructor
+    rejects are input errors naming the field or module (exit 2), not
+    verification failures.  The CLI runs in process, so a traceback fails
+    the test as an uncaught exception."""
+
+    def _exits_two_naming(self, tmp_path, capsys, doc, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert "input error" in out.err
+        assert repr(name) in out.err
+        return out.err
+
+    @pytest.mark.parametrize("where, change", [
+        ("ring.ideal", lambda doc: doc["ring"].update(ideal=["1/7*x*y"])),
+        ("module P.ideal",
+         lambda doc: doc["modules"].update(P={"op": "cyclic", "ideal": ["1/14*y^2"]})),
+    ], ids=["ring-ideal", "cyclic-ideal"])
+    def test_non_invertible_literal_over_gf7(self, tmp_path, capsys, where, change):
+        doc = _document(tasks=[])
+        doc["ring"]["field"] = {"prime": 7}
+        change(doc)
+        err = self._exits_two_naming(tmp_path, capsys, doc, where)
+        assert "not invertible mod 7" in err and "position 0" in err
+
+    @pytest.mark.parametrize("name, spec, reason", [
+        ("P", {"op": "cyclic", "ideal": ["x + y^2"]}, "inhomogeneous polynomial"),
+        ("C", {"op": "coker", "matrix": [["x"], ["y^2"]], "degrees": [0, 0]},
+         "inhomogeneous vector"),
+        ("C", {"op": "coker", "matrix": [["x", "y"], ["z"]], "degrees": [0, 0]},
+         "ragged presentation matrix"),
+        ("C", {"op": "coker", "matrix": [["x", "y"]], "degrees": [0, 0]},
+         "generator degree count does not match the row count"),
+    ], ids=["inhomogeneous-cyclic", "inhomogeneous-coker", "ragged-coker",
+            "degree-count"])
+    def test_malformed_module_spec(self, tmp_path, capsys, name, spec, reason):
+        doc = _document(tasks=[])
+        doc["modules"][name] = spec
+        assert reason in self._exits_two_naming(tmp_path, capsys, doc, name)
