@@ -13,8 +13,10 @@ stdout is parsed, because it carries `peak_rss_mb`, which the per-run files
 under `perfbench/out/` do not.  The file has one row per run and, per
 workload and side, the median and quartiles of each metric, with the
 number of pairs the change won (lower is better; ties count for neither
-side), and, per side, how many runs were incorrect and the sums of their
-failed and attempted units.  It is rewritten after every pair, so an
+side), the parent's interquartile spread and whether the gain rule holds
+(the change won at least 9 of every 10 pairs and its median is below the
+parent's by more than that spread), and, per side, how many runs were
+incorrect and the sums of their failed and attempted units.  It is rewritten after every pair, so an
 interrupted run keeps what it finished.  The exit status is 1 when any run
 was incorrect.
 """
@@ -27,6 +29,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("unit_s", "setup_s", "peak_rss_mb")
+GAIN_WINS = 0.9  # the share of pairs a claimed gain must win
 
 
 def run_once(root, workload, seed, seconds):
@@ -43,8 +46,9 @@ def run_once(root, workload, seed, seconds):
 
 
 def summarize(rows, workloads):
-    """Per workload: each side's median and quartiles, the change's wins, and
-    each side's incorrect runs with its failed and attempted units."""
+    """Per workload: each side's median and quartiles, the change's wins, the
+    parent's interquartile spread and the gain rule's verdict, and each
+    side's incorrect runs with its failed and attempted units."""
     out = {}
     for w in workloads:
         by_side = {side: {r["seed"]: r for r in rows
@@ -67,6 +71,12 @@ def summarize(rows, workloads):
                 1 for s in seeds
                 if m in by_side["change"][s] and m in by_side["parent"][s]
                 and by_side["change"][s][m] < by_side["parent"][s][m])
+            if "parent" in stats and "change" in stats:
+                spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+                stats["parent_spread"] = spread
+                stats["gain"] = (stats["change_wins"] >= GAIN_WINS * len(seeds) and
+                                 stats["parent"]["median"] - stats["change"]["median"]
+                                 > spread)
             entry[m] = stats
         out[w] = entry
     return out

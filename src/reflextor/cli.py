@@ -31,7 +31,7 @@ def _common_flags(suppress: bool):
     p = argparse.ArgumentParser(add_help=False)
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--cap-pairs", type=int, default=d,
-                   help="maximum S-pair reductions per basis computation")
+                   help="S-pair budget per task, one per pair treated or dropped")
     p.add_argument("--cap-resolution", type=int, default=d,
                    help="maximum free resolution length")
     p.add_argument("--tor-window", type=int, default=d,

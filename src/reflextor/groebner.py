@@ -16,10 +16,12 @@ the syzygies then generate the same module as those of a fully tailed
 run with the untracked positions dropped (over QQ they are the same
 basis), because those positions are the lowest ones.  All of these runs
 go through one pair queue (`_PairQueue`).  The graded-Nakayama scan
-grows a copy of D through the same queue, kept across offers and
-drained only up to each offered degree, with no interreduction: a
-homogeneous vector of degree delta lies in the span exactly when it
-reduces to zero against a basis truncated at delta.
+grows a copy of D through the same queue, kept across offers and never
+interreduced.  It reduces each offered vector first, as a zero remainder
+against any of the queue's entries proves membership, and treats pairs
+only while the remainder is nonzero, smallest first and up to the
+offered degree: a homogeneous vector of degree delta lies in the span
+exactly when it reduces to zero against a basis truncated at delta.
 
 A term is one int (`orders.Packing`): the position in the top bits, below
 it FIELD_MAX minus the degree and the exponents x_n ... x_1, 32 bits each
@@ -367,7 +369,7 @@ class _PairQueue:
     `basis`, both in basis order and both extended by `push`: pair
     formation and the chain criterion walk only the new entry's position,
     and every reduction takes `index` with its memo `first` (see
-    `_reduce_full`), which `drain` and a scan's `IncrementalSpan.add`
+    `_reduce_full`), which `treat` and a scan's `IncrementalSpan.add`
     share: the index only grows by `_append`, so a term's first reducer
     found once stays its first for the queue's life.  The heap holds
     (key, j, i, lcm, deg lcm), the lcm packed once, and `pending` mirrors
@@ -403,7 +405,7 @@ class _PairQueue:
 
     def push(self, terms, delta=None):
         """Append the entry of a nonzero integer term dict, of vector degree
-        `delta` in a graded queue, and queue its pairs."""
+        `delta` in a graded queue, and queue its pairs; returns the entry."""
         basis, j, pk = self.basis, len(self.basis), self.pk
         entry = _entry(terms, pk, self.fld)
         (pj, mj) = entry[3]
@@ -414,38 +416,36 @@ class _PairQueue:
             self.pending.add((i, j))
             heapq.heappush(self.heap, (d + shift, j, i, pk.pack(pj, lcm), d))
         self._append(entry)
+        return entry
 
     def drain(self, bound=None):
         """Treat the pairs of key at most `bound` (all without one), smallest
-        first: the chain criterion and, for rank one only, the product
-        criterion drop a pair, else its remainder, if any, is pushed."""
-        basis, pending, heap, fld, pk = (
-            self.basis, self.pending, self.heap, self.fld, self.pk)
-        guards, deg_guard = pk.guards, pk.deg_guard
+        first, one `treat` each."""
+        heap = self.heap
         while heap and (bound is None or heap[0][0] <= bound):
-            d, j, i, lcm, deg = heapq.heappop(heap)
-            pending.discard((i, j))
-            self.caps.tick(deg)
-            # product criterion is only sound for rank-one (polynomial) input,
-            # where every lead is in position 0 and pack(0, m) = base + m.w
-            if self.rank == 1 and lcm == basis[i][0] + basis[j][0] - pk.base:
-                continue
-            lk = lcm + deg_guard
-            skip = False
-            for k in self.slots[basis[i][3][0]]:
-                if k in (i, j):
-                    continue
-                if not (lk - basis[k][0]) & guards:
-                    a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                    if a not in pending and b not in pending:
-                        skip = True
-                        break
-            if skip:
-                continue
-            nf, _ = _reduce_full(_spair(basis[i], basis[j], lcm, pk, fld),
-                                 self.index, self.first, pk, fld, self.caps)
-            if nf:
-                self.push(nf, d)
+            self.treat()
+
+    def treat(self):
+        """Treat the smallest pending pair: the chain criterion and, for rank
+        one only, the product criterion drop it, else its remainder, if
+        any, is pushed.  Returns the pushed entry, or None."""
+        basis, pending, pk = self.basis, self.pending, self.pk
+        d, j, i, lcm, deg = heapq.heappop(self.heap)
+        pending.discard((i, j))
+        self.caps.tick(deg)
+        # product criterion is only sound for rank-one (polynomial) input,
+        # where every lead is in position 0 and pack(0, m) = base + m.w
+        if self.rank == 1 and lcm == basis[i][0] + basis[j][0] - pk.base:
+            return None
+        lk, guards = lcm + pk.deg_guard, pk.guards
+        for k in self.slots[basis[i][3][0]]:
+            if k not in (i, j) and not (lk - basis[k][0]) & guards:
+                if (min(i, k), max(i, k)) not in pending and (
+                        min(j, k), max(j, k)) not in pending:
+                    return None
+        nf, _ = _reduce_full(_spair(basis[i], basis[j], lcm, pk, self.fld),
+                             self.index, self.first, pk, self.fld, self.caps)
+        return self.push(nf, d) if nf else None
 
     def reduced(self):
         """The reduced basis of the entries' span; the queue must be drained.
@@ -696,9 +696,10 @@ class IncrementalSpan:
     The reduced basis `_basis` keeps its position index `_index` beside
     it, rebuilt only when the basis is replaced; every reduction takes
     the index.  `add(v, degree)`, the graded-Nakayama scan's step, keeps
-    one graded `_PairQueue` across calls, drained only to `degree` and
-    never interreduced, and reduces against the queue's own index:
-    mid-scan its entries are a basis only up to the degrees offered.  Any
+    one graded `_PairQueue` across calls, never interreduced, and reduces
+    against the queue's own index, treating its pairs up to `degree` only
+    until v is decided: mid-scan its entries are a basis at most up to the
+    degrees offered, and pairs at or below them may still be pending.  Any
     other use (`contains`, `normal_form`, `_entries` as a seed) first
     drains that queue and interreduces.  The list and index a span started
     from are never mutated, so a shallow copy of a span with no queue
@@ -751,18 +752,24 @@ class IncrementalSpan:
 
     def add(self, v, degree) -> bool:
         """Absorb v, homogeneous of vector degree `degree`, as a scan step;
-        True exactly when it was not already in the span.  The queue's
-        pairs up to `degree` are treated, v is reduced against its entries
-        and a remainder joins the queue."""
+        True exactly when it was not already in the span.  v is reduced
+        against the queue's entries; while the remainder is nonzero the
+        queue's pairs up to `degree` are treated, the remainder reduced
+        again when a pushed lead divides one of its terms, and a remainder
+        left when none is pending joins the queue."""
         self.memo_key = None
         if self._queue is None:
             self._queue = _PairQueue(self._basis, self.sig, self.caps, self.rank,
                                      graded=True)
-        self._queue.drain(degree)
-        nf, _ = _reduce_value(v, self.rank, self._queue.index, self._queue.first,
-                              self.sig.field, self.caps)
+        q, pk, fld = self._queue, self.sig.packing, self.sig.field
+        nf, _ = _reduce_value(v, self.rank, q.index, q.first, fld, self.caps)
+        while nf and q.heap and q.heap[0][0] <= degree:
+            e = q.treat()
+            if e is not None and any(t >> pk.pos_shift == e[3][0] and pk.divides(e[0], t)
+                                     for t in nf):
+                nf, _ = _reduce_full(nf, q.index, q.first, pk, fld, self.caps)
         if nf:
-            self._queue.push(nf, degree)
+            q.push(nf, degree)
         return bool(nf)
 
 

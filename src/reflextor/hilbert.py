@@ -126,9 +126,9 @@ def minimal_vector_subset(span, vectors, degrees):
     span of the ones kept before it.  Within a degree the sparsest come
     first, keeping sparse generators for the arithmetic downstream, ties
     broken by the nonzero coordinates' term tuples.  Each is offered with
-    its degree, so the span's pair queue is drained only to that degree
-    and never past the largest one; the span keeps the pairs above it
-    until it is next queried or dropped.
+    its degree, and the span's pair queue treats pairs, up to that degree,
+    only until the vector is decided (`IncrementalSpan.add`); the span
+    keeps the pairs left pending until it is next queried or dropped.
     """
     def key(i):
         terms = [(pos, p.terms) for pos, p in enumerate(vectors[i].coords) if p.terms]

@@ -215,7 +215,7 @@ def minimal_generator_indices(ring, rank, vectors, degrees, modulo=None, caps=No
     """Graded-Nakayama choice of generators of (span(vectors)+D)/D over R,
     D the membership span `modulo` (zero by default); the scan grows a
     copy charged to `caps`, so D is left as it was, and the copy, with
-    the pairs it left above the top degree, is dropped on return."""
+    the pairs it left pending, is dropped on return."""
     # a span from `ring_membership_span` is already the caller's own copy
     span = copy(modulo) if modulo else ring_membership_span(ring, rank, (), caps)
     span.caps = caps or span.caps

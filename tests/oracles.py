@@ -40,7 +40,10 @@ against exponent tuple, where the engine remembers the first hit of each
 term for the life of a run.  `span_syzygies_full_reference` is the older
 route of a `Span`'s syzygies: the tailed run's whole augmented basis
 minimalized and tail-reduced, span block too, where the engine
-interreduces only the syzygy block.
+interreduces only the syzygy block.  `nakayama_scan_reference` is the
+older graded-Nakayama scan step: every pending pair up to the offered
+degree treated before the offered vector is reduced, where the engine
+reduces first and treats pairs only while the remainder is nonzero.
 """
 
 from itertools import combinations, permutations
@@ -464,6 +467,22 @@ def first_reducer_reference(index, t, pk):
         if mono_divides(entry[3][1], m):
             return entry
     return None
+
+
+def nakayama_scan_reference(span, v, degree) -> bool:
+    """`span.add(v, degree)` by the older route: the scan's queue drained to
+    `degree` first, then v reduced against its entries and a remainder
+    pushed.  True exactly when v was not already in the span."""
+    span.memo_key = None
+    if span._queue is None:
+        span._queue = _PairQueue(span._basis, span.sig, span.caps, span.rank,
+                                 graded=True)
+    span._queue.drain(degree)
+    nf, _ = _reduce_value(v, span.rank, span._queue.index, span._queue.first,
+                          span.sig.field, span.caps)
+    if nf:
+        span._queue.push(nf, degree)
+    return bool(nf)
 
 
 def _interreduce_all(queue):

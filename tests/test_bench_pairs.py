@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -38,6 +39,31 @@ class TestSummarize:
         assert unit["parent"]["median"] == 0.51
         assert unit["change"]["median"] == 0.31
         assert unit["change_wins"] == 2
+
+    def test_parent_spread_and_gain_rule(self):
+        unit = bench_pairs.summarize(ROWS, ["w"])["w"]["unit_s"]
+        q1, _, q3 = statistics.quantiles([0.50, 0.52, 0.51], n=4)
+        assert unit["parent_spread"] == q3 - q1
+        assert not unit["gain"]  # 2 of 3 pairs won, below 9 in 10
+        setup = bench_pairs.summarize(ROWS, ["w"])["w"]["setup_s"]
+        assert setup["parent_spread"] == 0 and not setup["gain"]
+
+    def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread(self):
+        def rows(changes):
+            out = []
+            for seed, change in enumerate(changes):
+                out += [_row(seed, "parent", 0.50 + 0.001 * (seed % 3)),
+                        _row(seed, "change", change)]
+            return out
+
+        def gain(changes):
+            return bench_pairs.summarize(rows(changes), ["w"])["w"]["unit_s"]["gain"]
+
+        assert gain([0.40] * 10)
+        assert gain([0.40] * 9 + [0.60])  # 9 of 10 pairs
+        assert not gain([0.40] * 8 + [0.60] * 2)  # 8 of 10 pairs
+        # every pair won, but the medians differ by less than the spread
+        assert not gain([0.4995] * 10)
 
     def test_workload_without_runs(self):
         entry = bench_pairs.summarize(ROWS, ["other"])["other"]

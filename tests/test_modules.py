@@ -767,10 +767,17 @@ class TestRelationSpanIsShared:
         assert gens == [outside, vec("0", "1")]
         assert module.num_generators == 2
         d_pairs = d_caps._pairs_used
-        kept = minimal_generator_indices(ring_a, 2, numerators, [0, 0, 1, 1],
+        assert minimal_generator_indices(ring_a, 2, numerators, [0, 0, 1, 1],
+                                         modulo=d_span, caps=scan_caps) == [0, 1]
+        # (0, z^2) = x*(z, 0) - z*(x, z) lies in the span, but no lead of D or
+        # of a kept vector divides z^2*e_1: only the entry of that S-pair
+        # reduces it, so the scan treats a pair, charged to the caps it was
+        # given
+        numerators = [vec("z", "0"), vec("y", "0"), vec("x", "z"), vec("0", "z^2")]
+        assert not any(d_span.contains(v) for v in numerators[:2])
+        kept = minimal_generator_indices(ring_a, 2, numerators, [1, 1, 1, 2],
                                          modulo=d_span, caps=scan_caps)
         assert kept == [0, 1]
-        # the scan's pairs are charged to the caps it was given
         assert scan_caps._pairs_used > 0 and d_caps._pairs_used == d_pairs
 
         assert d_span._entries is entries and d_span._entries == snapshot

@@ -1,10 +1,14 @@
 """The graded-Nakayama scan: one degree-truncated pair queue on a copy of D.
 
+A scan step reduces the offered vector first and treats the queue's pairs
+up to its degree only while the remainder is nonzero.
 `minimal_generator_indices` is checked against degree-piece dimensions
 from `oracles.submodule_piece_dimension`, which shares no code with the
-basis engine; the other tests check that a scan which stops with pairs
-pending above its top degree leaves the caller's relation span as it was
-and still honors the cancel callback.
+basis engine, and against `oracles.nakayama_scan_reference`, the older
+step that treats every pair up to the offered degree first: the same
+kept vectors, a prefix of its entries and no more pairs.  The other tests
+check that a scan which stops with pairs pending leaves the caller's
+relation span as it was and still honors the cancel callback.
 """
 
 import random
@@ -14,12 +18,13 @@ import pytest
 
 from reflextor import GF, QQ, make_ring
 from reflextor.caps import Caps, ComputationCancelled
-from reflextor.groebner import FreeVector
+from reflextor.groebner import FreeVector, Ideal, IncrementalSpan
 from reflextor.hilbert import minimal_vector_subset, vector_degree
 from reflextor.modules import minimal_generator_indices, ring_membership_span
-from reflextor.poly import Poly
+from reflextor.parse import parse_poly
+from reflextor.poly import Poly, RingSignature
 
-from oracles import all_monomials, submodule_piece_dimension
+from oracles import all_monomials, nakayama_scan_reference, submodule_piece_dimension
 
 COORD_DEGREES = (0, 1, 2)
 
@@ -87,7 +92,7 @@ def test_kept_exactly_when_the_piece_grows(fld, seed, with_modulo):
 
 
 class TestKeptHeap:
-    """A scan that stops with pairs pending above its top degree."""
+    """A scan that stops with pairs pending."""
 
     @staticmethod
     def _scan_input(fld):
@@ -96,7 +101,7 @@ class TestKeptHeap:
         return ring, modulo, vectors, degrees
 
     @pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
-    def test_relation_span_is_left_as_it_was(self, fld):
+    def test_relation_span_is_left_as_it_was(self, fld, monkeypatch):
         ring, modulo, vectors, degrees = self._scan_input(fld)
         rank = len(COORD_DEGREES)
         d_span = ring_membership_span(ring, rank, modulo)
@@ -107,8 +112,11 @@ class TestKeptHeap:
 
         scanned = copy(d_span)
         kept = minimal_vector_subset(scanned, vectors, degrees)
-        heap = scanned._queue.heap
-        assert heap and min(key for key, *_ in heap) > max(degrees)
+        assert scanned._queue.heap
+        reference = copy(d_span)
+        with monkeypatch.context() as m:
+            m.setattr(IncrementalSpan, "add", nakayama_scan_reference)
+            assert minimal_vector_subset(reference, vectors, degrees) == kept
 
         assert minimal_generator_indices(ring, rank, vectors, degrees,
                                          modulo=d_span) == kept
@@ -129,6 +137,79 @@ class TestKeptHeap:
             minimal_generator_indices(ring, rank, vectors, degrees, modulo=d_span,
                                       caps=Caps(cancel=cancel))
         assert polls
+
+
+RANK_DEGREES = {1: (0,), 3: (0, 1, 1)}
+
+
+def _offers(fld, rank, with_ideal, redundant_top):
+    """A signature, the ideal (x*y - z^2) or none, coordinate degrees and
+    homogeneous vectors of S^rank to offer.  Without `redundant_top`, random
+    ones of degrees 1 to 3 and two combinations of them; with it, shaped
+    like the Schreyer generators a resolution step offers: random ones of
+    degrees 1 and 2, and at the top degree 3 only combinations of them."""
+    sig = RingSignature(fld, ("x", "y", "z"))
+    ideal = Ideal(sig, (parse_poly("x*y - z^2", sig),)) if with_ideal else None
+    rng = random.Random(20261022 + rank)
+    degs = RANK_DEGREES[rank]
+
+    def form(d):
+        monos = all_monomials(sig.nvars, d)
+        picks = rng.sample(monos, min(3, len(monos)))
+        return Poly.from_dict(sig, {m: fld.from_int(rng.randint(1, 7)) for m in picks})
+
+    def vector(d):
+        return FreeVector(sig, tuple(form(d - cd) for cd in degs))
+
+    x, y, z = (Poly.variable(sig, n) for n in ("x", "y", "z"))
+    if redundant_top:
+        low = [vector(d) for d in (1, 1, 2, 2)]
+        return sig, ideal, degs, low + [
+            low[0].poly_mul(x * x), low[1].poly_mul(y * z) + low[2].poly_mul(x),
+            low[3].poly_mul(z) - low[0].poly_mul(x * y)]
+    vectors = [vector(d) for d in (1, 2, 2, 2, 3, 3)]
+    return sig, ideal, degs, vectors + [vectors[1].poly_mul(x) + vectors[4],
+                                        vectors[0].poly_mul(x * z) - vectors[5]]
+
+
+def _kept_count_oracle(sig, ideal, rank, degs, vectors, degrees):
+    """The number of minimal generators of (span(vectors) + ideal*F)/ideal*F:
+    per degree d, how far the degree-d vectors grow the degree-d piece."""
+    base = [FreeVector.unit(sig, rank, i).poly_mul(g)
+            for g in (ideal.generators if ideal else ()) for i in range(rank)]
+    count = 0
+    for d in sorted(set(degrees)):
+        below = base + [v for v, dv in zip(vectors, degrees) if dv < d]
+        upto = below + [v for v, dv in zip(vectors, degrees) if dv == d]
+        count += (submodule_piece_dimension(upto, degs, d)
+                  - submodule_piece_dimension(below, degs, d))
+    return count
+
+
+@pytest.mark.parametrize("redundant_top", [False, True], ids=["mixed", "redundant-top"])
+@pytest.mark.parametrize("with_ideal", [False, True], ids=["plain", "ideal"])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("fld", [GF(32003), QQ], ids=["GF32003", "QQ"])
+def test_scan_matches_the_drain_first_reference(fld, rank, with_ideal, redundant_top,
+                                                monkeypatch):
+    sig, ideal, degs, vectors = _offers(fld, rank, with_ideal, redundant_top)
+    degrees = [vector_degree(v, degs) for v in vectors]
+    caps, ref_caps = Caps(), Caps()
+    span = IncrementalSpan(sig, rank, (), caps, ideal)
+    reference = IncrementalSpan(sig, rank, (), ref_caps, ideal)
+    kept = minimal_vector_subset(span, vectors, degrees)
+    with monkeypatch.context() as m:
+        m.setattr(IncrementalSpan, "add", nakayama_scan_reference)
+        assert minimal_vector_subset(reference, vectors, degrees) == kept
+    entries = span._queue.basis
+    assert entries == reference._queue.basis[:len(entries)]
+    if redundant_top:
+        # every top-degree vector is decided before all of its pairs are
+        assert caps._pairs_used < ref_caps._pairs_used
+    else:
+        assert caps._pairs_used <= ref_caps._pairs_used
+    assert len(kept) == _kept_count_oracle(sig, ideal, rank, degs, vectors, degrees)
+    assert 0 < len(kept) < len(vectors)
 
 
 def test_huge_coefficient_tie_break():

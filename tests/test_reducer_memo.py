@@ -4,7 +4,8 @@
 stores the entry a scan finds; a term found irreducible is not stored.
 Position lists only grow by appending, so while an index lives the first
 divisor of a term, in basis order, never changes.  These tests check, at
-every `drain` and every scan step (`IncrementalSpan.add`), that each memo
+every `drain`, every pair a queue treats (`_PairQueue.treat`) and every
+scan step (`IncrementalSpan.add`), that each memo
 entry of the queue is the entry `oracles.first_reducer_reference` finds by
 a plain scan of the index as it stands then; over QQ and GF(32003), ranks
 one and three, with and without an ideal block, in a graded scan and in a
@@ -39,16 +40,24 @@ def check_memo(queue):
 
 @pytest.fixture
 def memo_sizes(monkeypatch):
-    """Check every queue's memo before and after each `drain` and after
-    each scan step; the list collects the memo sizes seen."""
+    """Check every queue's memo before and after each `drain` and each pair
+    treated, and after each scan step; the list collects the memo sizes
+    seen."""
     sizes = []
-    drain, add = _PairQueue.drain, IncrementalSpan.add
+    drain, treat, add = _PairQueue.drain, _PairQueue.treat, IncrementalSpan.add
 
     def checked_drain(self, bound=None):
         check_memo(self)
         drain(self, bound)
         check_memo(self)
         sizes.append(len(self.first))
+
+    def checked_treat(self):
+        check_memo(self)
+        entry = treat(self)
+        check_memo(self)
+        sizes.append(len(self.first))
+        return entry
 
     def checked_add(self, v, degree):
         grew = add(self, v, degree)
@@ -57,6 +66,7 @@ def memo_sizes(monkeypatch):
         return grew
 
     monkeypatch.setattr(_PairQueue, "drain", checked_drain)
+    monkeypatch.setattr(_PairQueue, "treat", checked_treat)
     monkeypatch.setattr(IncrementalSpan, "add", checked_add)
     return sizes
 
